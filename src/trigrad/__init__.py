@@ -7,9 +7,7 @@ from .algebra import (
     Polynomial,
     PolyRing,
     QSeries,
-    Rational,
     RationalQT,
-    monomial_bidegree,
     qt_expand,
 )
 from .braid import (
@@ -57,7 +55,6 @@ __all__ = [
     "Polynomial",
     "PolyRing",
     "QSeries",
-    "Rational",
     "RationalQT",
     "ResolutionGraph",
     "TriGradedDims",
@@ -79,7 +76,6 @@ __all__ = [
     "koszul_of_graph",
     "link_homology",
     "matrix_homology",
-    "monomial_bidegree",
     "ocneanu_trace",
     "parse_braid",
     "qt_expand",

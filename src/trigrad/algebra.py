@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -296,11 +294,6 @@ class Polynomial:
         for s in parts[1:]:
             out += " - " + s[1:] if s.startswith("-") else " + " + s
         return out
-
-
-def monomial_bidegree(ring: PolyRing, exps: tuple[int, ...]) -> Bidegree:
-    """Bidegree of the monomial with the given exponent vector."""
-    return ring.monomial_bidegree(exps)
 
 
 def monomials_of_degree(nvars: int, total: int) -> list[tuple[int, ...]]:

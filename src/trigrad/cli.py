@@ -11,16 +11,18 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 import click
 
 from . import catalog
-from .algebra import Bidegree, QSeries, qt_expand
+from .algebra import Bidegree, LaurentQT, QSeries, RationalQT, qt_expand
 from .braid import (
     BraidWord,
     InvalidMoveError,
     MarkovMove,
     apply_markov,
+    build_marked_diagram,
     closure_components,
     conjugate_by,
     parse_braid,
@@ -52,10 +54,36 @@ def _parse(text: str, strands: int | None) -> BraidWord:
         sys.exit(EXIT_PARSE)
 
 
-def _check_config(qmax: int, workers: int) -> None:
-    if qmax < 1 or workers < 1:
-        click.echo("config violation: qmax and workers must be >= 1", err=True)
-        sys.exit(EXIT_CONFIG)
+def _config_error(message: str) -> NoReturn:
+    click.echo(f"config violation: {message}", err=True)
+    sys.exit(EXIT_CONFIG)
+
+
+def _check_config(qmax: int, workers: int, marks: int = 1) -> None:
+    for flag, value in (("--qmax", qmax), ("--workers", workers),
+                        ("--marks", marks)):
+        if value < 1:
+            _config_error(f"{flag} {value} must be >= 1")
+
+
+def _check_basepoint(
+    b: BraidWord, reduced: bool, basepoint: str | None, marks: int
+) -> None:
+    if basepoint is None:
+        return
+    if not reduced:
+        _config_error(f"--basepoint {basepoint} needs --reduced")
+    names = build_marked_diagram(b, marks).var_names()
+    if basepoint not in names:
+        _config_error(
+            f"--basepoint {basepoint} is not a mark of {render_braid(b)!r} "
+            f"(marks x1..x{len(names)})"
+        )
+
+
+def _reject_json(as_json: bool, command: str) -> None:
+    if as_json:
+        _config_error(f"--json is not supported by {command}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -150,9 +178,10 @@ def common_options(fn):
 @common_options
 def homology(braid, strands, qmax, reduced, basepoint, marks, as_json, out, workers):
     """Trigraded homology dims of the closure of BRAID."""
-    workers = workers or default_workers()
-    _check_config(qmax, workers)
+    workers = default_workers() if workers is None else workers
+    _check_config(qmax, workers, marks)
     b = _parse(braid, strands)
+    _check_basepoint(b, reduced, basepoint, marks)
     h = braid_homology(
         b, qmax, reduced=reduced, basepoint=basepoint,
         marks_per_segment=marks, workers=workers,
@@ -206,16 +235,28 @@ def homfly(braid, strands, qmax, as_json, out):
 @click.argument("braid")
 @common_options
 def euler_check(braid, strands, qmax, reduced, basepoint, marks, as_json, out, workers):
-    """Compare the homology Euler characteristic against the trace oracle."""
-    workers = workers or default_workers()
-    _check_config(qmax, workers)
+    """Compare the homology Euler characteristic against the trace oracle.
+
+    With --reduced the oracle side is F * (1 - q^2), since H = Hbar (x) Q[x].
+    """
+    workers = default_workers() if workers is None else workers
+    _check_config(qmax, workers, marks)
+    _reject_json(as_json, "euler-check")
     b = _parse(braid, strands)
-    h = braid_homology(b, qmax, marks_per_segment=marks, workers=workers)
+    _check_basepoint(b, reduced, basepoint, marks)
+    h = braid_homology(
+        b, qmax, reduced=reduced, basepoint=basepoint,
+        marks_per_segment=marks, workers=workers,
+    )
     left = euler_characteristic(h)
-    right = qt_expand(homfly_F(b), qmax)
+    f, oracle = homfly_F(b), "F(D)"
+    if reduced:
+        f = f * RationalQT.from_laurent(LaurentQT({(0, 0): 1, (2, 0): -1}))
+        oracle = "F(D)*(1 - q^2)"
+    right = qt_expand(f, qmax)
     bad = left.first_difference(right)
     if bad is None:
-        _emit(f"euler-check PASS: <D> = F(D) for {render_braid(b)!r} "
+        _emit(f"euler-check PASS: <D> = {oracle} for {render_braid(b)!r} "
               f"up to q^{qmax}", out)
         return
     lines = [
@@ -227,40 +268,43 @@ def euler_check(braid, strands, qmax, reduced, basepoint, marks, as_json, out, w
     sys.exit(EXIT_FAIL)
 
 
+# move name -> (MarkovMove kind, number of integer arguments); conjlet
+# conjugates by one generator instead
+_MOVES = {
+    "conj": ("conjugate", 1),
+    "conjlet": (None, 1),
+    "far": ("far-commute", 1),
+    "cancel": ("cancel-pair", 1),
+    "insert": ("cancel-pair", 2),
+    "braid": ("braid-relation", 1),
+    "stab+": ("stabilize-positive", 0),
+    "stab-": ("stabilize-negative", 0),
+    "destab": ("destabilize", 0),
+}
+
+
 def parse_move(text: str) -> tuple[str, list]:
-    parts = text.split(":")
-    head, args = parts[0], [int(x) for x in parts[1:]]
-    return head, args
+    head, *raw = text.split(":")
+    if head not in _MOVES:
+        _config_error(f"unknown move {text!r}")
+    arity = _MOVES[head][1]
+    if len(raw) != arity:
+        _config_error(f"move {text!r} takes {arity} integer argument(s)")
+    try:
+        return head, [int(x) for x in raw]
+    except ValueError:
+        _config_error(f"move {text!r} has a non-integer argument")
 
 
 def apply_move_text(b: BraidWord, text: str) -> BraidWord:
     head, args = parse_move(text)
+    kind = _MOVES[head][0]
     try:
-        if head == "conj":
-            return apply_markov(b, MarkovMove("conjugate", pos=args[0]))
-        if head == "conjlet":
+        if kind is None:
             return conjugate_by(b, args[0])
-        if head == "far":
-            return apply_markov(b, MarkovMove("far-commute", pos=args[0]))
-        if head == "cancel":
-            return apply_markov(b, MarkovMove("cancel-pair", pos=args[0]))
-        if head == "insert":
-            return apply_markov(
-                b, MarkovMove("cancel-pair", pos=args[0], letter=args[1])
-            )
-        if head == "braid":
-            return apply_markov(b, MarkovMove("braid-relation", pos=args[0]))
-        if head == "stab+":
-            return apply_markov(b, MarkovMove("stabilize-positive"))
-        if head == "stab-":
-            return apply_markov(b, MarkovMove("stabilize-negative"))
-        if head == "destab":
-            return apply_markov(b, MarkovMove("destabilize"))
+        return apply_markov(b, MarkovMove(kind, *args))
     except InvalidMoveError as exc:
-        click.echo(f"invalid move {text!r}: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    click.echo(f"unknown move {text!r}", err=True)
-    sys.exit(EXIT_CONFIG)
+        _config_error(f"invalid move {text!r}: {exc}")
 
 
 @main.command(context_settings={"ignore_unknown_options": True})
@@ -272,14 +316,22 @@ def apply_move_text(b: BraidWord, text: str) -> BraidWord:
 def invariance(braid, moves, strands, qmax, reduced, basepoint, marks,
                as_json, out, workers):
     """Compare homology before/after Markov moves, up to an overall shift."""
-    workers = workers or default_workers()
-    _check_config(qmax, workers)
+    workers = default_workers() if workers is None else workers
+    _check_config(qmax, workers, marks)
+    _reject_json(as_json, "invariance")
     b = _parse(braid, strands)
     b2 = b
     for mv in moves:
         b2 = apply_move_text(b2, mv)
-    h1 = braid_homology(b, qmax, marks_per_segment=marks, workers=workers)
-    h2 = braid_homology(b2, qmax, marks_per_segment=marks, workers=workers)
+    for word in (b, b2):
+        _check_basepoint(word, reduced, basepoint, marks)
+    h1, h2 = (
+        braid_homology(
+            word, qmax, reduced=reduced, basepoint=basepoint,
+            marks_per_segment=marks, workers=workers,
+        )
+        for word in (b, b2)
+    )
     try:
         shift = compare_up_to_shift(h1, h2)
     except InconclusiveComparison as exc:

@@ -12,6 +12,21 @@ axioms force the trace parameters
 
 with F(D) = (t^{-1}/(q^{-1}-q)) * delta^{n-1} * trace(rho(D)).
 
+Everything inside is integer arithmetic.  Hecke coefficients are Laurent
+polynomials in q with integer coefficients, ``{q_exp: int}``, since the
+quadratic relation and T_i^{-1} = q^{-2} T_i + (1 - q^{-2}) have integer
+Laurent coefficients.  The trace of a basis element T_w is a polynomial in
+z over Z[q^{+-1}], ``{(z_exp, q_exp): int}``.  Writing the trace of the braid
+as sum c_{m,e} q^e z^m, with m <= n-1, gives the closed form
+
+    F = t^{-1} q * sum c_{m,e} q^e (1 + t^{-1}q)^{n-1-m} (1 - q^2)^m
+        / (1 - q^2)^n,
+
+whose numerator is an integer Laurent polynomial in (q, t).  Every factor
+(1 - q^2) that divides it exactly is cancelled, so F is returned as one
+fraction over (1 - q^2)^k.  Values become ``RationalQT`` only in the public
+functions.
+
 The rescaling F~ = sqrt(alpha)^{w - s + 1} F with alpha = -t^{-1}q^{-1} is
 invariant under all Markov moves; the half-integer alpha powers live in a
 formal square root A.
@@ -21,22 +36,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .algebra import LaurentQT, RationalQT
 from .braid import BraidWord
 
 Permutation = tuple[int, ...]
+QLaurent = dict[int, int]  # {q_exp: coefficient}
+ZPoly = dict[tuple[int, int], int]  # {(z_exp, q_exp): coefficient}
+QTLaurent = dict[tuple[int, int], int]  # {(q_exp, t_exp): coefficient}
 
 
 def perm_identity(n: int) -> Permutation:
     return tuple(range(n))
-
-
-def perm_length(w: Permutation) -> int:
-    n = len(w)
-    return sum(
-        1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j]
-    )
 
 
 def perm_mul(p: Permutation, q: Permutation) -> Permutation:
@@ -86,65 +98,67 @@ class HeckeElement:
         )
 
 
-# T_i^2 = (1 - q^2) T_i + q^2;  T_i^{-1} = q^{-2} T_i + (1 - q^{-2})
-_Q2 = RationalQT.term(2, 0)
-_QM2 = RationalQT.term(-2, 0)
-_ONE_MINUS_Q2 = RationalQT.one() - _Q2
-_ONE_MINUS_QM2 = RationalQT.one() - _QM2
-
-
 def _right_mul_gen(
-    d: dict[Permutation, RationalQT], i: int, inverse: bool
-) -> dict[Permutation, RationalQT]:
-    """Right multiplication by T_{s_i}^{±1}; `i` is the 0-indexed position."""
-    out: dict[Permutation, RationalQT] = {}
+    d: dict[Permutation, QLaurent], i: int, inverse: bool
+) -> dict[Permutation, QLaurent]:
+    """Right multiplication by T_{s_i}^{±1}; `i` is the 0-indexed position.
 
-    def add(w, c):
-        if w in out:
-            out[w] = out[w] + c
-        else:
-            out[w] = c
-
+    T_w T_s = T_{ws} when the length goes up, else (1-q^2) T_w + q^2 T_{ws};
+    T_w T_s^{-1} = T_{ws} when the length goes down, else
+    (1-q^{-2}) T_w + q^{-2} T_{ws}.
+    """
+    out: dict[Permutation, QLaurent] = {}
+    shift = -2 if inverse else 2
     for w, c in d.items():
         ws = list(w)
         ws[i], ws[i + 1] = ws[i + 1], ws[i]
         ws = tuple(ws)
-        length_up = w[i] < w[i + 1]
-        if not inverse:
-            if length_up:
-                add(ws, c)
-            else:
-                add(w, c * _ONE_MINUS_Q2)
-                add(ws, c * _Q2)
-        else:
-            # T_w (q^{-2} T_s + (1 - q^{-2}))
-            add(w, c * _ONE_MINUS_QM2)
-            if length_up:
-                add(ws, c * _QM2)
-            else:
-                add(w, c * _QM2 * _ONE_MINUS_Q2)
-                add(ws, c * _QM2 * _Q2)
-    return {w: c for w, c in out.items() if not c.is_zero()}
+        acc_ws = out.setdefault(ws, {})
+        if (w[i] < w[i + 1]) != inverse:
+            for e, v in c.items():
+                acc_ws[e] = acc_ws.get(e, 0) + v
+            continue
+        acc_w = out.setdefault(w, {})
+        for e, v in c.items():
+            acc_w[e] = acc_w.get(e, 0) + v
+            acc_w[e + shift] = acc_w.get(e + shift, 0) - v
+            acc_ws[e + shift] = acc_ws.get(e + shift, 0) + v
+    out = {w: {e: v for e, v in c.items() if v} for w, c in out.items()}
+    return {w: c for w, c in out.items() if c}
+
+
+def _hecke_laurent(b: BraidWord) -> dict[Permutation, QLaurent]:
+    d = {perm_identity(b.strands): {0: 1}}
+    for s in b.letters:
+        d = _right_mul_gen(d, abs(s) - 1, s < 0)
+    return d
+
+
+def _q_laurent_rqt(c: QLaurent) -> RationalQT:
+    return _qt_rqt({(e, 0): v for e, v in c.items()}, {(0, 0): 1})
 
 
 def hecke_of_braid(b: BraidWord) -> HeckeElement:
-    d = {perm_identity(b.strands): RationalQT.one()}
-    for s in b.letters:
-        d = _right_mul_gen(d, abs(s) - 1, s < 0)
-    return HeckeElement.from_dict(b.strands, d)
+    return HeckeElement.from_dict(
+        b.strands,
+        {w: _q_laurent_rqt(c) for w, c in _hecke_laurent(b).items()},
+    )
 
 
 def hecke_mul(x: HeckeElement, y: HeckeElement) -> HeckeElement:
-    """Product, expanding y through reduced words of its permutations."""
+    """Product, expanding each T_w of y through a reduced word of w."""
     if x.n != y.n:
         raise ValueError("size mismatch")
     out: dict[Permutation, RationalQT] = {}
     for w, c in y.coeffs:
-        d = {u: cu * c for u, cu in x.coeffs}
-        for i in _reduced_word(w):
-            d = _right_mul_gen(d, i, False)
-        for u, cu in d.items():
-            out[u] = out.get(u, RationalQT.zero()) + cu
+        word = _reduced_word(w)
+        for u, cu in x.coeffs:
+            d = {u: {0: 1}}
+            for i in word:
+                d = _right_mul_gen(d, i, False)
+            for v, p in d.items():
+                term = cu * c * _q_laurent_rqt(p)
+                out[v] = out.get(v, RationalQT.zero()) + term
     return HeckeElement.from_dict(x.n, out)
 
 
@@ -181,14 +195,15 @@ def solve_trace_params() -> TraceParams:
     return TraceParams(delta, delta.inverse())
 
 
-_PARAMS = solve_trace_params()
-_TRACE_MEMO: dict[tuple[int, Permutation], RationalQT] = {}
+# (n, w) -> trace of T_w in H_n; shared by every caller, never mutated
+_TRACE_MEMO: dict[tuple[int, Permutation], ZPoly] = {}
 
 
-def _trace_basis(n: int, w: Permutation) -> RationalQT:
-    """Compatible normalized Markov trace on the T-basis."""
+def _trace_basis(n: int, w: Permutation) -> ZPoly:
+    """Compatible normalized Markov trace on the T-basis, as a polynomial
+    in z over Z[q^{+-1}]."""
     if n == 1:
-        return RationalQT.one()
+        return {(0, 0): 1}
     key = (n, w)
     if key in _TRACE_MEMO:
         return _TRACE_MEMO[key]
@@ -206,22 +221,52 @@ def _trace_basis(n: int, w: Permutation) -> RationalQT:
         uinv[x] = i
     v = perm_mul(w, tuple(uinv))
     assert v[n - 1] == n - 1
-    d = {v[: n - 1]: RationalQT.one()}
+    d = {v[: n - 1]: {0: 1}}
     for i in range(n - 3, k - 1, -1):
         d = _right_mul_gen(d, i, False)
-    out = RationalQT.zero()
-    for vv, c in d.items():
-        out = out + c * _trace_basis(n - 1, vv)
-    out = out * _PARAMS.z
+    out = _trace_combination(n - 1, d, z_shift=1)
     _TRACE_MEMO[key] = out
     return out
 
 
+def _trace_combination(
+    n: int, d: dict[Permutation, QLaurent], z_shift: int = 0
+) -> ZPoly:
+    """z^z_shift * trace(sum_w c_w T_w) in H_n."""
+    out: ZPoly = {}
+    for w, c in d.items():
+        for (m, e), v in _trace_basis(n, w).items():
+            for ce, cv in c.items():
+                key = (m + z_shift, e + ce)
+                out[key] = out.get(key, 0) + v * cv
+    return {k: v for k, v in out.items() if v}
+
+
+def _z_numerator(tr: ZPoly, top: int) -> QTLaurent:
+    """(1 + t^{-1}q)^top * tr with z = (1-q^2)/(1 + t^{-1}q) substituted,
+    for top >= every z-exponent of tr."""
+    out: QTLaurent = {}
+    for (m, e), c in tr.items():
+        for j in range(m + 1):
+            c1 = c * comb(m, j) * (-1) ** j
+            for i in range(top - m + 1):
+                key = (e + 2 * j + i, -i)
+                out[key] = out.get(key, 0) + c1 * comb(top - m, i)
+    return {k: v for k, v in out.items() if v}
+
+
+def _qt_rqt(num: QTLaurent, den: QTLaurent) -> RationalQT:
+    return RationalQT(LaurentQT(num), LaurentQT(den))
+
+
 def ocneanu_trace(e: HeckeElement) -> RationalQT:
-    out = RationalQT.zero()
+    """Markov trace of e, over (1 + t^{-1}q)^m for m its top z-degree."""
+    traces = {w: _trace_basis(e.n, w) for w, _ in e.coeffs}
+    top = max((m for tr in traces.values() for m, _ in tr), default=0)
+    num = RationalQT.zero()
     for w, c in e.coeffs:
-        out = out + c * _trace_basis(e.n, w)
-    return out
+        num = num + c * _qt_rqt(_z_numerator(traces[w], top), {(0, 0): 1})
+    return num * _qt_rqt({(0, 0): 1}, _z_numerator({(0, 0): 1}, top))
 
 
 def unknot_value() -> RationalQT:
@@ -232,9 +277,38 @@ def unknot_value() -> RationalQT:
     )
 
 
+def _divide_one_minus_q2(num: QTLaurent) -> QTLaurent | None:
+    """num / (1 - q^2) if the division is exact, else None."""
+    rows: dict[int, dict[int, int]] = {}
+    for (qe, te), c in num.items():
+        rows.setdefault(te, {})[qe] = c
+    out: QTLaurent = {}
+    for te, row in rows.items():
+        # quotient coefficients Q_e = num_e + Q_{e-2}, one chain per parity
+        carry = [0, 0]
+        for qe in range(min(row), max(row) + 1):
+            c = row.get(qe, 0) + carry[qe & 1]
+            carry[qe & 1] = c
+            if c:
+                out[(qe, te)] = c
+        if carry != [0, 0]:
+            return None
+    return out
+
+
 def homfly_F(b: BraidWord) -> RationalQT:
-    tr = ocneanu_trace(hecke_of_braid(b))
-    return unknot_value() * _PARAMS.delta ** (b.strands - 1) * tr
+    """F of the closure of b over (1 - q^2)^k, k as small as exact division
+    allows."""
+    n = b.strands
+    tr = _trace_combination(n, _hecke_laurent(b))
+    num = {
+        (qe + 1, te - 1): c for (qe, te), c in _z_numerator(tr, n - 1).items()
+    }
+    k = n
+    while k and (quotient := _divide_one_minus_q2(num)) is not None:
+        num, k = quotient, k - 1
+    den = {(2 * j, 0): comb(k, j) * (-1) ** j for j in range(k + 1)}
+    return _qt_rqt(num, den)
 
 
 ALPHA = RationalQT.term(-1, -1, -1)  # -t^{-1} q^{-1}

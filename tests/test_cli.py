@@ -46,6 +46,22 @@ class TestHomologyCommand:
         res = runner.invoke(cli.main, ["homology", "1", "--qmax", "0"])
         assert res.exit_code == cli.EXIT_CONFIG
 
+    def test_zero_marks_or_workers_exit_code(self, runner):
+        for flag in ("--marks", "--workers"):
+            res = runner.invoke(cli.main, ["homology", "1 1 1", flag, "0"])
+            assert res.exit_code == cli.EXIT_CONFIG
+            assert f"{flag} 0" in res.output
+
+    def test_unknown_basepoint_exit_code(self, runner):
+        res = runner.invoke(cli.main, ["homology", "1 1 1", "--reduced",
+                                       "--basepoint", "x99"])
+        assert res.exit_code == cli.EXIT_CONFIG
+        assert "x99" in res.output
+        res = runner.invoke(cli.main, ["homology", "1 1 1",
+                                       "--basepoint", "x1"])
+        assert res.exit_code == cli.EXIT_CONFIG
+        assert "needs --reduced" in res.output
+
     def test_out_file(self, runner, tmp_path):
         path = tmp_path / "result.json"
         res = runner.invoke(
@@ -89,6 +105,13 @@ class TestHomflyCommand:
         # -t^{-1}q^{-1} * unknot = -t^{-2} (1 + q^2 + ...)
         assert neg[0] == [0, [[-2, "-1"]]]
 
+    def test_trefoil_single_fraction(self, runner):
+        res = runner.invoke(cli.main, ["homfly", "1 1 1"])
+        assert res.exit_code == 0
+        assert (
+            "F = (q*t^-1 + q^4*t^-2 + q^5*t^-1)/(1 - q^2)\n" in res.output
+        )
+
 
 class TestEulerCheckCommand:
     def test_pass(self, runner):
@@ -108,6 +131,33 @@ class TestEulerCheckCommand:
         res = runner.invoke(cli.main, ["euler-check", "1", "--qmax", "6"])
         assert res.exit_code == cli.EXIT_FAIL
         assert "FAIL at q^" in res.output
+
+    def test_reduced_pass(self, runner):
+        res = runner.invoke(cli.main, ["euler-check", "1 -2 1 -2", "--qmax",
+                                       "8", "--reduced", "--basepoint", "x3"])
+        assert res.exit_code == 0
+        assert "PASS: <D> = F(D)*(1 - q^2)" in res.output
+
+    def test_reduced_negative_control(self, runner, monkeypatch):
+        # the unreduced oracle value must not pass the reduced check
+        from trigrad import cli as climod
+        from trigrad.algebra import LaurentQT, RationalQT
+
+        real = climod.homfly_F
+        one_minus_q2 = RationalQT.from_laurent(
+            LaurentQT({(0, 0): 1, (2, 0): -1})
+        )
+        monkeypatch.setattr(
+            climod, "homfly_F", lambda b: real(b) * one_minus_q2.inverse()
+        )
+        res = runner.invoke(cli.main, ["euler-check", "1 1 1", "--qmax", "6",
+                                       "--reduced"])
+        assert res.exit_code == cli.EXIT_FAIL
+        assert "FAIL at q^" in res.output
+
+    def test_json_rejected(self, runner):
+        res = runner.invoke(cli.main, ["euler-check", "1", "--json"])
+        assert res.exit_code == cli.EXIT_CONFIG
 
 
 class TestInvarianceCommand:
@@ -139,6 +189,38 @@ class TestInvarianceCommand:
             cli.main, ["invariance", "1 1 1", "--move", "braid:0"]
         )
         assert res.exit_code == cli.EXIT_CONFIG
+
+    def test_non_integer_move_argument(self, runner):
+        res = runner.invoke(
+            cli.main, ["invariance", "1 1 1", "--move", "conj:x"]
+        )
+        assert res.exit_code == cli.EXIT_CONFIG
+        assert "conj:x" in res.output
+
+    def test_json_rejected(self, runner):
+        res = runner.invoke(
+            cli.main, ["invariance", "1 1", "--move", "conj:1", "--json"]
+        )
+        assert res.exit_code == cli.EXIT_CONFIG
+
+    def test_reduced_and_basepoint_reach_homology(self, runner, monkeypatch):
+        from trigrad import cli as climod
+        from trigrad.cube import braid_homology as real
+
+        seen = []
+
+        def spy(b, qmax, **kw):
+            seen.append((kw["reduced"], kw["basepoint"]))
+            return real(b, qmax, **kw)
+
+        monkeypatch.setattr(climod, "braid_homology", spy)
+        res = runner.invoke(
+            cli.main, ["invariance", "1 1 1", "--move", "stab-", "--qmax",
+                       "8", "--reduced", "--basepoint", "x2"]
+        )
+        assert res.exit_code == 0
+        assert "shift (dj,dk,dl) = (1, -1, -1)" in res.output
+        assert seen == [(True, "x2"), (True, "x2")]
 
     def test_mismatch_exit_code(self, runner, monkeypatch):
         from trigrad import cli as climod

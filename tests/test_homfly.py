@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 
-from trigrad.algebra import LaurentQT, RationalQT, qt_expand
+import pytest
+
+from trigrad.algebra import LaurentQT, RationalQT, laurent_to_series, qt_expand
 from trigrad.braid import BraidWord, parse_braid
+from trigrad.cube import braid_homology
 from trigrad.homfly import (
     ALPHA,
     HeckeElement,
@@ -16,6 +19,7 @@ from trigrad.homfly import (
     solve_trace_params,
     unknot_value,
 )
+from trigrad.homology import euler_characteristic
 
 Q2 = RationalQT.term(2, 0)
 ONE = RationalQT.one()
@@ -151,6 +155,31 @@ class TestF:
         ))
         assert lhs == rhs
         assert qt_expand(lhs, 12) == qt_expand(rhs, 12)
+
+
+class TestFForm:
+    """F is one fraction over a power of (1 - q^2)."""
+
+    def test_denominator_is_power_of_one_minus_q2(self):
+        rng = random.Random(57)
+        one_minus_q2 = LaurentQT({(0, 0): Fraction(1), (2, 0): Fraction(-1)})
+        for _ in range(40):
+            b = rand_braid(rng, 5, 8)
+            f = homfly_F(b)
+            powers = [LaurentQT.one()]
+            for _ in range(b.strands):
+                powers.append(powers[-1] * one_minus_q2)
+            assert f.den in powers, (b, f)
+
+    @pytest.mark.parametrize("word", ["1 1 1", "1 -2 1 -2", "1 1 1 1 1"])
+    def test_reduced_euler_is_numerator(self, word):
+        # for these knots F.den = 1 - q^2, so the reduced Euler
+        # characteristic F * (1 - q^2) is F.num itself
+        b = parse_braid(word)
+        f = homfly_F(b)
+        assert f.den == LaurentQT({(0, 0): Fraction(1), (2, 0): Fraction(-1)})
+        h = braid_homology(b, 10, reduced=True)
+        assert euler_characteristic(h) == laurent_to_series(f.num, 10)
 
 
 class TestFTilde:
