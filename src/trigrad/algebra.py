@@ -199,9 +199,6 @@ class Polynomial:
     def contains(self, name: str) -> bool:
         return self.degree_in(name) > 0
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.ring.nvars, ZERO)
-
     def as_constant(self) -> Fraction | None:
         """The value if this polynomial is a constant, else None."""
         if not self.terms:
@@ -252,9 +249,6 @@ class Polynomial:
         newring = self.ring.without(name)
         terms = {e[:i] + e[i + 1 :]: c for e, c in self.terms.items()}
         return Polynomial(newring, terms)
-
-    def eliminate(self, name: str, value: "Polynomial") -> "Polynomial":
-        return self.substitute(name, value).drop_variable(name)
 
     def map_to_ring(self, newring: PolyRing) -> "Polynomial":
         """Reinterpret over a ring containing all used variables."""

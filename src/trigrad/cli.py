@@ -2,8 +2,8 @@
 
 Subcommands: homology, homfly, euler-check, invariance, hom-dim,
 graph-homology.  Exit codes: 0 success / check passed; 1 check failed;
-2 braid parse error; 3 configuration violation; 4 inconclusive comparison
-window.
+2 braid parse error; 3 configuration violation or usage error;
+4 inconclusive comparison window.
 """
 
 from __future__ import annotations
@@ -57,6 +57,15 @@ def _parse(text: str, strands: int | None) -> BraidWord:
 def _config_error(message: str) -> NoReturn:
     click.echo(f"config violation: {message}", err=True)
     sys.exit(EXIT_CONFIG)
+
+
+def _workers(workers: int | None) -> int:
+    if workers is not None:
+        return workers
+    try:
+        return default_workers()
+    except ValueError as exc:
+        _config_error(str(exc))
 
 
 def _check_config(qmax: int, workers: int, marks: int = 1) -> None:
@@ -148,7 +157,30 @@ def poincare_text(h: TriGradedDims) -> str:
     return " + ".join(parts)
 
 
-@click.group()
+class _Cli(click.Group):
+    """Click's usage errors (unknown options, bad option values, missing
+    arguments) exit 3 with click's one-line message: click's own code 2 is
+    the braid parse error's here."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            _usage_error(exc)
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _usage_error(exc)
+
+
+def _usage_error(exc: click.UsageError) -> NoReturn:
+    click.echo(f"usage error: {exc.format_message()}", err=True)
+    sys.exit(EXIT_CONFIG)
+
+
+@click.group(cls=_Cli, no_args_is_help=False)
 def main():
     """Triply-graded link homology of braid closures, exactly."""
 
@@ -178,7 +210,7 @@ def common_options(fn):
 @common_options
 def homology(braid, strands, qmax, reduced, basepoint, marks, as_json, out, workers):
     """Trigraded homology dims of the closure of BRAID."""
-    workers = default_workers() if workers is None else workers
+    workers = _workers(workers)
     _check_config(qmax, workers, marks)
     b = _parse(braid, strands)
     _check_basepoint(b, reduced, basepoint, marks)
@@ -239,7 +271,7 @@ def euler_check(braid, strands, qmax, reduced, basepoint, marks, as_json, out, w
 
     With --reduced the oracle side is F * (1 - q^2), since H = Hbar (x) Q[x].
     """
-    workers = default_workers() if workers is None else workers
+    workers = _workers(workers)
     _check_config(qmax, workers, marks)
     _reject_json(as_json, "euler-check")
     b = _parse(braid, strands)
@@ -316,7 +348,7 @@ def apply_move_text(b: BraidWord, text: str) -> BraidWord:
 def invariance(braid, moves, strands, qmax, reduced, basepoint, marks,
                as_json, out, workers):
     """Compare homology before/after Markov moves, up to an overall shift."""
-    workers = default_workers() if workers is None else workers
+    workers = _workers(workers)
     _check_config(qmax, workers, marks)
     _reject_json(as_json, "invariance")
     b = _parse(braid, strands)

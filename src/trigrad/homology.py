@@ -6,7 +6,17 @@ shift.
 
 All elimination is integer fraction-free (denominators cleared per column,
 content reduced), with deterministic pivot choice: unit entries first, then
-smallest magnitude, then smallest row index.
+smallest magnitude, then smallest row index.  It runs in one loop,
+`Echelon._reduce`.  A pivot may carry a record, a sparse vector on which the
+same row operations act: `kernel_and_rank` gives column ci the record
+{ci: 1}, so a column that reduces to zero leaves a kernel vector, and
+`express` reads its coefficients from a record over pivot indices (a pivot
+without a record stands for the unit vector on its own index).
+
+Slice homology has one routine, `slice_homology_basis`: it takes the ranks
+first, sharing the columns and the boundary echelon, and runs the kernel
+pass only on slices that are not exact.  `slice_homology_dim` stops after
+the ranks.
 """
 
 from __future__ import annotations
@@ -65,35 +75,34 @@ class Echelon:
 
     Pivot vectors are reduced against all earlier pivots at insertion time,
     so reduction of any vector subtracts each pivot at most once (pivots are
-    consumed in insertion order).  Tagged pivots form a basis of a complement
-    of the untagged span; `express` writes a vector in that basis modulo the
-    untagged span.
+    consumed in insertion order).  A pivot is (row, vector, tag, record).
+    Tagged pivots form a basis of a complement of the untagged span;
+    `express` writes a vector in that basis modulo the untagged span.
     """
 
     def __init__(self):
-        self.pivots: list[tuple[int, dict[int, int], object]] = []
+        self.pivots: list[tuple[int, dict[int, int], object, dict | None]] = []
         self.pivot_of_row: dict[int, int] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _reduce(
-        self, vec: dict[int, int], coeffs: dict | None
-    ) -> tuple[dict[int, int], int]:
-        """Clear all pivot rows from vec; returns (residual, mult) where
-        mult * original = residual + sum(coeffs[i] * pivot_vec_i) + untagged
-        contributions.  `coeffs` (if given) accumulates per-pivot-index
-        multipliers.  Pivots are consumed in insertion order (a subtraction
-        only introduces rows of later pivots), so each fires at most once."""
+    def _reduce(self, vec: dict[int, int], rec: dict | None) -> int:
+        """Clear all pivot rows from vec in place and return the multiplier
+        m of the original: m * original = vec + a combination of pivots.
+        The same row operations act on `rec` (if given), with each pivot's
+        record, or the unit vector on the pivot's index for a pivot without
+        one.  Pivots are consumed in insertion order (a subtraction only
+        introduces rows of later pivots), so each fires at most once."""
         mult = 1
-        pivot_of_row = self.pivot_of_row
+        pivots, pivot_of_row = self.pivots, self.pivot_of_row
         heap = [pivot_of_row[r] for r in vec if r in pivot_of_row]
         heapq.heapify(heap)
         seen = set(heap)
         while heap:
             pi = heapq.heappop(heap)
-            prow, pvec, _tag = self.pivots[pi]
+            prow, pvec, _tag, prec = pivots[pi]
             v = vec.get(prow, 0)
             if v == 0:
                 continue
@@ -101,12 +110,12 @@ class Echelon:
             g = gcd(v, p)
             sv, sp = p // g, v // g
             if sv != 1:
+                mult *= sv
                 for k in vec:
                     vec[k] *= sv
-                mult *= sv
-                if coeffs is not None:
-                    for k in coeffs:
-                        coeffs[k] *= sv
+                if rec is not None:
+                    for k in rec:
+                        rec[k] *= sv
             for k, pv in pvec.items():
                 nv = vec.get(k, 0) - sp * pv
                 if nv:
@@ -117,18 +126,26 @@ class Echelon:
                         heapq.heappush(heap, npi)
                 else:
                     vec.pop(k, None)
-            if coeffs is not None:
-                coeffs[pi] = coeffs.get(pi, 0) + sp
-        return vec, mult
+            if rec is not None:
+                for k, pv in prec.items() if prec is not None else ((pi, 1),):
+                    nv = rec.get(k, 0) - sp * pv
+                    if nv:
+                        rec[k] = nv
+                    else:
+                        rec.pop(k, None)
+        return mult
 
-    def insert(self, vec: dict[int, int], tag: object = None) -> bool:
-        """Reduce and, if nonzero, store as a new pivot.  Returns True if a
-        pivot was added."""
+    def insert(
+        self, vec: dict[int, int], tag: object = None, rec: dict | None = None
+    ) -> bool:
+        """Reduce a copy of vec and, if nonzero, store it as a new pivot with
+        `tag` and record `rec` (reduced alongside, in place).  Returns True
+        if a pivot was added."""
         vec = dict(vec)
-        vec, _ = self._reduce(vec, None)
+        self._reduce(vec, rec)
         if not vec:
             return False
-        _content_reduce(vec)
+        _content_reduce(vec, rec)
         pivot_row = None
         best = None
         for r, v in vec.items():
@@ -136,26 +153,24 @@ class Echelon:
             if best is None or key < best:
                 best = key
                 pivot_row = r
-        self.pivots.append((pivot_row, vec, tag))
+        self.pivots.append((pivot_row, vec, tag, rec))
         self.pivot_of_row[pivot_row] = len(self.pivots) - 1
         return True
 
-    def tagged(self) -> list[tuple[object, dict[int, int]]]:
-        return [(t, v) for _, v, t in self.pivots if t is not None]
-
     def express(self, vec: dict[int, int]) -> dict[object, Fraction]:
-        """Write vec as a rational combination of pivots; residual must be
-        zero.  Returns coefficients on the *tagged* pivots only."""
-        coeffs: dict[int, int] = {}
-        residual, mult = self._reduce(dict(vec), coeffs)
-        if residual:
+        """Write vec as a rational combination of pivots, which must carry
+        no records; the residual must be zero.  Returns coefficients on the
+        *tagged* pivots only."""
+        vec, rec = dict(vec), {}
+        mult = self._reduce(vec, rec)
+        if vec:
             raise AssertionError("vector not in the span of the echelon")
-        out: dict[object, Fraction] = {}
-        for pi, c in coeffs.items():
-            tag = self.pivots[pi][2]
-            if tag is not None and c:
-                out[tag] = Fraction(c, mult)
-        return out
+        pivots = self.pivots
+        return {
+            pivots[pi][2]: Fraction(-c, mult)
+            for pi, c in rec.items()
+            if pivots[pi][2] is not None
+        }
 
 
 def scale_to_int(col: dict[int, Fraction]) -> dict[int, int]:
@@ -171,67 +186,16 @@ def kernel_and_rank(
     """Rank of the column span and (optionally) an integer kernel basis,
     as combinations of the given columns.  Columns are consumed sparsest
     first (a deterministic fill-reducing order; the span is unaffected and
-    any kernel basis is as good as any other)."""
-    order = sorted(range(len(cols)), key=lambda ci: (len(cols[ci]), ci))
-    if not want_kernel:
-        ech = Echelon()
-        for ci in order:
-            ech.insert(cols[ci])
-        return ech.rank, []
+    any kernel basis is as good as any other).  Column ci carries the record
+    {ci: 1}; the record of a column that reduces to zero is a kernel vector."""
+    ech = Echelon()
     kernel: list[dict[int, int]] = []
-    pivot_of_row: dict[int, int] = {}
-    pivots: list[tuple[int, dict[int, int], dict[int, int]]] = []
-    for ci in order:
-        vec = dict(cols[ci])
-        rec = {ci: 1}
-        heap = [pivot_of_row[r] for r in vec if r in pivot_of_row]
-        heapq.heapify(heap)
-        seen = set(heap)
-        while heap:
-            pi = heapq.heappop(heap)
-            prow, pvec, prec = pivots[pi]
-            v = vec.get(prow, 0)
-            if v == 0:
-                continue
-            p = pvec[prow]
-            g = gcd(v, p)
-            sv, sp = p // g, v // g
-            if sv != 1:
-                for k in vec:
-                    vec[k] *= sv
-                for k in rec:
-                    rec[k] *= sv
-            for k, pv in pvec.items():
-                nv = vec.get(k, 0) - sp * pv
-                if nv:
-                    vec[k] = nv
-                    npi = pivot_of_row.get(k)
-                    if npi is not None and npi not in seen:
-                        seen.add(npi)
-                        heapq.heappush(heap, npi)
-                else:
-                    vec.pop(k, None)
-            for k, pv in prec.items():
-                nv = rec.get(k, 0) - sp * pv
-                if nv:
-                    rec[k] = nv
-                else:
-                    rec.pop(k, None)
-        if not vec:
+    for ci in sorted(range(len(cols)), key=lambda ci: (len(cols[ci]), ci)):
+        rec = {ci: 1} if want_kernel else None
+        if not ech.insert(cols[ci], rec=rec) and want_kernel:
             _content_reduce(rec)
             kernel.append(rec)
-            continue
-        _content_reduce(vec, rec)
-        pivot_row = None
-        best = None
-        for r, v in vec.items():
-            key = (abs(v) != 1, abs(v), r)
-            if best is None or key < best:
-                best = key
-                pivot_row = r
-        pivots.append((pivot_row, vec, rec))
-        pivot_of_row[pivot_row] = len(pivots) - 1
-    return len(pivots), kernel
+    return ech.rank, kernel
 
 
 # ---------------------------------------------------------------------------
@@ -335,76 +299,50 @@ class HomologyBasis:
         return len(self.reps)
 
 
-def slice_homology_basis(
-    cx: FactorComplex, k: int, l: int, bases: dict | None = None
-) -> HomologyBasis:
-    def basis_at(kk, ll):
-        if bases is None:
-            return slice_basis(cx, kk, ll)
-        key = (kk, ll)
-        if key not in bases:
-            bases[key] = slice_basis(cx, kk, ll)
-        return bases[key]
-
-    here = basis_at(k, l)
+def _slice_ranks(
+    cx: FactorComplex, k: int, l: int
+) -> tuple[SliceBasis, list[dict[int, int]], list[int], int, Echelon]:
+    """The (k, l) slice, the integer columns of d out of it with their
+    multipliers, the rank of those columns, and the echelon of the
+    boundaries into the slice."""
+    here = slice_basis(cx, k, l)
     if here.dim == 0:
-        return HomologyBasis(here, [], Echelon())
-    below = basis_at(k - 1, l - 1)
-    above = basis_at(k + 1, l + 1)
+        return here, [], [], 0, Echelon()
+    above = slice_basis(cx, k + 1, l + 1)
+    below = slice_basis(cx, k - 1, l - 1)
     out_cols, out_mults = _columns_of_map(cx.d, here, above)
-    _, kernel_recs = kernel_and_rank(out_cols, want_kernel=True)
+    rank_out, _ = kernel_and_rank(out_cols, want_kernel=False)
     in_cols, _ = _columns_of_map(cx.d, below, here)
     solver = Echelon()
-    for _, col in sorted(enumerate(in_cols), key=lambda t: (len(t[1]), t[0])):
-        solver.insert(col, tag=None)
+    for col in sorted(in_cols, key=len):
+        solver.insert(col)
+    return here, out_cols, out_mults, rank_out, solver
+
+
+def slice_homology_basis(cx: FactorComplex, k: int, l: int) -> HomologyBasis:
+    """Cycle representatives of the (k, l) homology slice and a solver for
+    them.  Ranks come first; the kernel pass runs only on a slice that is
+    not exact."""
+    here, out_cols, out_mults, rank_out, solver = _slice_ranks(cx, k, l)
     reps: list[dict[int, int]] = []
-    for rec in kernel_recs:
-        # records combine the scaled columns; undo the column multipliers
-        vec = {c: v * out_mults[c] for c, v in rec.items()}
-        if solver.insert(vec, tag=len(reps)):
-            stored = solver.pivots[-1][1]
-            reps.append(stored)
+    if here.dim - rank_out - solver.rank:
+        _, kernel_recs = kernel_and_rank(out_cols, want_kernel=True)
+        for rec in kernel_recs:
+            # records combine the scaled columns; undo the column multipliers
+            vec = {c: v * out_mults[c] for c, v in rec.items()}
+            if solver.insert(vec, tag=len(reps)):
+                reps.append(solver.pivots[-1][1])
     return HomologyBasis(here, reps, solver)
+
+
+# perfbench/spans.py HOOKS wraps this name; that is its only reason to exist
+_gated_homology_basis = slice_homology_basis
 
 
 def slice_homology_dim(cx: FactorComplex, k: int, l: int) -> int:
-    here = slice_basis(cx, k, l)
-    if here.dim == 0:
-        return 0
-    above = slice_basis(cx, k + 1, l + 1)
-    below = slice_basis(cx, k - 1, l - 1)
-    out_cols, _ = _columns_of_map(cx.d, here, above)
-    rank_out, _ = kernel_and_rank(out_cols, want_kernel=False)
-    in_cols, _ = _columns_of_map(cx.d, below, here)
-    rank_in, _ = kernel_and_rank(in_cols, want_kernel=False)
-    return here.dim - rank_out - rank_in
-
-
-def _gated_homology_basis(cx: FactorComplex, k: int, l: int) -> HomologyBasis:
-    """Like slice_homology_basis but computes ranks first, sharing the
-    columns and the boundary echelon, and skips the kernel-record pass on
-    exact slices."""
-    here = slice_basis(cx, k, l)
-    empty = HomologyBasis(here, [], Echelon())
-    if here.dim == 0:
-        return empty
-    above = slice_basis(cx, k + 1, l + 1)
-    below = slice_basis(cx, k - 1, l - 1)
-    out_cols, out_mults = _columns_of_map(cx.d, here, above)
-    rank_out, _ = kernel_and_rank(out_cols, want_kernel=False)
-    in_cols, _ = _columns_of_map(cx.d, below, here)
-    solver = Echelon()
-    for _, col in sorted(enumerate(in_cols), key=lambda t: (len(t[1]), t[0])):
-        solver.insert(col, tag=None)
-    if here.dim - rank_out - solver.rank == 0:
-        return empty
-    _, kernel_recs = kernel_and_rank(out_cols, want_kernel=True)
-    reps: list[dict[int, int]] = []
-    for rec in kernel_recs:
-        vec = {c: v * out_mults[c] for c, v in rec.items()}
-        if solver.insert(vec, tag=len(reps)):
-            reps.append(solver.pivots[-1][1])
-    return HomologyBasis(here, reps, solver)
+    """dim of the (k, l) homology slice, from the ranks alone."""
+    here, _, _, rank_out, solver = _slice_ranks(cx, k, l)
+    return here.dim - rank_out - solver.rank
 
 
 def induced_map(
@@ -637,25 +575,23 @@ def hom_space_dim(
 
 
 _WORK_CUBE = None
-_WORK_QMAX = None
 
 
 def _slice_task(args):
     k, l = args
-    return (k, l), _link_homology_slice(_WORK_CUBE, _WORK_QMAX, k, l)
+    return (k, l), _link_homology_slice(_WORK_CUBE, k, l)
 
 
-def _init_worker(cube, qmax):
-    global _WORK_CUBE, _WORK_QMAX
+def _init_worker(cube):
+    global _WORK_CUBE
     _WORK_CUBE = cube
-    _WORK_QMAX = qmax
 
 
-def _link_homology_slice(cube, qmax, k: int, l: int) -> dict[int, int]:
+def _link_homology_slice(cube, k: int, l: int) -> dict[int, int]:
     """Cohomology dims over the cube degree j at one (k, l)."""
     bases: dict[int, HomologyBasis] = {}
     for mask, cx in cube.vertices.items():
-        bases[mask] = _gated_homology_basis(cx, k, l)
+        bases[mask] = slice_homology_basis(cx, k, l)
     # group homology coordinates by cube degree
     offset: dict[int, int] = {}
     sizes: dict[int, int] = {}
@@ -715,13 +651,13 @@ def link_homology(cube, qmax: int, workers: int = 1) -> TriGradedDims:
 
         ctx = mp.get_context("fork")
         with ctx.Pool(
-            processes=workers, initializer=_init_worker, initargs=(cube, qmax)
+            processes=workers, initializer=_init_worker, initargs=(cube,)
         ) as pool:
             for key, val in pool.map(_slice_task, tasks):
                 results[key] = val
     else:
         for k, l in tasks:
-            results[(k, l)] = _link_homology_slice(cube, qmax, k, l)
+            results[(k, l)] = _link_homology_slice(cube, k, l)
     dims: dict[tuple[int, int, int], int] = {}
     for (k, l) in sorted(results):
         for j, d in sorted(results[(k, l)].items()):
@@ -730,10 +666,15 @@ def link_homology(cube, qmax: int, workers: int = 1) -> TriGradedDims:
 
 
 def default_workers() -> int:
+    """Worker count from TRIGRAD_WORKERS (1 when unset or empty); raises
+    ValueError naming the variable when it is not an integer >= 1."""
     env = os.environ.get("TRIGRAD_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"TRIGRAD_WORKERS={env!r} must be an integer >= 1")
+    return workers

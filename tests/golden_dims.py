@@ -1,0 +1,109 @@
+"""Golden trigraded tables: exact (j, k, l) -> dim for a fixed set of inputs.
+
+    python tests/golden_dims.py            # write tests/data/golden_dims.json
+    python tests/golden_dims.py --check    # recompute and compare, exit 1 on a mismatch
+
+The table pins results that the Euler identity cannot see (generators that
+cancel in pairs).  It was written once from a trusted revision; a change that
+alters an entry must say which entries changed and why, and is not a reason
+to rewrite the file.
+
+Inputs: T(2,5), T(2,7), the figure-eight and 1 1 -2 1 -2 in both modes;
+--marks 2 on two braids; the cheapest word of each of the nine `mixed`
+benchmark strata; three closed graphs of the `graphs` benchmark family.
+The qmax values keep the whole table to a few seconds.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from trigrad.braid import BraidWord, build_marked_diagram, parse_braid  # noqa: E402
+from trigrad.cube import braid_homology, resolve  # noqa: E402
+from trigrad.homology import graph_homology  # noqa: E402
+
+PATH = os.path.join(os.path.dirname(__file__), "data", "golden_dims.json")
+
+MIXED_WORDS = [
+    "1 1 1 -2 -2", "-2 2 -2 2 1", "-2 1 1 -1 1", "-2 -1 1 1 1",
+    "-2 2 2 -1 2", "-2 1 -2 2 2", "-1 2 1 1 -2", "-1 2 1 2 -2",
+    "-1 2 1 2 -1",
+]
+
+
+def _braid(word, qmax, reduced=False, marks=1):
+    return {"kind": "braid", "braid": word, "qmax": qmax,
+            "reduced": reduced, "marks": marks}
+
+
+def _graph(word, mask, qmax):
+    return {"kind": "graph", "braid": word, "mask": mask, "qmax": qmax}
+
+
+CASES = (
+    [
+        _braid(word, qmax, reduced)
+        for word, qmax in (("1 1 1 1 1", 8), ("1 1 1 1 1 1 1", 8),
+                           ("1 -2 1 -2", 6), ("1 1 -2 1 -2", 4))
+        for reduced in (False, True)
+    ]
+    + [_braid("1 1 1", 6, True, 2), _braid("1 -2 1 -2", 6, True, 2)]
+    + [_braid(word, 2) for word in MIXED_WORDS]
+    + [_graph("1 1 1 1 1 2", 31, 14), _graph("1 1 2 1 2 2", 55, 14),
+       _graph("1 2 1 2 1 2", 63, 10)]
+)
+
+
+def case_id(case: dict) -> str:
+    if case["kind"] == "graph":
+        return f"graph {case['braid']} mask {case['mask']} q{case['qmax']}"
+    mode = "reduced" if case["reduced"] else "unreduced"
+    return f"{case['braid']} q{case['qmax']} {mode} marks {case['marks']}"
+
+
+def compute(case: dict) -> dict[tuple[int, int, int], int]:
+    word = parse_braid(case["braid"])
+    if case["kind"] == "graph":
+        graph = resolve(build_marked_diagram(word), case["mask"])
+        return graph_homology(graph, case["qmax"]).dims
+    return braid_homology(
+        word, case["qmax"], reduced=case["reduced"],
+        marks_per_segment=case["marks"],
+    ).dims
+
+
+def load() -> dict[str, dict[tuple[int, int, int], int]]:
+    with open(PATH) as fh:
+        rows = json.load(fh)
+    return {
+        row["id"]: {(j, k, l): d for j, k, l, d in row["dims"]} for row in rows
+    }
+
+
+def write() -> None:
+    rows = [
+        {"id": case_id(c), **c,
+         "dims": [[j, k, l, d] for (j, k, l), d in sorted(compute(c).items())]}
+        for c in CASES
+    ]
+    os.makedirs(os.path.dirname(PATH), exist_ok=True)
+    with open(PATH, "w") as fh:
+        fh.write("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n")
+
+
+def check() -> int:
+    golden = load()
+    bad = [case_id(c) for c in CASES if compute(c) != golden[case_id(c)]]
+    for name in bad:
+        print(f"mismatch: {name}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
+    write()

@@ -52,6 +52,29 @@ class TestHomologyCommand:
             assert res.exit_code == cli.EXIT_CONFIG
             assert f"{flag} 0" in res.output
 
+    def test_unknown_option_exit_code(self, runner):
+        res = runner.invoke(cli.main, ["homology", "1 1 1", "--bogus"])
+        assert res.exit_code == cli.EXIT_CONFIG
+        assert res.output.strip().splitlines() == [
+            "usage error: Got unexpected extra argument (--bogus)"
+        ]
+
+    def test_bad_option_value_exit_code(self, runner):
+        res = runner.invoke(cli.main, ["homology", "1 1 1", "--qmax", "abc"])
+        assert res.exit_code == cli.EXIT_CONFIG
+        assert len(res.output.strip().splitlines()) == 1
+        assert "'--qmax'" in res.output and "'abc'" in res.output
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_env_workers_exit_code(self, runner, monkeypatch, value):
+        monkeypatch.setenv("TRIGRAD_WORKERS", value)
+        res = runner.invoke(cli.main, ["homology", "1", "--qmax", "3"])
+        assert res.exit_code == cli.EXIT_CONFIG
+        assert res.output.strip().splitlines() == [
+            f"config violation: TRIGRAD_WORKERS='{value}' must be an "
+            "integer >= 1"
+        ]
+
     def test_unknown_basepoint_exit_code(self, runner):
         res = runner.invoke(cli.main, ["homology", "1 1 1", "--reduced",
                                        "--basepoint", "x99"])
