@@ -2,9 +2,9 @@
 
 Three rings appear throughout:
 
-* ``Q[a, x_1, ..., x_m]`` -- multivariate polynomials with the bigrading
-  deg(a) = (2,0), deg(x_i) = (0,2).  This is where Koszul matrices and
-  differentials live.
+* ``Z[a, x_1, ..., x_m]`` -- multivariate integer polynomials with the
+  bigrading deg(a) = (2,0), deg(x_i) = (0,2).  Koszul matrices and
+  differentials live here; rationals appear only in homology coordinates.
 * Laurent polynomials and rational functions in ``(q, t)`` -- the target of
   the HOMFLYPT oracle and of Euler characteristics.
 * q-power series with coefficients in ``Z[t, t^-1]`` -- the common ground on
@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class ExpansionError(ValueError):
@@ -89,24 +88,21 @@ class PolyRing:
         return Polynomial(self, {})
 
     def one(self) -> "Polynomial":
-        return self.const(ONE)
+        return self.const(1)
 
-    def const(self, c) -> "Polynomial":
-        c = Fraction(c)
-        if c == 0:
-            return self.zero()
-        return Polynomial(self, {(0,) * self.nvars: c})
+    def const(self, c: int) -> "Polynomial":
+        return Polynomial(self, {(0,) * self.nvars: _integer(c)})
 
     def var(self, name: str) -> "Polynomial":
         i = self.index(name)
         e = [0] * self.nvars
         e[i] = 1
-        return Polynomial(self, {tuple(e): ONE})
+        return Polynomial(self, {tuple(e): 1})
 
-    def linear(self, coeffs: dict[str, int | Fraction]) -> "Polynomial":
+    def linear(self, coeffs: dict[str, int]) -> "Polynomial":
         p = self.zero()
         for name, c in coeffs.items():
-            p = p + self.var(name) * Fraction(c)
+            p = p + self.var(name) * c
         return p
 
     def without(self, name: str) -> "PolyRing":
@@ -117,13 +113,19 @@ def ring(*names: str) -> PolyRing:
     return PolyRing(tuple(names))
 
 
+def _integer(c) -> int:
+    if not isinstance(c, int):
+        raise ValueError(f"polynomial coefficient {c!r} is not an integer")
+    return c
+
+
 class Polynomial:
-    """Sparse multivariate polynomial over Q; terms map exponent tuples to
-    nonzero Fractions.  Instances are treated as immutable."""
+    """Sparse multivariate polynomial over Z; terms map exponent tuples to
+    nonzero ints.  Instances are treated as immutable."""
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: PolyRing, terms: dict[tuple[int, ...], Fraction]):
+    def __init__(self, ring: PolyRing, terms: dict[tuple[int, ...], int]):
         self.ring = ring
         self.terms = {e: c for e, c in terms.items() if c != 0}
 
@@ -139,29 +141,29 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, ZERO) + c
+            terms[e] = terms.get(e, 0) + c
         return Polynomial(self.ring, terms)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, ZERO) - c
+            terms[e] = terms.get(e, 0) - c
         return Polynomial(self.ring, terms)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+        if not isinstance(other, Polynomial):
+            c = _integer(other)
             return Polynomial(self.ring, {e: v * c for e, v in self.terms.items()})
         self._check(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, ZERO) + c1 * c2
+                terms[e] = terms.get(e, 0) + c1 * c2
         return Polynomial(self.ring, terms)
 
     __rmul__ = __mul__
@@ -199,22 +201,22 @@ class Polynomial:
     def contains(self, name: str) -> bool:
         return self.degree_in(name) > 0
 
-    def as_constant(self) -> Fraction | None:
+    def as_constant(self) -> int | None:
         """The value if this polynomial is a constant, else None."""
         if not self.terms:
-            return ZERO
+            return 0
         if len(self.terms) == 1:
             e, c = next(iter(self.terms.items()))
             if all(x == 0 for x in e):
                 return c
         return None
 
-    def linear_coefficient(self, name: str) -> Fraction:
+    def linear_coefficient(self, name: str) -> int:
         """Coefficient of the bare variable `name` (exponent vector e_i)."""
         i = self.ring.index(name)
         e = [0] * self.ring.nvars
         e[i] = 1
-        return self.terms.get(tuple(e), ZERO)
+        return self.terms.get(tuple(e), 0)
 
     # -- substitution ---------------------------------------------------------
 
@@ -604,7 +606,7 @@ def qt_expand(f: RationalQT, qmax: int) -> QSeries:
             "denominator's lowest q-degree coefficient is not a t-monomial: "
             f"q^{d0} coefficient has t-terms {sorted(lead)}"
         )
-    (lead_t, lead_c), = lead.items()
+    (lead_t, _), = lead.items()  # coefficient 1 by RationalQT normalisation
     num_by_q: dict[int, dict[int, Fraction]] = {}
     for (qe, te), c in f.num.terms.items():
         num_by_q.setdefault(qe, {})[te] = c
@@ -624,7 +626,7 @@ def qt_expand(f: RationalQT, qmax: int) -> QSeries:
                 for te2, c2 in s_prev.items():
                     te = te1 + te2
                     acc[te] = acc.get(te, ZERO) - c1 * c2
-        coeff = {te - lead_t: c / lead_c for te, c in acc.items() if c != 0}
+        coeff = {te - lead_t: c for te, c in acc.items() if c != 0}
         if coeff:
             series[r] = coeff
     return QSeries(series, qmax)

@@ -29,9 +29,6 @@ class BraidWord:
             if s == 0 or abs(s) >= self.strands:
                 raise ValueError(f"letter {s} invalid for {self.strands} strands")
 
-    def writhe(self) -> int:
-        return sum(1 if s > 0 else -1 for s in self.letters)
-
     def positive_count(self) -> int:
         return sum(1 for s in self.letters if s > 0)
 

@@ -1,7 +1,8 @@
-"""Explicit chain-level objects: graded free modules with a 2-periodic
-differential d (realized from Koszul matrices with Koszul signs), flip
-morphisms, crossing cones, tensor products, and Gaussian cancellation of
-unit entries.
+"""Explicit chain-level objects over Z[a, x]: graded free modules with a
+2-periodic differential d (realized from Koszul matrices with Koszul signs),
+flip morphisms, crossing cones, tensor products, and Gaussian cancellation of
+unit entries.  The one division, `exact_divide`, stays in Z; rationals appear
+only in homology coordinates.
 
 Sign conventions (fixed once, verified against the rank-4 presentations of
 the two local resolutions):
@@ -16,7 +17,6 @@ the two local resolutions):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .algebra import BIDEG_ZERO, Bidegree, PolyRing, Polynomial
 from .koszul import KoszulMatrix, KoszulRow, row_op
@@ -42,9 +42,6 @@ class FactorComplex:
 
     def rank(self) -> int:
         return len(self.gens)
-
-    def d_entries(self, src: int) -> dict[int, Polynomial]:
-        return self.d.get(src, {})
 
     def verify_d_squared(self) -> None:
         n = len(self.gens)
@@ -203,7 +200,8 @@ def identity_map(c: FactorComplex) -> ChainMap:
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Quotient f/g when g divides f exactly (lex long division)."""
+    """Quotient f/g when g divides f exactly over Z (lex long division);
+    raises ValueError naming f and g otherwise."""
     ring = f.ring
     if g.is_zero():
         raise ZeroDivisionError
@@ -216,7 +214,9 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
         if any(a < b for a, b in zip(fl, gl)):
             raise ValueError(f"{g} does not divide {f}")
         e = tuple(a - b for a, b in zip(fl, gl))
-        c = rem.terms[fl] / gc
+        c, r = divmod(rem.terms[fl], gc)
+        if r:
+            raise ValueError(f"{g} does not divide {f} over the integers")
         mono = Polynomial(ring, {e: c})
         q = q + mono
         rem = rem - mono * g
@@ -392,19 +392,19 @@ def free_euler(c: FactorComplex):
 # ---------------------------------------------------------------------------
 
 
-def _find_unit(c: FactorComplex) -> tuple[int, int, Fraction] | None:
+def _find_unit(c: FactorComplex) -> tuple[int, int, Polynomial] | None:
     for s in sorted(c.d):
         for t in sorted(c.d[s]):
             if t == s:
                 continue
-            u = c.d[s][t].as_constant()
-            if u:
+            u = c.d[s][t]
+            if u.as_constant():
                 return s, t, u
     return None
 
 
 def simplify(c: FactorComplex) -> tuple[FactorComplex, ChainMap, ChainMap]:
-    """Cancel invertible-scalar entries of d until none remain.
+    """Cancel constant entries u of d until none remain, dividing exactly.
 
     Returns (simplified, iota, pi) with iota: simplified -> c and
     pi: c -> simplified exact chain maps, pi o iota = id, both homotopy
@@ -419,7 +419,6 @@ def simplify(c: FactorComplex) -> tuple[FactorComplex, ChainMap, ChainMap]:
         if hit is None:
             break
         jsrc, itgt, u = hit
-        uinv = 1 / u
         keep = [k for k in range(len(cur.gens)) if k not in (jsrc, itgt)]
         reindex = {old: new for new, old in enumerate(keep)}
         gens = tuple(cur.gens[k] for k in keep)
@@ -434,7 +433,7 @@ def simplify(c: FactorComplex) -> tuple[FactorComplex, ChainMap, ChainMap]:
             bl = cur.d.get(l, {}).get(itgt)
             if bl is not None and not bl.is_zero():
                 for t, p in C.items():
-                    row[t] = row.get(t, ring.zero()) - p * bl * uinv
+                    row[t] = row.get(t, ring.zero()) - exact_divide(p * bl, u)
             row2 = {
                 reindex[t]: p for t, p in row.items() if not p.is_zero()
             }
@@ -447,7 +446,7 @@ def simplify(c: FactorComplex) -> tuple[FactorComplex, ChainMap, ChainMap]:
             row = {l: ring.one()}
             bl = cur.d.get(l, {}).get(itgt)
             if bl is not None and not bl.is_zero():
-                row[jsrc] = -bl * uinv
+                row[jsrc] = -exact_divide(bl, u)
             imat[reindex[l]] = row
         step_iota = ChainMap(small, cur, imat)
         # pi: e_m -> e_m, e_j -> 0, e_i -> -u^{-1} C
@@ -455,7 +454,8 @@ def simplify(c: FactorComplex) -> tuple[FactorComplex, ChainMap, ChainMap]:
         for l in keep:
             pmat[l] = {reindex[l]: ring.one()}
         pirow = {
-            reindex[t]: -p * uinv for t, p in C.items() if not p.is_zero()
+            reindex[t]: -exact_divide(p, u)
+            for t, p in C.items() if not p.is_zero()
         }
         if pirow:
             pmat[itgt] = pirow

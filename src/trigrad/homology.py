@@ -1,22 +1,27 @@
 """The exact linear-algebra kernel: per-bidegree slices of graded free
-modules, kernels/ranks over Q, homology of vertex factorizations with
-explicit bases, induced maps on homology, cohomology of the resolution cube,
-hom-space dimensions, Euler characteristics, and comparison up to an overall
-shift.
+modules over Z[a, x], kernels/ranks over Q, homology of vertex
+factorizations with explicit bases, induced maps on homology, cohomology of
+the resolution cube, hom-space dimensions, Euler characteristics, and
+comparison up to an overall shift.
 
-All elimination is integer fraction-free (denominators cleared per column,
-content reduced), with deterministic pivot choice: unit entries first, then
-smallest magnitude, then smallest row index.  It runs in one loop,
-`Echelon._reduce`.  A pivot may carry a record, a sparse vector on which the
-same row operations act: `kernel_and_rank` gives column ci the record
-{ci: 1}, so a column that reduces to zero leaves a kernel vector, and
-`express` reads its coefficients from a record over pivot indices (a pivot
-without a record stands for the unit vector on its own index).
+Slice columns are integer vectors read straight off the polynomial entries.
+All elimination is integer fraction-free (content reduced), with
+deterministic pivot choice: unit entries first, then smallest magnitude,
+then smallest row index.  It runs in one loop, `Echelon._reduce`.  A pivot
+may carry a record, a sparse vector on which the same row operations act:
+`kernel_and_rank` gives column ci the record {ci: 1}, so a column that
+reduces to zero leaves a kernel vector, and `express` reads its coefficients
+from a record over pivot indices (a pivot without a record stands for the
+unit vector on its own index).
 
 Slice homology has one routine, `slice_homology_basis`: it takes the ranks
 first, sharing the columns and the boundary echelon, and runs the kernel
 pass only on slices that are not exact.  `slice_homology_dim` stops after
 the ranks.
+
+Rationals appear only in homology coordinates: `Echelon.express` returns
+them, `induced_map` passes them on, and each cube block clears them once per
+column with `scale_to_int`.
 """
 
 from __future__ import annotations
@@ -244,26 +249,18 @@ def slice_basis(cx: FactorComplex, k: int, l: int) -> SliceBasis:
 
 
 def _columns_of_map(
-    mat: Matrix,
-    src: SliceBasis,
-    tgt: SliceBasis,
-) -> tuple[list[dict[int, int]], list[int]]:
-    """Integer columns of a matrix of polynomials between two slices, with
-    the per-column multiplier used to clear denominators.  Coefficients are
-    kept as machine ints on the (overwhelmingly common) integral path."""
+    mat: Matrix, src: SliceBasis, tgt: SliceBasis
+) -> list[dict[int, int]]:
+    """Integer columns of a matrix of polynomials between two slices."""
     cols: list[dict[int, int]] = []
-    mults: list[int] = []
     terms_of: dict[int, list] = {}
     for gi, _ in src.elems:
-        if gi in terms_of:
-            continue
-        rows = []
-        for tgt_gen, poly in mat.get(gi, {}).items():
-            for e, c in poly.terms.items():
-                rows.append(
-                    (tgt_gen, e, c.numerator if c.denominator == 1 else c)
-                )
-        terms_of[gi] = rows
+        if gi not in terms_of:
+            terms_of[gi] = [
+                (tgt_gen, e, c)
+                for tgt_gen, poly in mat.get(gi, {}).items()
+                for e, c in poly.terms.items()
+            ]
     index_get = tgt.index.get
     for gi, mono in src.elems:
         col: dict[int, int] = {}
@@ -272,17 +269,8 @@ def _columns_of_map(
             if pos is None:
                 continue
             col[pos] = col.get(pos, 0) + c
-        m = 1
-        for v in col.values():
-            den = v.denominator
-            if den != 1:
-                m = m * den // gcd(m, den)
-        if m == 1:
-            cols.append({p: v for p, v in col.items() if v})
-        else:
-            cols.append({p: int(v * m) for p, v in col.items() if v})
-        mults.append(m)
-    return cols, mults
+        cols.append({p: v for p, v in col.items() if v})
+    return cols
 
 
 @dataclass
@@ -301,35 +289,31 @@ class HomologyBasis:
 
 def _slice_ranks(
     cx: FactorComplex, k: int, l: int
-) -> tuple[SliceBasis, list[dict[int, int]], list[int], int, Echelon]:
-    """The (k, l) slice, the integer columns of d out of it with their
-    multipliers, the rank of those columns, and the echelon of the
-    boundaries into the slice."""
+) -> tuple[SliceBasis, list[dict[int, int]], int, Echelon]:
+    """The (k, l) slice, the integer columns of d out of it, the rank of
+    those columns, and the echelon of the boundaries into the slice."""
     here = slice_basis(cx, k, l)
     if here.dim == 0:
-        return here, [], [], 0, Echelon()
+        return here, [], 0, Echelon()
     above = slice_basis(cx, k + 1, l + 1)
     below = slice_basis(cx, k - 1, l - 1)
-    out_cols, out_mults = _columns_of_map(cx.d, here, above)
+    out_cols = _columns_of_map(cx.d, here, above)
     rank_out, _ = kernel_and_rank(out_cols, want_kernel=False)
-    in_cols, _ = _columns_of_map(cx.d, below, here)
     solver = Echelon()
-    for col in sorted(in_cols, key=len):
+    for col in sorted(_columns_of_map(cx.d, below, here), key=len):
         solver.insert(col)
-    return here, out_cols, out_mults, rank_out, solver
+    return here, out_cols, rank_out, solver
 
 
 def slice_homology_basis(cx: FactorComplex, k: int, l: int) -> HomologyBasis:
     """Cycle representatives of the (k, l) homology slice and a solver for
     them.  Ranks come first; the kernel pass runs only on a slice that is
     not exact."""
-    here, out_cols, out_mults, rank_out, solver = _slice_ranks(cx, k, l)
+    here, out_cols, rank_out, solver = _slice_ranks(cx, k, l)
     reps: list[dict[int, int]] = []
     if here.dim - rank_out - solver.rank:
         _, kernel_recs = kernel_and_rank(out_cols, want_kernel=True)
-        for rec in kernel_recs:
-            # records combine the scaled columns; undo the column multipliers
-            vec = {c: v * out_mults[c] for c, v in rec.items()}
+        for vec in kernel_recs:
             if solver.insert(vec, tag=len(reps)):
                 reps.append(solver.pivots[-1][1])
     return HomologyBasis(here, reps, solver)
@@ -341,7 +325,7 @@ _gated_homology_basis = slice_homology_basis
 
 def slice_homology_dim(cx: FactorComplex, k: int, l: int) -> int:
     """dim of the (k, l) homology slice, from the ranks alone."""
-    here, _, _, rank_out, solver = _slice_ranks(cx, k, l)
+    here, _, rank_out, solver = _slice_ranks(cx, k, l)
     return here.dim - rank_out - solver.rank
 
 
@@ -354,7 +338,7 @@ def induced_map(
     chain map)."""
     out = []
     for rep in src.reps:
-        image: dict[int, Fraction] = {}
+        image: dict[int, int] = {}
         for pos, c in rep.items():
             gi, mono = src.basis.elems[pos]
             for tgt_gen, poly in f.mat.get(gi, {}).items():
@@ -363,14 +347,8 @@ def induced_map(
                     tpos = tgt.basis.index.get(key)
                     if tpos is None:
                         continue
-                    image[tpos] = image.get(tpos, Fraction(0)) + cf * c
-        m = 1
-        for v in image.values():
-            m = m * v.denominator // gcd(m, v.denominator)
-        coeffs = tgt.solver.express(
-            {p: int(v * m) for p, v in image.items() if v != 0}
-        )
-        out.append({t: v / m for t, v in coeffs.items()})
+                    image[tpos] = image.get(tpos, 0) + cf * c
+        out.append(tgt.solver.express({p: v for p, v in image.items() if v}))
     return out
 
 
@@ -396,9 +374,6 @@ class TriGradedDims:
     def support(self):
         return set(self.dims)
 
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TriGradedDims):
             return NotImplemented
@@ -410,10 +385,10 @@ class TriGradedDims:
 
 def euler_characteristic(h: TriGradedDims) -> QSeries:
     """sum over (j,k,l) of (-1)^j t^k q^l dim, as a q-series."""
-    coeffs: dict[int, dict[int, Fraction]] = {}
+    coeffs: dict[int, dict[int, int]] = {}
     for (j, k, l), d in h.dims.items():
         row = coeffs.setdefault(l, {})
-        row[k] = row.get(k, Fraction(0)) + (-1 if j % 2 else 1) * d
+        row[k] = row.get(k, 0) + (-1 if j % 2 else 1) * d
     return QSeries(coeffs, h.qmax)
 
 

@@ -1,6 +1,8 @@
-"""Koszul matrices: rows (a_i, b_i) of graded polynomials, and the calculus
-of elementary row transformations, variable exclusion, a-aggregation and
-stripping, dualization, and the Upsilon factorization.
+"""Koszul matrices: rows (a_i, b_i) of graded polynomials in Z[a, x], and
+the calculus of elementary row transformations, variable exclusion (of rows
+(0, ±(y - mu)) only, so nothing here divides and rationals appear only in
+homology coordinates), a-aggregation and stripping, dualization, and the
+Upsilon factorization.
 
 Grading convention: the generator of R{n1,n2} sits in bidegree (n1,n2); a row
 with middle shift s realizes R --left--> R{s} --right--> R, so the
@@ -227,26 +229,35 @@ def row_op(m: KoszulMatrix, i: int, j: int, lam: Polynomial) -> KoszulMatrix:
     return out
 
 
+def _unit_solution(row: KoszulRow, var: str) -> Polynomial | None:
+    """mu with row = (0, c·var - c·mu), when c = ±1 and mu is free of `var`;
+    otherwise None.  c is its own inverse, so mu = c·(c·var - right)."""
+    if not row.left.is_zero():
+        return None
+    c = row.right.linear_coefficient(var)
+    if c != 1 and c != -1:
+        return None
+    mu = (row.right.ring.var(var) * c - row.right) * c
+    return None if mu.contains(var) else mu
+
+
 def exclude_variable(m: KoszulMatrix, row_index: int, var: str) -> KoszulMatrix:
-    """Remove a row (0, c·var - c·mu) and substitute mu for `var` everywhere,
+    """Remove a row (0, ±(var - mu)) and substitute mu for `var` everywhere,
     dropping `var` from the ring.  Valid whenever the potential does not
     involve `var` (so in particular `var` is not external) and mu is free of
     `var`.  A chain homotopy equivalence."""
     row = m.rows[row_index]
-    if not row.left.is_zero():
-        raise ValueError("row has a nonzero left entry")
-    c = row.right.linear_coefficient(var)
-    if c == 0:
-        raise ValueError(f"row does not involve {var!r} linearly")
-    ring = m.ring
-    mu = (ring.var(var) * c - row.right) * (1 / c)
-    if mu.contains(var):
-        raise ValueError(f"{var!r} does not split off linearly")
+    mu = _unit_solution(row, var)
+    if mu is None:
+        raise ValueError(
+            f"row ({row.left}, {row.right}) is not (0, ±({var} - mu)) "
+            f"with mu free of {var!r}"
+        )
     if any(name == var for name, _ in m.external_signs):
         raise ValueError(f"{var!r} is external")
     if m.potential().contains(var):
         raise ValueError(f"potential involves {var!r}")
-    newring = ring.without(var)
+    newring = m.ring.without(var)
     rows = []
     for idx, r in enumerate(m.rows):
         if idx == row_index:
@@ -370,16 +381,15 @@ def exclude_all(
         w = m.potential()
         found = None
         for idx, r in enumerate(m.rows):
-            if not r.left.is_zero() or r.right.is_zero():
+            if r.right.is_zero():
                 continue
             for var in m.ring.names:
-                c = r.right.linear_coefficient(var)
-                if c == 0 or var in protect:
+                if var in protect:
+                    continue
+                mu = _unit_solution(r, var)
+                if mu is None or w.contains(var):
                     continue
                 if r.right.homogeneous_bidegree() != m.ring.var_bidegree(var):
-                    continue
-                mu = (m.ring.var(var) * c - r.right) * (1 / c)
-                if mu.contains(var) or w.contains(var):
                     continue
                 found = (idx, var, mu)
                 break

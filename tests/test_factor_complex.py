@@ -343,8 +343,8 @@ def _dense_slice_homology(cx, k, l):
             rank += 1
         return rank
 
-    out_cols, _ = _columns_of_map(cx.d, here, above)
-    in_cols, _ = _columns_of_map(cx.d, below, here)
+    out_cols = _columns_of_map(cx.d, here, above)
+    in_cols = _columns_of_map(cx.d, below, here)
     return here.dim - dense(out_cols, above.dim) - dense(in_cols, here.dim)
 
 

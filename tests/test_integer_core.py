@@ -1,0 +1,87 @@
+"""The chain level works over Z: every vertex differential and edge map
+holds Python ints, and any step whose quotient would leave Z raises a
+ValueError instead of producing a fraction."""
+
+from fractions import Fraction
+
+import pytest
+
+from trigrad.algebra import Bidegree, PolyRing
+from trigrad.braid import parse_braid
+from trigrad.cube import build_cube
+from trigrad.factor_complex import FactorComplex, Generator, exact_divide, simplify
+from trigrad.koszul import KoszulMatrix, exclude_all, exclude_variable, make_row
+
+
+def _coefficients(mat):
+    for row in mat.values():
+        for poly in row.values():
+            yield from poly.terms.values()
+
+
+@pytest.mark.parametrize(
+    "word, reduced, marks",
+    [("1 1 -2 1 -2", False, 1), ("1 1 -2 1 -2", True, 1), ("1 1 1", False, 2)],
+)
+def test_cube_coefficients_are_ints(word, reduced, marks):
+    cube = build_cube(parse_braid(word), reduced=reduced, marks_per_segment=marks)
+    mats = [cx.d for cx in cube.vertices.values()]
+    mats += [edge.cmap.mat for edge in cube.edges]
+    kinds = {type(c) for mat in mats for c in _coefficients(mat)}
+    assert kinds == {int}
+
+
+def test_const_rejects_a_fraction():
+    with pytest.raises(ValueError, match=r"Fraction\(1, 2\)"):
+        PolyRing(("x1",)).const(Fraction(1, 2))
+
+
+def _matrix_with_row(r, last):
+    a = r.var("a")
+    x1, x2, x3, x4 = (r.var(f"x{i}") for i in range(1, 5))
+    return KoszulMatrix(
+        r,
+        (make_row(a, x1 + x2 - x3 - x4), make_row(r.zero(), last)),
+        (("x1", 1), ("x2", 1), ("x3", -1), ("x4", -1)),
+    )
+
+
+def test_exclude_variable_rejects_a_non_unit_coefficient():
+    r = PolyRing(("a", "x1", "x2", "x3", "x4", "x5"))
+    m = _matrix_with_row(r, r.var("x5") * 2 - r.var("x2"))
+    with pytest.raises(ValueError, match=r"2\*x5"):
+        exclude_variable(m, 1, "x5")
+
+
+def test_exclude_all_skips_a_non_unit_row():
+    r = PolyRing(("a", "x1", "x2", "x3", "x4", "x5", "x6"))
+    m = _matrix_with_row(r, (r.var("x5") - r.var("x6")) * 2)
+    out, chain = exclude_all(m)
+    assert chain == []
+    assert out == m
+
+
+def test_exact_divide_rejects_a_fractional_quotient():
+    r = PolyRing(("x1",))
+    x1 = r.var("x1")
+    with pytest.raises(ValueError, match="does not divide"):
+        exact_divide(x1, x1 * 2)
+    assert exact_divide(x1 * 6, x1 * -2) == r.const(-3)
+
+
+def test_simplify_rejects_a_cancellation_that_needs_one_third():
+    # d(e0) = 3 e1 + x1 e2 and d(e3) = x1 e1, so d^2 = 0; cancelling the
+    # entry 3 would leave -x1^2/3 on e3 -> e2
+    r = PolyRing(("x1",))
+    x1 = r.var("x1")
+    gens = (
+        Generator(0, Bidegree(0, 0)),
+        Generator(1, Bidegree(1, 1)),
+        Generator(1, Bidegree(1, -1)),
+        Generator(0, Bidegree(0, 2)),
+    )
+    d = {0: {1: r.const(3), 2: x1}, 3: {1: x1}}
+    c = FactorComplex(r, gens, d, r.zero())
+    c.verify_d_squared()
+    with pytest.raises(ValueError, match="does not divide"):
+        simplify(c)
