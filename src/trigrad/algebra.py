@@ -3,8 +3,9 @@
 Three rings appear throughout:
 
 * ``Z[a, x_1, ..., x_m]`` -- multivariate integer polynomials with the
-  bigrading deg(a) = (2,0), deg(x_i) = (0,2).  Koszul matrices and
-  differentials live here; rationals appear only in homology coordinates.
+  bigrading deg(a) = (2,0), deg(x_i) = (0,2), and exact division over Z
+  (`exact_divide`).  Koszul matrices and differentials live here; rationals
+  appear only in homology coordinates.
 * Laurent polynomials and rational functions in ``(q, t)`` -- the target of
   the HOMFLYPT oracle and of Euler characteristics.
 * q-power series with coefficients in ``Z[t, t^-1]`` -- the common ground on
@@ -98,12 +99,6 @@ class PolyRing:
         e = [0] * self.nvars
         e[i] = 1
         return Polynomial(self, {tuple(e): 1})
-
-    def linear(self, coeffs: dict[str, int]) -> "Polynomial":
-        p = self.zero()
-        for name, c in coeffs.items():
-            p = p + self.var(name) * c
-        return p
 
     def without(self, name: str) -> "PolyRing":
         return PolyRing(tuple(n for n in self.names if n != name))
@@ -229,19 +224,23 @@ class Polynomial:
                 return self
             raise ValueError(f"substitution value contains {name!r}")
         i = self.ring.index(name)
-        out = self.ring.zero()
-        # cache small powers of value
         maxdeg = self.degree_in(name)
+        if not maxdeg:
+            return self
         powers = [self.ring.one()]
         for _ in range(maxdeg):
             powers.append(powers[-1] * value)
+        terms: dict[tuple[int, ...], int] = {}
         for e, c in self.terms.items():
             d = e[i]
-            base = list(e)
-            base[i] = 0
-            mono = Polynomial(self.ring, {tuple(base): c})
-            out = out + (mono * powers[d] if d else mono)
-        return out
+            if not d:
+                terms[e] = terms.get(e, 0) + c
+                continue
+            base = e[:i] + (0,) + e[i + 1 :]
+            for pe, pc in powers[d].terms.items():
+                ne = tuple(map(int.__add__, base, pe))
+                terms[ne] = terms.get(ne, 0) + c * pc
+        return Polynomial(self.ring, terms)
 
     def drop_variable(self, name: str) -> "Polynomial":
         """Re-express over the ring without `name` (which must not occur)."""
@@ -290,6 +289,30 @@ class Polynomial:
         for s in parts[1:]:
             out += " - " + s[1:] if s.startswith("-") else " + " + s
         return out
+
+
+def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Quotient f/g when g divides f exactly over Z (lex long division);
+    raises ValueError naming f and g otherwise."""
+    ring = f.ring
+    if g.is_zero():
+        raise ZeroDivisionError
+    q = ring.zero()
+    rem = f
+    gl = max(g.terms)
+    gc = g.terms[gl]
+    while not rem.is_zero():
+        fl = max(rem.terms)
+        if any(a < b for a, b in zip(fl, gl)):
+            raise ValueError(f"{g} does not divide {f}")
+        e = tuple(a - b for a, b in zip(fl, gl))
+        c, r = divmod(rem.terms[fl], gc)
+        if r:
+            raise ValueError(f"{g} does not divide {f} over the integers")
+        mono = Polynomial(ring, {e: c})
+        q = q + mono
+        rem = rem - mono * g
+    return q
 
 
 def monomials_of_degree(nvars: int, total: int) -> list[tuple[int, ...]]:

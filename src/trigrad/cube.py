@@ -1,7 +1,7 @@
 """Assembling the full complex of a braid closure: resolve crossings, build
 per-vertex Koszul matrices in the modified (flip-friendly) form, reduce by
-the exclusions shared across all resolutions, realize and simplify vertex
-complexes, and attach signed flip edge maps.
+the exclusions shared across all resolutions, exclude the linear rows left
+at each vertex, realize the vertex complexes, and attach signed flip edges.
 
 Per crossing p with marks x1 (top-left), x2 (top-right), x3 (bottom-right),
 x4 (bottom-left), every vertex carries the common row (a, x1+x2-x3-x4) and a
@@ -10,21 +10,32 @@ second row that depends on the resolution:
     0-smoothing:  (0, x2-x3)                middle shift {-1,1}
     wide edge:    (0, (x2-x3)(x4-x2))       middle shift {-1,3}
 
+After the shared reduction each vertex runs `exclude_all` once more, which
+removes the rows (0, x2-x3) of its 0-smoothings (and any other linear row)
+together with one variable each, and keeps the ordered exclusion record.
+
 The edge maps are psi'(x4-x2) (positive crossings, 0 -> 1, the map chi_0) and
-psi(x4-x2) (negative crossings, 1 -> 0, the map chi_1); both are diagonal in
-the subset basis, so the shared reduction transports them by coefficient
-substitution alone.
+psi(x4-x2) (negative crossings, 1 -> 0, the map chi_1).  Both are diagonal in
+the subset basis of the unexcluded vertex matrices over the shared ring, so
+an edge keeps just the two diagonal factors; it acts on the realized vertex
+complexes as pi_tgt o psi o iota_src (`FlipMap`), through the inclusion and
+projection of the two ends' exclusion records.  These are homotopy
+equivalences, so the induced maps on vertex homology are those of psi up to
+vertex isomorphisms, and cube squares anticommute on homology.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import BIDEG_ZERO, Bidegree, PolyRing, Polynomial
+from .algebra import Bidegree, PolyRing, Polynomial
 from .braid import BraidWord, MarkedDiagram, build_marked_diagram
-from .factor_complex import ChainMap, FactorComplex, identity_map, realize, simplify
+from .factor_complex import FactorComplex, FlipMap, realize
+# perfbench/spans.py HOOKS wraps trigrad.cube.simplify; nothing here calls it
+from .factor_complex import simplify  # noqa: F401
 from .homology import InconclusiveComparison, TriGradedDims, link_homology
 from .koszul import (
+    Exclusion,
     KoszulMatrix,
     KoszulRow,
     ResolutionGraph,
@@ -58,7 +69,7 @@ class CubeEdge:
     tgt: int
     crossing: int
     sign: int
-    cmap: ChainMap
+    cmap: FlipMap
 
 
 @dataclass
@@ -66,9 +77,11 @@ class CubeComplex:
     braid: BraidWord
     diagram: MarkedDiagram
     ring: PolyRing
-    vertices: dict[int, FactorComplex]
+    vertices: dict[int, FactorComplex]  # realized after exclusion
     jdeg: dict[int, int]
     edges: list[CubeEdge]
+    matrices: dict[int, KoszulMatrix]  # before the per-vertex exclusion
+    exclusions: dict[int, tuple[Exclusion, ...]]
     reduced: bool = False
     basepoint: str | None = None
 
@@ -76,16 +89,15 @@ class CubeComplex:
         lines = [f"braid: {self.braid.strands} {list(self.braid.letters)}"]
         lines.append(f"ring: {' '.join(self.ring.names)}")
         for mask in sorted(self.vertices):
+            excluded = " ".join(ex.var for ex in self.exclusions[mask])
             lines.append(f"vertex {mask:0{len(self.diagram.crossings)}b} "
-                         f"j={self.jdeg[mask]}")
+                         f"j={self.jdeg[mask]} excluded: {excluded}")
             lines.append(self.vertices[mask].dump())
         for e in self.edges:
             lines.append(
-                f"edge {e.src}->{e.tgt} at {e.crossing} sign {e.sign}"
+                f"edge {e.src}->{e.tgt} at {e.crossing} sign {e.sign}: "
+                f"row {e.cmap.row} odd {e.cmap.odd} even {e.cmap.even}"
             )
-            for s in sorted(e.cmap.mat):
-                for t, p in sorted(e.cmap.mat[s].items()):
-                    lines.append(f"  {s}->{t}: {p}")
         return "\n".join(lines)
 
 
@@ -145,8 +157,9 @@ def build_cube(
 
     def resolve_poly(p: Polynomial) -> Polynomial:
         p = p.drop_variable("a") if "a" in p.ring.names else p
-        for v, mu in chain:
-            p = p.substitute(v, mu.map_to_ring(p.ring)).drop_variable(v)
+        for ex in chain:
+            p = p.substitute(ex.var, ex.mu.map_to_ring(p.ring))
+            p = p.drop_variable(ex.var)
         return p
 
     lin = [resolve_poly(p) for p in lin]
@@ -157,7 +170,8 @@ def build_cube(
     signs = [c.sign for c in d.crossings]
     vertices: dict[int, FactorComplex] = {}
     jdeg: dict[int, int] = {}
-    transports: dict[int, tuple[ChainMap, ChainMap] | None] = {}
+    matrices: dict[int, KoszulMatrix] = {}
+    exclusions: dict[int, tuple[Exclusion, ...]] = {}
     for mask in range(1 << nc):
         rows = list(leftover)
         for p in range(nc):
@@ -183,13 +197,11 @@ def build_cube(
             shared.global_shift + Bidegree(0, lshift),
             shared.global_parity,
         )
-        cx = realize(km, j=j)
-        small, iota, pi = simplify(cx)
-        vertices[mask] = small
+        small, record = exclude_all(km)
+        matrices[mask] = km
+        exclusions[mask] = tuple(record)
+        vertices[mask] = realize(small, j=j)
         jdeg[mask] = j
-        # entries all lie in the augmentation ideal here, so simplify is a
-        # no-op and the transports are identities; skip the compositions then
-        transports[mask] = None if small.rank() == cx.rank() else (iota, pi)
 
     noff = len(leftover)
     edges: list[CubeEdge] = []
@@ -206,30 +218,15 @@ def build_cube(
             else:
                 continue
             sign = -1 if bin(mask & ((1 << p) - 1)).count("1") % 2 else 1
-            mat = {}
-            for smask in range(1 << (noff + nc)):
-                factor = (
-                    odd_factor if smask >> (noff + p) & 1 else even_factor
-                )
-                if not factor.is_zero():
-                    mat[smask] = {smask: factor}
-            if transports[src] is None and transports[tgt] is None:
-                cmap = ChainMap(vertices[src], vertices[tgt], mat, BIDEG_ZERO)
-            else:
-                iota_s = (
-                    transports[src][0]
-                    if transports[src]
-                    else identity_map(vertices[src])
-                )
-                pi_t = (
-                    transports[tgt][1]
-                    if transports[tgt]
-                    else identity_map(vertices[tgt])
-                )
-                raw = ChainMap(iota_s.tgt, pi_t.src, mat, BIDEG_ZERO)
-                cmap = pi_t.compose(raw.compose(iota_s))
+            cmap = FlipMap(
+                vertices[src], vertices[tgt], noff + p, odd_factor,
+                even_factor, exclusions[src], exclusions[tgt],
+            )
             edges.append(CubeEdge(src, tgt, p, sign, cmap))
-    return CubeComplex(b, d, ring, vertices, jdeg, edges, reduced, basepoint)
+    return CubeComplex(
+        b, d, ring, vertices, jdeg, edges, matrices, exclusions, reduced,
+        basepoint,
+    )
 
 
 def braid_homology(

@@ -1,7 +1,10 @@
 """Explicit chain-level objects over Z[a, x]: graded free modules with a
 2-periodic differential d (realized from Koszul matrices with Koszul signs),
-flip morphisms, crossing cones, tensor products, and Gaussian cancellation of
-unit entries.  The one division, `exact_divide`, stays in Z; rationals appear
+flip morphisms, crossing cones, tensor products, Gaussian cancellation of
+unit entries, and the maps across variable exclusion: the inclusion iota and
+projection pi between a complex and its excluded form, and `FlipMap`, a flip
+carried across the exclusions at both ends as pi_tgt o flip o iota_src.
+Every division is `algebra.exact_divide`, which stays in Z; rationals appear
 only in homology coordinates.
 
 Sign conventions (fixed once, verified against the rank-4 presentations of
@@ -12,16 +15,20 @@ the two local resolutions):
 * the elementary transformation [ij]_lambda corresponds to the basis change
   e_S -> e_S - lambda (-1)^{#{r in S strictly between i,j}} e_{S-i+j} for
   i in S, j not in S.
+* excluding row i = (0, c(y - mu)) with quotients g_k: iota and pi as in
+  `include` and `project`, with the same sign (-1)^{#{r in S : r < k}}.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
-from .algebra import BIDEG_ZERO, Bidegree, PolyRing, Polynomial
-from .koszul import KoszulMatrix, KoszulRow, row_op
+from .algebra import BIDEG_ZERO, Bidegree, PolyRing, Polynomial, exact_divide
+from .koszul import Exclusion, KoszulMatrix, KoszulRow, row_op
 
 Matrix = dict[int, dict[int, Polynomial]]  # source index -> {target index: entry}
+Element = dict[int, Polynomial]  # generator index -> coefficient
 
 
 @dataclass(frozen=True)
@@ -178,6 +185,13 @@ class ChainMap:
                         f"entry {s}->{t} has bidegree {got}, declared {self.bidegree}"
                     )
 
+    def apply(self, x: Element) -> Element:
+        out: Element = {}
+        for s, p in x.items():
+            for t, q in self.mat.get(s, {}).items():
+                _add_to(out, t, q * p)
+        return out
+
     def compose(self, first: "ChainMap") -> "ChainMap":
         """self o first (apply `first`, then `self`)."""
         if first.tgt is not self.src and first.tgt.gens != self.src.gens:
@@ -197,30 +211,6 @@ class ChainMap:
 
 def identity_map(c: FactorComplex) -> ChainMap:
     return ChainMap(c, c, {i: {i: c.ring.one()} for i in range(len(c.gens))})
-
-
-def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Quotient f/g when g divides f exactly over Z (lex long division);
-    raises ValueError naming f and g otherwise."""
-    ring = f.ring
-    if g.is_zero():
-        raise ZeroDivisionError
-    q = ring.zero()
-    rem = f
-    gl = max(g.terms)
-    gc = g.terms[gl]
-    while not rem.is_zero():
-        fl = max(rem.terms)
-        if any(a < b for a, b in zip(fl, gl)):
-            raise ValueError(f"{g} does not divide {f}")
-        e = tuple(a - b for a, b in zip(fl, gl))
-        c, r = divmod(rem.terms[fl], gc)
-        if r:
-            raise ValueError(f"{g} does not divide {f} over the integers")
-        mono = Polynomial(ring, {e: c})
-        q = q + mono
-        rem = rem - mono * g
-    return q
 
 
 def flip_map(
@@ -283,6 +273,123 @@ def row_op_transport(
             row[other] = lam * sgn
         mat[mask] = {t: p for t, p in row.items() if not p.is_zero()}
     return ChainMap(src, tgt, mat), m2
+
+
+# ---------------------------------------------------------------------------
+# Carrying elements across exclusions
+# ---------------------------------------------------------------------------
+
+def _add_to(x: Element, s: int, p: Polynomial) -> None:
+    q = x[s] + p if s in x else p
+    if q.is_zero():
+        x.pop(s, None)
+    else:
+        x[s] = q
+
+
+def _sign(mask: int, k: int) -> int:
+    return -1 if _popcount_below(mask, k) % 2 else 1
+
+
+def include(x: Element, exclusions: Sequence[Exclusion]) -> Element:
+    """iota: realize(m') -> realize(m), where m' is m after `exclusions`
+    and every left entry is zero.  The steps are undone last first.  A step
+    removing row i = (0, c(y - mu)), with quotients g_k, sends
+
+        p e_S  ->  p e_S - sum_{k in S} sign(S, k) sign(S-k+i, i) c g_k p e_{S-k+i}
+
+    (S and p read in the larger matrix and ring; sign(S, k) =
+    (-1)^#{r in S : r < k} as in `realize`).  There is no second-order term
+    because e_i ^ e_i = 0.  pi o iota = id, and iota o pi is homotopic to
+    the identity."""
+    for ex in reversed(exclusions):
+        ring, i = ex.mu.ring, ex.row
+        low = (1 << i) - 1
+        out: Element = {}
+        for s, p in x.items():
+            p = p.map_to_ring(ring)
+            full = (s & low) | (s >> i << (i + 1))
+            _add_to(out, full, p)
+            for k, g in enumerate(ex.quotients):
+                if full >> k & 1 and not g.is_zero():
+                    t = full ^ (1 << k) | (1 << i)
+                    c = -ex.unit * _sign(full, k) * _sign(t, i)
+                    _add_to(out, t, g * p * c)
+        x = out
+    return x
+
+
+def project(x: Element, exclusions: Sequence[Exclusion]) -> Element:
+    """pi: realize(m) -> realize(m'), the steps in order.  A step removing
+    row i kills every e_S with i in S and sends p e_S to p|_{y=mu} e_S,
+    re-indexed over the remaining rows."""
+    for ex in exclusions:
+        i = ex.row
+        low = (1 << i) - 1
+        out: Element = {}
+        for s, p in x.items():
+            if not s >> i & 1:
+                p = p.substitute(ex.var, ex.mu).drop_variable(ex.var)
+                _add_to(out, (s & low) | (s >> (i + 1) << i), p)
+        x = out
+    return x
+
+
+@dataclass(frozen=True)
+class FlipMap:
+    """A flip map between two complexes realized after exclusion.  Before
+    exclusion it is diagonal in the subset basis over one shared ring:
+    `odd` on the subsets holding row `row`, `even` on the others.  It acts
+    as pi_tgt o flip o iota_src, a chain map (semilinear over the
+    substitutions of pi_tgt)."""
+
+    src: FactorComplex
+    tgt: FactorComplex
+    row: int
+    odd: Polynomial
+    even: Polynomial
+    src_exclusions: tuple[Exclusion, ...] = ()
+    tgt_exclusions: tuple[Exclusion, ...] = ()
+    # caches: generator -> image of e_S; source exponents -> sigma(x^e)
+    _images: dict = field(default_factory=dict, init=False, compare=False)
+    _sigma: dict = field(default_factory=dict, init=False, compare=False)
+
+    def apply(self, x: Element) -> Element:
+        """pi_tgt(flip(iota_src(x))).  iota_src is linear over the source
+        ring and pi_tgt over the substitution sigma it makes, so p e_S goes
+        to sigma(p) times the image of e_S; both parts are cached."""
+        out: Element = {}
+        for s, p in x.items():
+            image = self._images.get(s)
+            if image is None:
+                image = self._images[s] = self._transport(s)
+            q = self._substitute(p)
+            for t, r in image.items():
+                _add_to(out, t, q * r)
+        return out
+
+    def _transport(self, s: int) -> Element:
+        flipped: Element = {}
+        lifted = include({s: self.src.ring.one()}, self.src_exclusions)
+        for t, p in lifted.items():
+            factor = self.odd if t >> self.row & 1 else self.even
+            _add_to(flipped, t, p * factor)
+        return project(flipped, self.tgt_exclusions)
+
+    def _substitute(self, p: Polynomial) -> Polynomial:
+        """sigma(p): p read in the shared ring, then the target's exclusions
+        (pi_tgt on the coefficient of e_{}, which no exclusion re-indexes)."""
+        terms: dict[tuple[int, ...], int] = {}
+        for e, c in p.terms.items():
+            image = self._sigma.get(e)
+            if image is None:
+                mono = Polynomial(self.src.ring, {e: 1})
+                mono = mono.map_to_ring(self.odd.ring)
+                image = project({0: mono}, self.tgt_exclusions)  # 0 if mu = 0
+                image = self._sigma[e] = image[0].terms if image else {}
+            for te, tc in image.items():
+                terms[te] = terms.get(te, 0) + c * tc
+        return Polynomial(self.tgt.ring, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,14 @@ first, sharing the columns and the boundary echelon, and runs the kernel
 pass only on slices that are not exact.  `slice_homology_dim` stops after
 the ranks.
 
+Induced maps: cube vertices are realized after their own exclusions, and
+an edge is a `FlipMap`.  `induced_map` sends each slice basis element that
+a source representative uses through iota_src (back into the unexcluded
+source complex), the flip psi or psi', and pi_tgt (into the target's
+excluded complex), and expresses the image in the target solver.  iota and
+pi are homotopy inverse, so this is H(psi) up to vertex isomorphisms, and
+squares anticommute on homology, which is all the cube needs.
+
 Rationals appear only in homology coordinates: `Echelon.express` returns
 them, `induced_map` passes them on, and each cube block clears them once per
 column with `scale_to_int`.
@@ -35,10 +43,11 @@ from math import gcd
 from .algebra import (
     Bidegree,
     PolyRing,
+    Polynomial,
     QSeries,
     monomials_of_degree,
 )
-from .factor_complex import ChainMap, FactorComplex, Matrix, realize
+from .factor_complex import ChainMap, FactorComplex, FlipMap, Matrix, realize
 from .koszul import (
     KoszulMatrix,
     ResolutionGraph,
@@ -330,24 +339,32 @@ def slice_homology_dim(cx: FactorComplex, k: int, l: int) -> int:
 
 
 def induced_map(
-    f: ChainMap, src: HomologyBasis, tgt: HomologyBasis
+    f: ChainMap | FlipMap, src: HomologyBasis, tgt: HomologyBasis
 ) -> list[dict[int, Fraction]]:
     """Matrix of the induced map on homology slices: column per source
-    representative, entries over target representatives.  Raises if some
-    representative's image fails to be a cycle in the target span (a broken
-    chain map)."""
+    representative, entries over target representatives.  Each slice basis
+    element that a representative uses goes through `f.apply` once (for a
+    cube edge: iota_src, the flip, pi_tgt).  Raises if some image fails to
+    be a cycle in the target span (a broken chain map)."""
+    ring = f.src.ring
+    index = tgt.basis.index
+    columns: dict[int, dict[int, int]] = {}  # slice position -> its image
     out = []
     for rep in src.reps:
         image: dict[int, int] = {}
         for pos, c in rep.items():
-            gi, mono = src.basis.elems[pos]
-            for tgt_gen, poly in f.mat.get(gi, {}).items():
-                for e, cf in poly.terms.items():
-                    key = (tgt_gen, tuple(a + b for a, b in zip(mono, e)))
-                    tpos = tgt.basis.index.get(key)
-                    if tpos is None:
-                        continue
-                    image[tpos] = image.get(tpos, 0) + cf * c
+            col = columns.get(pos)
+            if col is None:
+                gi, mono = src.basis.elems[pos]
+                col = columns[pos] = {}
+                moved = f.apply({gi: Polynomial(ring, {mono: 1})})
+                for tgt_gen, poly in moved.items():
+                    for e, v in poly.terms.items():
+                        tpos = index.get((tgt_gen, e))
+                        if tpos is not None:
+                            col[tpos] = col.get(tpos, 0) + v
+            for tpos, v in col.items():
+                image[tpos] = image.get(tpos, 0) + c * v
         out.append(tgt.solver.express({p: v for p, v in image.items() if v}))
     return out
 

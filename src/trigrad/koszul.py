@@ -1,8 +1,8 @@
 """Koszul matrices: rows (a_i, b_i) of graded polynomials in Z[a, x], and
 the calculus of elementary row transformations, variable exclusion (of rows
-(0, ±(y - mu)) only, so nothing here divides and rationals appear only in
-homology coordinates), a-aggregation and stripping, dualization, and the
-Upsilon factorization.
+(0, ±(y - mu)) only; each step keeps a record whose quotients are exact in
+Z, so rationals appear only in homology coordinates), a-aggregation and
+stripping, dualization, and the Upsilon factorization.
 
 Grading convention: the generator of R{n1,n2} sits in bidegree (n1,n2); a row
 with middle shift s realizes R --left--> R{s} --right--> R, so the
@@ -17,6 +17,7 @@ homogeneous of bidegree (2,2)).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .algebra import (
     BIDEG_D,
@@ -24,6 +25,7 @@ from .algebra import (
     Bidegree,
     PolyRing,
     Polynomial,
+    exact_divide,
 )
 
 
@@ -229,6 +231,33 @@ def row_op(m: KoszulMatrix, i: int, j: int, lam: Polynomial) -> KoszulMatrix:
     return out
 
 
+@dataclass(frozen=True)
+class Exclusion:
+    """One step of `exclude_all`: row `row` = (0, unit·(var - mu)) of a
+    matrix over `mu.ring`, whose right entries were `rights`, is removed
+    and mu substituted for `var`."""
+
+    row: int
+    var: str
+    mu: Polynomial
+    unit: int
+    rights: tuple[Polynomial, ...]
+
+    @cached_property
+    def quotients(self) -> tuple[Polynomial, ...]:
+        """(b_r - b_r|var=mu) / (var - mu) for each row r (0 for the removed
+        row and for rows free of `var`): the first-order correction of the
+        inclusion `factor_complex.include`.  Computed on first use, since
+        only the sources of cube edges need it."""
+        step = self.mu.ring.var(self.var) - self.mu
+        zero = self.mu.ring.zero()
+        return tuple(
+            exact_divide(b - b.substitute(self.var, self.mu), step)
+            if r != self.row and b.contains(self.var) else zero
+            for r, b in enumerate(self.rights)
+        )
+
+
 def _unit_solution(row: KoszulRow, var: str) -> Polynomial | None:
     """mu with row = (0, c·var - c·mu), when c = ±1 and mu is free of `var`;
     otherwise None.  c is its own inverse, so mu = c·(c·var - right)."""
@@ -257,7 +286,14 @@ def exclude_variable(m: KoszulMatrix, row_index: int, var: str) -> KoszulMatrix:
         raise ValueError(f"{var!r} is external")
     if m.potential().contains(var):
         raise ValueError(f"potential involves {var!r}")
-    newring = m.ring.without(var)
+    return _exclude(m, row_index, var, mu)[0]
+
+
+def _exclude(
+    m: KoszulMatrix, row_index: int, var: str, mu: Polynomial
+) -> tuple[KoszulMatrix, Exclusion]:
+    """Remove row `row_index` = (0, ±(var - mu)), substitute mu for `var`
+    and drop it from the ring; also return the step's record."""
     rows = []
     for idx, r in enumerate(m.rows):
         if idx == row_index:
@@ -267,7 +303,10 @@ def exclude_variable(m: KoszulMatrix, row_index: int, var: str) -> KoszulMatrix:
         nr = KoszulRow(left, right, r.shift)
         nr.validate()
         rows.append(nr)
-    return replace(m, ring=newring, rows=tuple(rows))
+    unit = m.rows[row_index].right.linear_coefficient(var)
+    rights = tuple(r.right for r in m.rows)
+    record = Exclusion(row_index, var, mu, unit, rights)
+    return replace(m, ring=m.ring.without(var), rows=tuple(rows)), record
 
 
 def aggregate_a(m: KoszulMatrix) -> KoszulMatrix:
@@ -371,12 +410,12 @@ def tensor_matrices(m1: KoszulMatrix, m2: KoszulMatrix) -> KoszulMatrix:
 
 def exclude_all(
     m: KoszulMatrix, protect: frozenset[str] = frozenset()
-) -> tuple[KoszulMatrix, list[tuple[str, Polynomial]]]:
+) -> tuple[KoszulMatrix, list[Exclusion]]:
     """Greedy exclusion: repeatedly remove rows (0, ±(y - mu)) with y linear
     of the right degree, not protected, and absent from the potential.
-    Returns the reduced matrix and the substitution chain (over the ring
-    current at each step)."""
-    chain: list[tuple[str, Polynomial]] = []
+    Returns the reduced matrix and the ordered exclusion record (each step
+    over the ring current at that step)."""
+    chain: list[Exclusion] = []
     while True:
         w = m.potential()
         found = None
@@ -397,6 +436,5 @@ def exclude_all(
                 break
         if not found:
             return m, chain
-        idx, var, mu = found
-        chain.append((var, mu))
-        m = exclude_variable(m, idx, var)
+        m, record = _exclude(m, *found)
+        chain.append(record)

@@ -10,8 +10,10 @@ to rewrite the file.
 
 Inputs: T(2,5), T(2,7), the figure-eight and 1 1 -2 1 -2 in both modes;
 --marks 2 on two braids; the cheapest word of each of the nine `mixed`
-benchmark strata; three closed graphs of the `graphs` benchmark family.
-The qmax values keep the whole table to a few seconds.
+benchmark strata; three closed graphs of the `graphs` benchmark family;
+the Borromean rings reduced at q4, three words of the `positive` benchmark
+family at q6, and two `mixed` words at q8.  The qmax values keep the whole
+table to about 20 seconds.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ MIXED_WORDS = [
     "-1 2 1 2 -1",
 ]
 
+POSITIVE_WORDS = ["1 1 1 2 2 2 1", "1 2 1 2 1 2 1", "1 1 2 1 1 2 2"]
+
 
 def _braid(word, qmax, reduced=False, marks=1):
     return {"kind": "braid", "braid": word, "qmax": qmax,
@@ -55,6 +59,9 @@ CASES = (
     + [_braid(word, 2) for word in MIXED_WORDS]
     + [_graph("1 1 1 1 1 2", 31, 14), _graph("1 1 2 1 2 2", 55, 14),
        _graph("1 2 1 2 1 2", 63, 10)]
+    + [_braid("1 -2 1 -2 1 -2", 4, True)]
+    + [_braid(word, 6) for word in POSITIVE_WORDS]
+    + [_braid(word, 8) for word in ("-1 2 1 2 -1", "1 1 1 -2 -2")]
 )
 
 

@@ -5,6 +5,7 @@ import pytest
 from trigrad.algebra import Bidegree
 from trigrad.braid import build_marked_diagram, parse_braid
 from trigrad.cube import braid_homology, build_cube, reduce_mode_check, resolve
+from trigrad.factor_complex import ChainMap, realize
 from trigrad.homology import (
     InconclusiveComparison,
     graph_homology,
@@ -56,10 +57,24 @@ class TestBuildCube:
         assert dirs == {(0, 1), (2, 3), (2, 0), (3, 1)}
 
     def test_edges_are_chain_maps_and_squares_anticommute(self):
+        # psi and psi' on the unexcluded vertex complexes, realized from each
+        # vertex's Koszul matrix
         for text in ["1 1", "1 -1", "1 1 1"]:
             cube = build_cube(parse_braid(text))
+            raw = {
+                mask: realize(m, j=cube.jdeg[mask])
+                for mask, m in cube.matrices.items()
+            }
+            flips = {}
             for e in cube.edges:
-                e.cmap.verify_chain_map()
+                f = e.cmap
+                mat = {}
+                for s in range(raw[e.src].rank()):
+                    factor = f.odd if s >> f.row & 1 else f.even
+                    if not factor.is_zero():
+                        mat[s] = {s: factor}
+                flips[e.src, e.tgt] = ChainMap(raw[e.src], raw[e.tgt], mat)
+                flips[e.src, e.tgt].verify_chain_map()
             out = defaultdict(list)
             for e in cube.edges:
                 out[e.src].append(e)
@@ -71,8 +86,8 @@ class TestBuildCube:
                         for f2 in out[f1.tgt]:
                             if f2.crossing != e1.crossing or f2.tgt != e2.tgt:
                                 continue
-                            a = e2.cmap.compose(e1.cmap)
-                            b = f2.cmap.compose(f1.cmap)
+                            a = flips[e2.src, e2.tgt].compose(flips[e1.src, e1.tgt])
+                            b = flips[f2.src, f2.tgt].compose(flips[f1.src, f1.tgt])
                             for s in range(len(a.src.gens)):
                                 row = {
                                     t: p * (e1.sign * e2.sign)

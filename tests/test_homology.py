@@ -8,7 +8,7 @@ from trigrad.algebra import Bidegree, PolyRing, QSeries
 from trigrad.braid import BraidWord, build_marked_diagram, parse_braid
 from trigrad.catalog import closed_matrix, hom_pair
 from trigrad.cube import build_cube, resolve
-from trigrad.factor_complex import ChainMap, realize
+from trigrad.factor_complex import ChainMap, FlipMap, realize
 from trigrad.homology import (
     Echelon,
     HomologyBasis,
@@ -225,7 +225,7 @@ class TestInducedMap:
 
     def test_chi_composite_induces_multiplication(self):
         # on the 0-resolution vertex of the one-crossing closure, the
-        # composite chi_1 chi_0 equals multiplication by the flip factor
+        # composite chi_1 chi_0 induces multiplication by the flip factor
         b = parse_braid("1")
         cube = build_cube(b)
         v0 = cube.vertices[0]
@@ -233,22 +233,33 @@ class TestInducedMap:
         edge = cube.edges[0]  # chi_0: subset without the flip row gets y
         ring = cube.ring
         one = ring.one()
-        y = edge.cmap.mat[0][0]
+        y = edge.cmap.even
         assert y.homogeneous_bidegree() == Bidegree(0, 2)
-        assert edge.cmap.mat[1][1] == one
+        assert edge.cmap.odd == one
+        row = edge.cmap.row
+        ex0, ex1 = cube.exclusions[0], cube.exclusions[1]
         # chi_1 back; in absolute gradings the {0,2} cone shift of the source
         # vertex moves its bidegree from (0,0) to (0,2)
-        chi1 = ChainMap(v1, v0, {0: {0: one}, 1: {1: y}}, Bidegree(0, 2))
-        chi1.verify_chain_map()
-        comp = chi1.compose(edge.cmap)
-        mult = ChainMap(
-            v0, v0, {i: {i: y} for i in range(v0.rank())}, Bidegree(0, 2)
-        )
-        mult.verify_chain_map()
+        chi1 = FlipMap(v1, v0, row, y, one, ex1, ex0)
+        raw0 = realize(cube.matrices[0])
+        raw1 = realize(cube.matrices[1])
+        diagonal = {s: {s: y if s >> row & 1 else one} for s in range(raw1.rank())}
+        ChainMap(raw1, raw0, diagonal, Bidegree(0, 2)).verify_chain_map()
+        mult = FlipMap(v0, v0, row, y, y, ex0, ex0)
         for (k, l) in [(-1, 3), (-2, 4), (-1, 5)]:
             src = slice_homology_basis(v0, k, l)
+            mid = slice_homology_basis(v1, k, l)
             tgt = slice_homology_basis(v0, k, l + 2)
-            assert induced_map(comp, src, tgt) == induced_map(mult, src, tgt)
+            first = induced_map(edge.cmap, src, mid)
+            second = induced_map(chi1, mid, tgt)
+            comp = []
+            for col in first:
+                acc = {}
+                for t, v in col.items():
+                    for u, w in second[t].items():
+                        acc[u] = acc.get(u, 0) + v * w
+                comp.append({u: v for u, v in acc.items() if v})
+            assert src.dim and comp == induced_map(mult, src, tgt)
 
 
 class TestCompareUpToShift:

@@ -26,8 +26,13 @@ def _coefficients(mat):
 def test_cube_coefficients_are_ints(word, reduced, marks):
     cube = build_cube(parse_braid(word), reduced=reduced, marks_per_segment=marks)
     mats = [cx.d for cx in cube.vertices.values()]
-    mats += [edge.cmap.mat for edge in cube.edges]
+    polys = [p for edge in cube.edges for p in (edge.cmap.odd, edge.cmap.even)]
+    for record in cube.exclusions.values():
+        for ex in record:
+            assert ex.unit in (1, -1)
+            polys += [ex.mu, *ex.quotients]
     kinds = {type(c) for mat in mats for c in _coefficients(mat)}
+    kinds |= {type(c) for p in polys for c in p.terms.values()}
     assert kinds == {int}
 
 

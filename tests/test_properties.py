@@ -1,0 +1,75 @@
+"""Structural facts that the Euler identity cannot see, on seeded random
+braids of at most 3 strands and 4 letters: reduced homology does not depend
+on the basepoint within a component, homology does not depend on the
+number of marks per segment, and the output does not depend on the worker
+count."""
+
+import json
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from trigrad.braid import BraidWord, build_marked_diagram
+from trigrad.cube import braid_homology, build_cube
+from trigrad.homology import link_homology
+
+SETTINGS = settings(
+    max_examples=6, deadline=None, derandomize=True, database=None
+)
+
+
+@st.composite
+def braids(draw):
+    strands = draw(st.integers(2, 3))
+    alphabet = [s for s in range(1 - strands, strands) if s]
+    letters = draw(st.lists(st.sampled_from(alphabet), max_size=4))
+    return BraidWord(strands, tuple(letters))
+
+
+def _component_marks(b: BraidWord) -> list[str]:
+    """The marks on the component of the first mark, in name order."""
+    d = build_marked_diagram(b)
+    parent = list(range(d.nvars))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    links = list(d.arcs)
+    for c in d.crossings:
+        links += [(c.x4, c.x2), (c.x3, c.x1)]
+    for u, v in links:
+        parent[find(u)] = find(v)
+    names = d.var_names()
+    return [names[i] for i in range(d.nvars) if find(i) == find(0)]
+
+
+@SETTINGS
+@given(braids())
+def test_reduced_dims_do_not_depend_on_the_basepoint(b):
+    marks = _component_marks(b)
+    assume(len(marks) > 1)
+    first = braid_homology(b, 6, reduced=True, basepoint=marks[0])
+    last = braid_homology(b, 6, reduced=True, basepoint=marks[-1])
+    assert first.dims == last.dims
+
+
+@SETTINGS
+@given(braids())
+def test_dims_do_not_depend_on_marks_per_segment(b):
+    one = braid_homology(b, 5, marks_per_segment=1)
+    two = braid_homology(b, 5, marks_per_segment=2)
+    assert one.dims == two.dims
+
+
+@SETTINGS
+@given(braids())
+def test_worker_count_does_not_change_the_output(b):
+    cube = build_cube(b)
+    serial = link_homology(cube, 6, workers=1)
+    parallel = link_homology(cube, 6, workers=2)
+    assert json.dumps(serial.items_sorted()) == json.dumps(
+        parallel.items_sorted()
+    )
