@@ -396,8 +396,7 @@ def hom_dim(src, tgt, bidegree, as_json, out):
     try:
         m, n = catalog.hom_pair(src, tgt)
     except KeyError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_CONFIG)
+        _config_error(exc.args[0])
     d = hom_space_dim(m, n, Bidegree(*bidegree))
     if as_json:
         _emit(json.dumps({"src": src, "tgt": tgt,
@@ -420,8 +419,7 @@ def graph_homology_cmd(name, qmax, as_json, out):
     try:
         m = catalog.closed_matrix(name)
     except KeyError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_CONFIG)
+        _config_error(exc.args[0])
     h = matrix_homology(m, qmax)
     if as_json:
         payload = {"graph": name, "qmax": qmax, "dims": dims_to_json(h)}

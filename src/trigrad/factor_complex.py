@@ -1,5 +1,6 @@
 """Explicit chain-level objects over Z[a, x]: graded free modules with a
-2-periodic differential d (realized from Koszul matrices with Koszul signs),
+2-periodic differential d (realized from Koszul matrices with Koszul signs,
+over R/(relations) when the matrix carries monic relations),
 flip morphisms, crossing cones, tensor products, Gaussian cancellation of
 unit entries, and the maps across variable exclusion: the inclusion iota and
 projection pi between a complex and its excluded form, and `FlipMap`, a flip
@@ -23,9 +24,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 from .algebra import BIDEG_ZERO, Bidegree, PolyRing, Polynomial, exact_divide
-from .koszul import Exclusion, KoszulMatrix, KoszulRow, row_op
+from .koszul import Exclusion, KoszulMatrix, KoszulRow, normal_form, row_op
 
 Matrix = dict[int, dict[int, Polynomial]]  # source index -> {target index: entry}
 Element = dict[int, Polynomial]  # generator index -> coefficient
@@ -108,39 +110,73 @@ def _popcount_below(mask: int, k: int) -> int:
 
 
 def realize(m: KoszulMatrix, j: int = 0) -> FactorComplex:
-    """Tensor product of the rows: 2^n generators indexed by row subsets."""
+    """Tensor product of the rows over R/(m.relations): generators (S, u)
+    for row subsets S and standard monomials u (degree below m_i in each
+    relation's variable y_i), in bidegree shift(S) + bidegree(u), over R
+    without the y_i.  The d entry from (S, u) to (S ± k, u') is the
+    coefficient of u' in the normal form of a_k u or b_k u.  Without
+    relations u = 1 only: 2^n generators indexed by row subsets."""
     n = len(m.rows)
-    ring = m.ring
+    ring, monos, times = _quotient(m)
+    nb = len(monos)
+    ubid = [Bidegree(0, 2 * sum(u)) for u in monos]
     gens = []
     for mask in range(1 << n):
         bid = m.global_shift
         for r in range(n):
             if mask >> r & 1:
                 bid = bid + m.rows[r].shift
-        gens.append(
-            Generator(
-                parity=(bin(mask).count("1") + m.global_parity) % 2,
-                bidegree=bid,
-                j=j,
-                label=("S", mask),
-            )
-        )
+        parity = (bin(mask).count("1") + m.global_parity) % 2
+        for u, ub in zip(monos, ubid):
+            gens.append(Generator(parity, bid + ub, j, ("S", mask) + u))
+    table = [(times(r.left), times(r.right)) for r in m.rows]
     d: Matrix = {}
     for mask in range(1 << n):
-        row: dict[int, Polynomial] = {}
+        rows: list[dict[int, Polynomial]] = [{} for _ in monos]
         for r in range(n):
-            sign = -1 if _popcount_below(mask, r) % 2 else 1
-            if mask >> r & 1:
-                entry = m.rows[r].right
-            else:
-                entry = m.rows[r].left
-            if entry.is_zero():
-                continue
-            tgt = mask ^ (1 << r)
-            prev = row.get(tgt, ring.zero())
-            row[tgt] = prev + entry * sign
-        d[mask] = {t: p for t, p in row.items() if not p.is_zero()}
-    return FactorComplex(ring, tuple(gens), d, m.potential())
+            sign = _sign(mask, r)
+            base = (mask ^ (1 << r)) * nb
+            for row, products in zip(rows, table[r][mask >> r & 1]):
+                for uj, p in products:
+                    row[base + uj] = p * sign
+        for ui, row in enumerate(rows):
+            d[mask * nb + ui] = row
+    w = times(m.potential())[0]
+    if any(ui for ui, _ in w):
+        raise ValueError("the potential is not a scalar over the quotient")
+    return FactorComplex(ring, tuple(gens), d, w[0][1] if w else ring.zero())
+
+
+def _quotient(m: KoszulMatrix):
+    """The ring of realize(m), its standard monomials u (exponents of the
+    relations' variables), and times(p): for each u, the normal form of
+    p u as [(index of u', coefficient over the ring)]."""
+    if not m.relations:
+        return m.ring, [()], lambda p: [[] if p.is_zero() else [(0, p)]]
+    names = m.ring.names
+    ypos = [names.index(y) for y, _ in m.relations]
+    rest = [i for i in range(len(names)) if i not in ypos]
+    ring = PolyRing(tuple(names[i] for i in rest))
+    monos = list(product(*(range(f.degree_in(y)) for y, f in m.relations)))
+    where = {u: ui for ui, u in enumerate(monos)}
+
+    def times(p: Polynomial) -> list[list[tuple[int, Polynomial]]]:
+        out = []
+        for u in monos:
+            mono = [0] * len(names)
+            for pos, x in zip(ypos, u):
+                mono[pos] = x
+            nf = normal_form(p * Polynomial(m.ring, {tuple(mono): 1}),
+                             m.relations)
+            split: dict[int, dict[tuple[int, ...], int]] = {}
+            for e, c in nf.terms.items():
+                ui = where[tuple(e[i] for i in ypos)]
+                split.setdefault(ui, {})[tuple(e[i] for i in rest)] = c
+            out.append([(ui, Polynomial(ring, t))
+                        for ui, t in sorted(split.items())])
+        return out
+
+    return ring, monos, times
 
 
 # ---------------------------------------------------------------------------

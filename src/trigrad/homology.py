@@ -19,6 +19,13 @@ first, sharing the columns and the boundary echelon, and runs the kernel
 pass only on slices that are not exact.  `slice_homology_dim` stops after
 the ranks.
 
+Closed graphs (`matrix_homology`, `graph_homology`): after the linear
+exclusions of `reduce_closed_matrix`, `koszul.monic_quotient` moves a
+triangular set of monic rows into relations, and `realize` builds the
+Koszul complex of the other rows over R/(relations), free over the
+remaining variables on (row subset, standard monomial) pairs.  The slices
+are then taken over those few variables, with the same slice code.
+
 Induced maps: cube vertices are realized after their own exclusions, and
 an edge is a `FlipMap`.  `induced_map` sends each slice basis element that
 a source representative uses through iota_src (back into the unexcluded
@@ -55,6 +62,7 @@ from .koszul import (
     dualize,
     exclude_all,
     koszul_of_graph,
+    monic_quotient,
     strip_a,
     tensor_matrices,
 )
@@ -463,9 +471,11 @@ def matrix_homology(
     reduce: bool = True,
     krange: tuple[int, int] | None = None,
 ) -> TriGradedDims:
-    """Bigraded homology dims of a closed Koszul matrix, reported at j = 0."""
+    """Bigraded homology dims of a closed Koszul matrix, reported at j = 0.
+    With `reduce`, the complex is realized over R/(monic rows) after the
+    linear exclusions (`monic_quotient`)."""
     if reduce:
-        m = reduce_closed_matrix(m)
+        m = monic_quotient(reduce_closed_matrix(m))
     cx = realize(m)
     if "a" in cx.ring.names and krange is None:
         raise ValueError("matrices containing `a` need an explicit krange")
@@ -483,27 +493,12 @@ def matrix_homology(
     return TriGradedDims(dims, qmax)
 
 
-def graph_homology(
-    g: ResolutionGraph, qmax: int, want_bases: bool = False
-):
-    """Bigraded homology dims of a closed graph (at cube degree 0); with
-    want_bases, also the per-slice cycle bases and solvers."""
+def graph_homology(g: ResolutionGraph, qmax: int) -> TriGradedDims:
+    """Bigraded homology dims of a closed graph (at cube degree 0)."""
     m = koszul_of_graph(g)
     if not m.is_closed():
         raise ValueError("graph homology needs a closed graph")
-    if not want_bases:
-        return matrix_homology(m, qmax)
-    cx = realize(reduce_closed_matrix(m))
-    dims: dict[tuple[int, int, int], int] = {}
-    bases: dict[tuple[int, int], HomologyBasis] = {}
-    lmin = min((gen.bidegree.l for gen in cx.gens), default=0)
-    for k in sorted({gen.bidegree.k for gen in cx.gens}):
-        for l in range(lmin, qmax + 1):
-            basis = slice_homology_basis(cx, k, l)
-            if basis.dim:
-                dims[(0, k, l)] = basis.dim
-                bases[(k, l)] = basis
-    return TriGradedDims(dims, qmax), bases
+    return matrix_homology(m, qmax)
 
 
 # ---------------------------------------------------------------------------

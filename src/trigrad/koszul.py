@@ -1,8 +1,10 @@
 """Koszul matrices: rows (a_i, b_i) of graded polynomials in Z[a, x], and
-the calculus of elementary row transformations, variable exclusion (of rows
-(0, ±(y - mu)) only; each step keeps a record whose quotients are exact in
-Z, so rationals appear only in homology coordinates), a-aggregation and
-stripping, dualization, and the Upsilon factorization.
+the calculus of elementary row transformations, variable exclusion of
+linear rows (0, ±(y - mu)) (each step keeps a record whose quotients are
+exact in Z, so rationals appear only in homology coordinates), the quotient
+by a triangular set of monic rows (0, ±y^m + ...) of a closed matrix
+(`monic_quotient`; the rows left are then realized over R/(relations)),
+a-aggregation and stripping, dualization, and the Upsilon factorization.
 
 Grading convention: the generator of R{n1,n2} sits in bidegree (n1,n2); a row
 with middle shift s realizes R --left--> R{s} --right--> R, so the
@@ -80,6 +82,8 @@ class KoszulMatrix:
     external_signs: tuple[tuple[str, int], ...] = ()
     global_shift: Bidegree = BIDEG_ZERO
     global_parity: int = 0
+    # (y, f): the rows live over R/(f, ...), see `monic_quotient`
+    relations: tuple[tuple[str, Polynomial], ...] = ()
 
     def potential(self) -> Polynomial:
         w = self.ring.zero()
@@ -438,3 +442,101 @@ def exclude_all(
             return m, chain
         m, record = _exclude(m, *found)
         chain.append(record)
+
+
+# ---------------------------------------------------------------------------
+# Monic quotient
+# ---------------------------------------------------------------------------
+
+
+def normal_form(p: Polynomial, relations) -> Polynomial:
+    """p modulo `relations`, with degree below m_i in each y_i.  Relation i
+    is (y_i, f_i), f_i = ±y_i^m_i + terms of lower y_i-degree, free of every
+    later y_j; so reducing by the last relation first never brings back a
+    variable already reduced."""
+    terms = dict(p.terms)
+    for var, f in reversed(relations):
+        i = p.ring.index(var)
+        m = f.degree_in(var)
+        lead = next(c for e, c in f.terms.items() if e[i] == m)
+        # y^m = -lead * (f - lead * y^m), since lead = ±1
+        tail = [(e, -lead * c) for e, c in f.terms.items() if e[i] < m]
+        for deg in range(max((e[i] for e in terms), default=0), m - 1, -1):
+            for e in [e for e in terms if e[i] == deg]:
+                c = terms.pop(e)
+                base = e[:i] + (deg - m,) + e[i + 1:]
+                for te, tc in tail:
+                    ne = tuple(map(int.__add__, base, te))
+                    v = terms.get(ne, 0) + c * tc
+                    if v:
+                        terms[ne] = v
+                    else:
+                        terms.pop(ne, None)
+    return Polynomial(p.ring, terms)
+
+
+def _monic_top(b: Polynomial, i: int) -> int:
+    """m when the only term of b of top degree m >= 1 in variable i is
+    ±(that variable)^m; otherwise 0."""
+    m = max((e[i] for e in b.terms), default=0)
+    top = [(e, c) for e, c in b.terms.items() if e[i] == m]
+    if m == 0 or len(top) != 1:
+        return 0
+    (e, c), = top
+    return m if abs(c) == 1 and sum(e) == m else 0
+
+
+def monic_quotient(m: KoszulMatrix) -> KoszulMatrix:
+    """Move a triangular set of monic rows of a matrix of rows (0, b) into
+    `relations`, leaving the other rows in normal form over R/(relations).
+
+    The pick rule, repeated until no pair qualifies: put every unpicked row
+    in normal form modulo the picks so far; a pair (row, y) qualifies when y
+    is neither picked nor in any earlier pick and the only term of top
+    y-degree m in the row's normal form is ±y^m; take the pair whose normal
+    form has the fewest variables, then the lowest m, the lowest row index,
+    and the first y in ring order.
+
+    Why it is sound: in lex order with later picks above earlier ones and
+    both above the other variables, pick i has leading term ±y_i^m_i (it is
+    free of later picks' variables, and its only top y_i-term is ±y_i^m_i).
+    Pure powers of distinct variables are coprime, so the picks are a
+    Groebner basis over Z and a regular sequence, and Z[x]/(picks) is free
+    over the remaining variables on the monomials prod y_i^e_i, e_i < m_i.
+    Each pick is its row minus a combination of earlier picks, i.e. a row
+    operation (`row_op`, left entries being 0).  The Koszul complex of a
+    regular sequence resolves the quotient, so the complex of all rows is
+    quasi-isomorphic to the Koszul complex of the other rows over
+    R/(picks), which `factor_complex.realize` builds.  The paper's
+    exclusion lemma is the case m = 1."""
+    if any(not r.left.is_zero() for r in m.rows):
+        raise ValueError("monic_quotient needs rows (0, b)")
+    names = m.ring.names
+    rows = list(m.rows)
+    relations: list[tuple[str, Polynomial]] = []
+    picked: set[int] = set()
+    used: set[int] = set()  # positions of the variables in any pick
+    while True:
+        best = None
+        for idx, r in enumerate(rows):
+            if idx in picked:
+                continue
+            b = normal_form(r.right, relations)
+            rows[idx] = KoszulRow(r.left, b, r.shift)
+            occurs = {i for e in b.terms for i, x in enumerate(e) if x}
+            for i in sorted(occurs - used):
+                deg = _monic_top(b, i)
+                key = (len(occurs), deg, idx, i)
+                if deg and (best is None or key < best[0]):
+                    best = key, occurs
+        if best is None:
+            break
+        (_, _, idx, i), occurs = best
+        relations.append((names[i], rows[idx].right))
+        picked.add(idx)
+        used |= occurs
+    return replace(
+        m,
+        rows=tuple(r for idx, r in enumerate(rows) if idx not in picked),
+        relations=tuple(relations),
+    )

@@ -10,7 +10,9 @@ to rewrite the file.
 
 Inputs: T(2,5), T(2,7), the figure-eight and 1 1 -2 1 -2 in both modes;
 --marks 2 on two braids; the cheapest word of each of the nine `mixed`
-benchmark strata; three closed graphs of the `graphs` benchmark family;
+benchmark strata; five closed graphs of the `graphs` benchmark family
+(two of them the all-wide resolutions of 1 2 1 2 1 2 and 2 1 2 1 2 1 at
+q14, where monic elimination picks the fewest rows);
 the Borromean rings reduced at q4, three words of the `positive` benchmark
 family at q6, and two `mixed` words at q8.  The qmax values keep the whole
 table to about 20 seconds.
@@ -58,7 +60,8 @@ CASES = (
     + [_braid("1 1 1", 6, True, 2), _braid("1 -2 1 -2", 6, True, 2)]
     + [_braid(word, 2) for word in MIXED_WORDS]
     + [_graph("1 1 1 1 1 2", 31, 14), _graph("1 1 2 1 2 2", 55, 14),
-       _graph("1 2 1 2 1 2", 63, 10)]
+       _graph("1 2 1 2 1 2", 63, 10), _graph("1 2 1 2 1 2", 63, 14),
+       _graph("2 1 2 1 2 1", 63, 14)]
     + [_braid("1 -2 1 -2 1 -2", 4, True)]
     + [_braid(word, 6) for word in POSITIVE_WORDS]
     + [_braid(word, 8) for word in ("-1 2 1 2 -1", "1 1 1 -2 -2")]

@@ -276,6 +276,11 @@ class TestHomDimCommand:
         res = runner.invoke(cli.main, ["hom-dim", "nope", "s2"])
         assert res.exit_code == cli.EXIT_CONFIG
 
+    def test_unknown_name_message(self, runner):
+        res = runner.invoke(cli.main, ["hom-dim", "upsilon", "nope"])
+        assert res.exit_code == cli.EXIT_CONFIG
+        assert res.output == "config violation: unknown graph 'nope'\n"
+
 
 class TestGraphHomologyCommand:
     def test_circle(self, runner):
@@ -289,6 +294,11 @@ class TestGraphHomologyCommand:
     def test_unknown_graph(self, runner):
         res = runner.invoke(cli.main, ["graph-homology", "nope"])
         assert res.exit_code == cli.EXIT_CONFIG
+
+    def test_unknown_graph_message(self, runner):
+        res = runner.invoke(cli.main, ["graph-homology", "nope"])
+        assert res.exit_code == cli.EXIT_CONFIG
+        assert res.output == "config violation: unknown closed graph 'nope'\n"
 
     def test_upsilon_closure_json(self, runner):
         res = runner.invoke(

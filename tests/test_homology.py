@@ -22,6 +22,7 @@ from trigrad.homology import (
     kernel_and_rank,
     link_homology,
     matrix_homology,
+    reduce_closed_matrix,
     slice_basis,
     slice_homology_basis,
     slice_homology_dim,
@@ -35,13 +36,29 @@ class TestGraphHomologyBases:
             (("x1", "x3"), ("x2", "x4")),
             (("x1", "x2", "x3", "x4"),),
         )
-        dims, bases = graph_homology(g, 7, want_bases=True)
-        assert dims == graph_homology(g, 7)
-        for (j, k, l), d in dims.dims.items():
-            assert bases[(k, l)].dim == d
-            for rep in bases[(k, l)].reps:
+        # the complex matrix_homology realizes: linear exclusions, then the
+        # quotient by monic rows
+        cx = realize(monic_quotient(reduce_closed_matrix(koszul_of_graph(g))))
+        dims = graph_homology(g, 7)
+        lmin = min(gen.bidegree.l for gen in cx.gens)
+        bases = {
+            (k, l): slice_homology_basis(cx, k, l)
+            for k in sorted({gen.bidegree.k for gen in cx.gens})
+            for l in range(lmin, 8)
+        }
+        assert dims.dims == {
+            (0, k, l): b.dim for (k, l), b in bases.items() if b.dim
+        }
+        for basis in bases.values():
+            for rep in basis.reps:
                 assert rep  # nonzero cycle representatives
-from trigrad.koszul import KoszulMatrix, KoszulRow, ResolutionGraph, koszul_of_graph
+from trigrad.koszul import (
+    KoszulMatrix,
+    KoszulRow,
+    ResolutionGraph,
+    koszul_of_graph,
+    monic_quotient,
+)
 
 
 def _dense_rank(cols, nrows):
