@@ -100,6 +100,7 @@ class PolyRing:
         e[i] = 1
         return Polynomial(self, {tuple(e): 1})
 
+    @lru_cache(maxsize=None)
     def without(self, name: str) -> "PolyRing":
         return PolyRing(tuple(n for n in self.names if n != name))
 

@@ -1,7 +1,7 @@
 """Assembling the full complex of a braid closure: resolve crossings, build
 per-vertex Koszul matrices in the modified (flip-friendly) form, reduce by
-the exclusions shared across all resolutions, exclude the linear rows left
-at each vertex, realize the vertex complexes, and attach signed flip edges.
+the exclusions shared across all resolutions, reduce each vertex further,
+realize the vertex complexes, and attach signed flip edges.
 
 Per crossing p with marks x1 (top-left), x2 (top-right), x3 (bottom-right),
 x4 (bottom-left), every vertex carries the common row (a, x1+x2-x3-x4) and a
@@ -12,16 +12,21 @@ second row that depends on the resolution:
 
 After the shared reduction each vertex runs `exclude_all` once more, which
 removes the rows (0, x2-x3) of its 0-smoothings (and any other linear row)
-together with one variable each, and keeps the ordered exclusion record.
+together with one variable each.  Then `monic_steps` moves a triangular set
+of the rows left, each monic of degree m in its own variable y (a wide
+edge's row is, up to sign, monic of degree 2 in x2), into relations, and
+the vertex is realized over R/(relations): generators (row subset, standard
+monomial), over the variables that are neither excluded nor picked.  Each
+vertex keeps the steps of both kinds as a `Reduction`.
 
 The edge maps are psi'(x4-x2) (positive crossings, 0 -> 1, the map chi_0) and
 psi(x4-x2) (negative crossings, 1 -> 0, the map chi_1).  Both are diagonal in
-the subset basis of the unexcluded vertex matrices over the shared ring, so
+the subset basis of the unreduced vertex matrices over the shared ring, so
 an edge keeps just the two diagonal factors; it acts on the realized vertex
 complexes as pi_tgt o psi o iota_src (`FlipMap`), through the inclusion and
-projection of the two ends' exclusion records.  These are homotopy
-equivalences, so the induced maps on vertex homology are those of psi up to
-vertex isomorphisms, and cube squares anticommute on homology.
+projection of the two ends' reductions.  These are homotopy equivalences,
+so the induced maps on vertex homology are those of psi up to vertex
+isomorphisms, and cube squares anticommute on homology.
 """
 
 from __future__ import annotations
@@ -30,18 +35,18 @@ from dataclasses import dataclass
 
 from .algebra import Bidegree, PolyRing, Polynomial
 from .braid import BraidWord, MarkedDiagram, build_marked_diagram
-from .factor_complex import FactorComplex, FlipMap, realize
+from .factor_complex import FactorComplex, FlipMap, Reduction, realize
 # perfbench/spans.py HOOKS wraps trigrad.cube.simplify; nothing here calls it
 from .factor_complex import simplify  # noqa: F401
 from .homology import InconclusiveComparison, TriGradedDims, link_homology
 from .koszul import (
-    Exclusion,
     KoszulMatrix,
     KoszulRow,
     ResolutionGraph,
     aggregate_a,
     exclude_all,
     make_row,
+    monic_steps,
     strip_a,
 )
 
@@ -77,11 +82,11 @@ class CubeComplex:
     braid: BraidWord
     diagram: MarkedDiagram
     ring: PolyRing
-    vertices: dict[int, FactorComplex]  # realized after exclusion
+    vertices: dict[int, FactorComplex]  # realized after the reduction
     jdeg: dict[int, int]
     edges: list[CubeEdge]
-    matrices: dict[int, KoszulMatrix]  # before the per-vertex exclusion
-    exclusions: dict[int, tuple[Exclusion, ...]]
+    matrices: dict[int, KoszulMatrix]  # before the per-vertex reduction
+    reductions: dict[int, Reduction]
     reduced: bool = False
     basepoint: str | None = None
 
@@ -89,9 +94,12 @@ class CubeComplex:
         lines = [f"braid: {self.braid.strands} {list(self.braid.letters)}"]
         lines.append(f"ring: {' '.join(self.ring.names)}")
         for mask in sorted(self.vertices):
-            excluded = " ".join(ex.var for ex in self.exclusions[mask])
+            red = self.reductions[mask]
+            excluded = " ".join(st.var for st in red.steps if st.drop)
+            relations = ", ".join(f"{y}: {f}" for y, f in red.matrix.relations)
             lines.append(f"vertex {mask:0{len(self.diagram.crossings)}b} "
-                         f"j={self.jdeg[mask]} excluded: {excluded}")
+                         f"j={self.jdeg[mask]} excluded: {excluded} "
+                         f"relations: {relations}")
             lines.append(self.vertices[mask].dump())
         for e in self.edges:
             lines.append(
@@ -158,8 +166,7 @@ def build_cube(
     def resolve_poly(p: Polynomial) -> Polynomial:
         p = p.drop_variable("a") if "a" in p.ring.names else p
         for ex in chain:
-            p = p.substitute(ex.var, ex.mu.map_to_ring(p.ring))
-            p = p.drop_variable(ex.var)
+            p = ex.reduce(p)
         return p
 
     lin = [resolve_poly(p) for p in lin]
@@ -171,7 +178,7 @@ def build_cube(
     vertices: dict[int, FactorComplex] = {}
     jdeg: dict[int, int] = {}
     matrices: dict[int, KoszulMatrix] = {}
-    exclusions: dict[int, tuple[Exclusion, ...]] = {}
+    reductions: dict[int, Reduction] = {}
     for mask in range(1 << nc):
         rows = list(leftover)
         for p in range(nc):
@@ -198,9 +205,10 @@ def build_cube(
             shared.global_parity,
         )
         small, record = exclude_all(km)
+        small, picks = monic_steps(small)
         matrices[mask] = km
-        exclusions[mask] = tuple(record)
         vertices[mask] = realize(small, j=j)
+        reductions[mask] = Reduction(record + picks, small, ring)
         jdeg[mask] = j
 
     noff = len(leftover)
@@ -219,12 +227,12 @@ def build_cube(
                 continue
             sign = -1 if bin(mask & ((1 << p) - 1)).count("1") % 2 else 1
             cmap = FlipMap(
-                vertices[src], vertices[tgt], noff + p, odd_factor,
-                even_factor, exclusions[src], exclusions[tgt],
+                reductions[src], reductions[tgt], noff + p, odd_factor,
+                even_factor,
             )
             edges.append(CubeEdge(src, tgt, p, sign, cmap))
     return CubeComplex(
-        b, d, ring, vertices, jdeg, edges, matrices, exclusions, reduced,
+        b, d, ring, vertices, jdeg, edges, matrices, reductions, reduced,
         basepoint,
     )
 

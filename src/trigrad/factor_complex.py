@@ -1,12 +1,15 @@
 """Explicit chain-level objects over Z[a, x]: graded free modules with a
 2-periodic differential d (realized from Koszul matrices with Koszul signs,
-over R/(relations) when the matrix carries monic relations),
-flip morphisms, crossing cones, tensor products, Gaussian cancellation of
-unit entries, and the maps across variable exclusion: the inclusion iota and
-projection pi between a complex and its excluded form, and `FlipMap`, a flip
-carried across the exclusions at both ends as pi_tgt o flip o iota_src.
-Every division is `algebra.exact_divide`, which stays in Z; rationals appear
-only in homology coordinates.
+over R/(relations) when the matrix carries monic relations, on generators
+(row subset S, standard monomial u)), flip morphisms, crossing cones, tensor
+products, Gaussian cancellation of unit entries, and the maps across a
+vertex's reduction (`Reduction`): the inclusion iota and projection pi
+between the complex of a matrix and that of the matrix after its linear
+exclusions and monic picks, both steps of one kind (row (0, f), f monic of
+degree m in its variable; m = 1 for an exclusion).  `FlipMap` is a flip
+carried across the reductions at both ends as pi_tgt o flip o iota_src.
+Every division is exact in Z (`algebra.exact_divide`, or division by a
+monic f); rationals appear only in homology coordinates.
 
 Sign conventions (fixed once, verified against the rank-4 presentations of
 the two local resolutions):
@@ -16,8 +19,8 @@ the two local resolutions):
 * the elementary transformation [ij]_lambda corresponds to the basis change
   e_S -> e_S - lambda (-1)^{#{r in S strictly between i,j}} e_{S-i+j} for
   i in S, j not in S.
-* excluding row i = (0, c(y - mu)) with quotients g_k: iota and pi as in
-  `include` and `project`, with the same sign (-1)^{#{r in S : r < k}}.
+* removing row i = (0, f): iota and pi as in `Reduction`, with the same
+  sign (-1)^{#{r in S : r < k}}.
 """
 
 from __future__ import annotations
@@ -117,7 +120,8 @@ def realize(m: KoszulMatrix, j: int = 0) -> FactorComplex:
     coefficient of u' in the normal form of a_k u or b_k u.  Without
     relations u = 1 only: 2^n generators indexed by row subsets."""
     n = len(m.rows)
-    ring, monos, times = _quotient(m)
+    quo = Quotient(m)
+    monos = quo.monos
     nb = len(monos)
     ubid = [Bidegree(0, 2 * sum(u)) for u in monos]
     gens = []
@@ -129,7 +133,7 @@ def realize(m: KoszulMatrix, j: int = 0) -> FactorComplex:
         parity = (bin(mask).count("1") + m.global_parity) % 2
         for u, ub in zip(monos, ubid):
             gens.append(Generator(parity, bid + ub, j, ("S", mask) + u))
-    table = [(times(r.left), times(r.right)) for r in m.rows]
+    table = [(quo.times(r.left), quo.times(r.right)) for r in m.rows]
     d: Matrix = {}
     for mask in range(1 << n):
         rows: list[dict[int, Polynomial]] = [{} for _ in monos]
@@ -141,42 +145,57 @@ def realize(m: KoszulMatrix, j: int = 0) -> FactorComplex:
                     row[base + uj] = p * sign
         for ui, row in enumerate(rows):
             d[mask * nb + ui] = row
-    w = times(m.potential())[0]
+    w = quo.times(m.potential())[0]
     if any(ui for ui, _ in w):
         raise ValueError("the potential is not a scalar over the quotient")
-    return FactorComplex(ring, tuple(gens), d, w[0][1] if w else ring.zero())
+    return FactorComplex(quo.ring, tuple(gens), d, w[0][1] if w else quo.ring.zero())
 
 
-def _quotient(m: KoszulMatrix):
-    """The ring of realize(m), its standard monomials u (exponents of the
-    relations' variables), and times(p): for each u, the normal form of
-    p u as [(index of u', coefficient over the ring)]."""
-    if not m.relations:
-        return m.ring, [()], lambda p: [[] if p.is_zero() else [(0, p)]]
-    names = m.ring.names
-    ypos = [names.index(y) for y, _ in m.relations]
-    rest = [i for i in range(len(names)) if i not in ypos]
-    ring = PolyRing(tuple(names[i] for i in rest))
-    monos = list(product(*(range(f.degree_in(y)) for y, f in m.relations)))
-    where = {u: ui for ui, u in enumerate(monos)}
+class Quotient:
+    """R/(m.relations) as a free module over `ring`, R without the
+    relations' variables, on the standard monomials u (`monos`, exponents of
+    those variables, u = 1 first)."""
 
-    def times(p: Polynomial) -> list[list[tuple[int, Polynomial]]]:
-        out = []
-        for u in monos:
-            mono = [0] * len(names)
-            for pos, x in zip(ypos, u):
-                mono[pos] = x
-            nf = normal_form(p * Polynomial(m.ring, {tuple(mono): 1}),
-                             m.relations)
-            split: dict[int, dict[tuple[int, ...], int]] = {}
-            for e, c in nf.terms.items():
-                ui = where[tuple(e[i] for i in ypos)]
-                split.setdefault(ui, {})[tuple(e[i] for i in rest)] = c
-            out.append([(ui, Polynomial(ring, t))
-                        for ui, t in sorted(split.items())])
-        return out
+    def __init__(self, m: KoszulMatrix):
+        self.full, self.relations = m.ring, m.relations
+        names = m.ring.names
+        self.ypos = [names.index(y) for y, _ in m.relations]
+        self.rest = [i for i in range(len(names)) if i not in self.ypos]
+        self.ring = (PolyRing(tuple(names[i] for i in self.rest))
+                     if m.relations else m.ring)
+        self.monos = list(product(*(range(f.degree_in(y))
+                                    for y, f in m.relations)))
+        self._where = {u: ui for ui, u in enumerate(self.monos)}
 
-    return ring, monos, times
+    def split(self, p: Polynomial) -> list[tuple[int, Polynomial]]:
+        """p, in normal form, as [(index of u, coefficient over `ring`)]."""
+        if not self.relations:
+            return [] if p.is_zero() else [(0, p)]
+        parts: dict[int, dict[tuple[int, ...], int]] = {}
+        for e, c in p.terms.items():
+            ui = self._where[tuple(e[i] for i in self.ypos)]
+            parts.setdefault(ui, {})[tuple(e[i] for i in self.rest)] = c
+        return [(ui, Polynomial(self.ring, t)) for ui, t in sorted(parts.items())]
+
+    def join(self, ui: int, q: Polynomial) -> Polynomial:
+        """q u over R, for q over `ring`."""
+        u, out = self.monos[ui], [0] * self.full.nvars
+        for pos, x in zip(self.ypos, u):
+            out[pos] = x
+        terms = {}
+        for e, c in q.terms.items():
+            for pos, x in zip(self.rest, e):
+                out[pos] = x
+            terms[tuple(out)] = c
+        return Polynomial(self.full, terms)
+
+    def times(self, p: Polynomial) -> list[list[tuple[int, Polynomial]]]:
+        """For each u, the normal form of p u, split."""
+        if not self.relations or p.is_zero():
+            return [self.split(p)] * len(self.monos)
+        return [self.split(normal_form(self.join(ui, self.ring.one()) * p,
+                                       self.relations))
+                for ui in range(len(self.monos))]
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +331,7 @@ def row_op_transport(
 
 
 # ---------------------------------------------------------------------------
-# Carrying elements across exclusions
+# Carrying elements across a vertex's reduction
 # ---------------------------------------------------------------------------
 
 def _add_to(x: Element, s: int, p: Polynomial) -> None:
@@ -327,105 +346,175 @@ def _sign(mask: int, k: int) -> int:
     return -1 if _popcount_below(mask, k) % 2 else 1
 
 
-def include(x: Element, exclusions: Sequence[Exclusion]) -> Element:
-    """iota: realize(m') -> realize(m), where m' is m after `exclusions`
-    and every left entry is zero.  The steps are undone last first.  A step
-    removing row i = (0, c(y - mu)), with quotients g_k, sends
+class Reduction:
+    """How a cube vertex, realized after its reduction, sits in the complex
+    of its unreduced matrix, realize(big) over `outer`.  The `steps` are the
+    linear exclusions of `exclude_all`, then the monic picks of
+    `monic_steps`; they lead from big to `matrix`.
 
-        p e_S  ->  p e_S - sum_{k in S} sign(S, k) sign(S-k+i, i) c g_k p e_{S-k+i}
+    A step removes row i = (0, f), f = ±y^m + terms of lower y-degree, from
+    a Koszul complex K over A = R/(earlier relations); the earlier relations
+    are free of y, so A = B[y] with B free of y.  Every q in A is
+    q = NF(q) + H(q) f for one NF(q) of y-degree below m (`Exclusion.reduce`)
+    and one H(q) (`Exclusion.quotient`), and H is B-linear.  Then, with
+    sign(S, k) = (-1)^#{r in S : r < k} as in `realize`:
 
-    (S and p read in the larger matrix and ring; sign(S, k) =
-    (-1)^#{r in S : r < k} as in `realize`).  There is no second-order term
-    because e_i ^ e_i = 0.  pi o iota = id, and iota o pi is homotopic to
-    the identity."""
-    for ex in reversed(exclusions):
-        ring, i = ex.mu.ring, ex.row
-        low = (1 << i) - 1
+        pi:    e_S -> 0 for i in S;  p e_S -> NF(p) e_S otherwise
+        iota:  p e_S -> p e_S - sum_{k in S} sign(S, k) sign(S-k+i, i) H(b_k p) e_{S-k+i}
+
+    where b_k is row k at that step and S, p are read in the larger complex.
+    d iota = iota d': the e_{S-k} coefficients agree because
+    b_k p = NF(b_k p) + H(b_k p) f; in the e_{S-k-l+i} coefficients,
+    H(b_l NF(b_k p)) = H(b_l b_k p) - b_l H(b_k p) (uniqueness of NF), and the
+    symmetric part cancels between k and l.  pi o iota = id, since
+    NF(p) = p and every correction holds i.  There is no second-order term,
+    because e_i ^ e_i = 0.  Division by a monic f is exact over Z.  The
+    linear step is m = 1, f = c (y - mu): NF(p) = p|_{y=mu}, and
+    H(b_k p) = c g_k p with g_k = (b_k - b_k|_{y=mu}) / (y - mu).
+
+    pi of all steps kills e_S when S holds a removed row and applies the
+    ring homomorphism sigma (every step's NF) to the coefficient; it is
+    linear over sigma, and iota over `ring`, the ring of realize(matrix).
+    The lifts iota(e_(S,u)) and sigma of each monomial are cached here, so
+    every cube edge at this vertex shares them."""
+
+    def __init__(self, steps: Sequence[Exclusion], matrix: KoszulMatrix,
+                 outer: PolyRing):
+        self.steps, self.matrix, self.outer = tuple(steps), matrix, outer
+        self.quo = Quotient(matrix)
+        self.ring = self.quo.ring
+        self._lifts: dict[int, Element] = {}
+        self._sigma: dict[tuple[str, ...], dict] = {}
+        self._products: dict[int, list] = {}
+
+    def include(self, x: Element) -> Element:
+        """iota: realize(matrix) -> realize(big), the steps undone last
+        first."""
+        nb = len(self.quo.monos)
         out: Element = {}
         for s, p in x.items():
-            p = p.map_to_ring(ring)
-            full = (s & low) | (s >> i << (i + 1))
-            _add_to(out, full, p)
-            for k, g in enumerate(ex.quotients):
-                if full >> k & 1 and not g.is_zero():
-                    t = full ^ (1 << k) | (1 << i)
-                    c = -ex.unit * _sign(full, k) * _sign(t, i)
-                    _add_to(out, t, g * p * c)
+            _add_to(out, s // nb, self.quo.join(s % nb, p))
         x = out
-    return x
+        for st in reversed(self.steps):
+            i, ring = st.row, st.f.ring
+            low = (1 << i) - 1
+            out = {}
+            for s, p in x.items():
+                if st.drop:
+                    p = p.map_to_ring(ring)
+                full = (s & low) | (s >> i << (i + 1))
+                _add_to(out, full, p)
+                for k, b in enumerate(st.rights):
+                    if k == i or not full >> k & 1 or b.is_zero():
+                        continue
+                    h = st.quotient(b * p)
+                    if not h.is_zero():
+                        t = full ^ (1 << k) | (1 << i)
+                        _add_to(out, t, h * (-_sign(full, k) * _sign(t, i)))
+            x = out
+        return x
 
-
-def project(x: Element, exclusions: Sequence[Exclusion]) -> Element:
-    """pi: realize(m) -> realize(m'), the steps in order.  A step removing
-    row i kills every e_S with i in S and sends p e_S to p|_{y=mu} e_S,
-    re-indexed over the remaining rows."""
-    for ex in exclusions:
-        i = ex.row
-        low = (1 << i) - 1
+    def project(self, x: Element) -> Element:
+        """pi: realize(big) -> realize(matrix)."""
+        nb = len(self.quo.monos)
         out: Element = {}
         for s, p in x.items():
-            if not s >> i & 1:
-                p = p.substitute(ex.var, ex.mu).drop_variable(ex.var)
-                _add_to(out, (s & low) | (s >> (i + 1) << i), p)
-        x = out
-    return x
+            for st in self.steps:
+                if s >> st.row & 1:
+                    break
+                s = (s & ((1 << st.row) - 1)) | (s >> (st.row + 1) << st.row)
+            else:
+                for ui, q in self.substitute(p).items():
+                    _add_to(out, s * nb + ui, Polynomial(self.ring, q))
+        return out
+
+    def lift(self, s: int) -> Element:
+        """iota(e_s), cached."""
+        image = self._lifts.get(s)
+        if image is None:
+            image = self._lifts[s] = self.include({s: self.ring.one()})
+        return image
+
+    def substitute(self, p: Polynomial) -> dict[int, dict[tuple[int, ...], int]]:
+        """sigma(p), split over u as {index of u: terms over `ring`}, for p
+        over `outer` or over a ring of some of its variables."""
+        cache = self._sigma.setdefault(p.ring.names, {})
+        parts: dict[int, dict[tuple[int, ...], int]] = {}
+        for e, c in p.terms.items():
+            image = cache.get(e)
+            if image is None:
+                mono = Polynomial(p.ring, {e: 1}).map_to_ring(self.outer)
+                for st in self.steps:
+                    mono = st.reduce(mono)
+                image = cache[e] = self.quo.split(mono)
+            for ui, q in image:
+                acc = parts.setdefault(ui, {})
+                for qe, qc in q.terms.items():
+                    acc[qe] = acc.get(qe, 0) + c * qc
+        return parts
+
+    def product(self, ui: int) -> list[list[tuple[int, Polynomial]]]:
+        """For each u', the normal form of u u', split (u the ui-th)."""
+        table = self._products.get(ui)
+        if table is None:
+            table = self._products[ui] = self.quo.times(
+                self.quo.join(ui, self.ring.one()))
+        return table
 
 
 @dataclass(frozen=True)
 class FlipMap:
-    """A flip map between two complexes realized after exclusion.  Before
-    exclusion it is diagonal in the subset basis over one shared ring:
-    `odd` on the subsets holding row `row`, `even` on the others.  It acts
-    as pi_tgt o flip o iota_src, a chain map (semilinear over the
-    substitutions of pi_tgt)."""
+    """A flip map between two reduced vertex complexes.  Before reduction
+    it is diagonal in the subset basis over one shared ring: `odd` on the
+    subsets holding row `row`, `even` on the others.  It acts as
+    pi_tgt o flip o iota_src, a chain map (semilinear over the ring
+    homomorphism sigma of pi_tgt)."""
 
-    src: FactorComplex
-    tgt: FactorComplex
+    src: Reduction
+    tgt: Reduction
     row: int
     odd: Polynomial
     even: Polynomial
-    src_exclusions: tuple[Exclusion, ...] = ()
-    tgt_exclusions: tuple[Exclusion, ...] = ()
-    # caches: generator -> image of e_S; source exponents -> sigma(x^e)
+    # cache: generator -> pi_tgt(flip(iota_src(e_(S,u))))
     _images: dict = field(default_factory=dict, init=False, compare=False)
-    _sigma: dict = field(default_factory=dict, init=False, compare=False)
 
     def apply(self, x: Element) -> Element:
-        """pi_tgt(flip(iota_src(x))).  iota_src is linear over the source
-        ring and pi_tgt over the substitution sigma it makes, so p e_S goes
-        to sigma(p) times the image of e_S; both parts are cached."""
-        out: Element = {}
+        """pi_tgt(flip(iota_src(x))): p e_(S,u) goes to sigma(p) times the
+        image of e_(S,u), a product over the target's quotient ring.  That
+        product is already in normal form when sigma(p) is free of the
+        target's relation variables (u = 1 only)."""
+        tgt = self.tgt
+        nb = len(tgt.quo.monos)
+        acc: dict[int, dict[tuple[int, ...], int]] = {}
         for s, p in x.items():
             image = self._images.get(s)
             if image is None:
-                image = self._images[s] = self._transport(s)
-            q = self._substitute(p)
-            for t, r in image.items():
-                _add_to(out, t, q * r)
-        return out
+                flipped: Element = {}
+                for t, q in self.src.lift(s).items():
+                    _add_to(flipped, t, q * (self.odd if t >> self.row & 1
+                                             else self.even))
+                image = self._images[s] = tgt.project(flipped)
+            for ui, c in tgt.substitute(p).items():
+                if not ui:
+                    for t, r in image.items():
+                        _mul_into(acc.setdefault(t, {}), c, r.terms)
+                    continue
+                table = tgt.product(ui)
+                for t, r in image.items():
+                    base = t - t % nb
+                    for uk, v in table[t % nb]:
+                        _mul_into(acc.setdefault(base + uk, {}), c,
+                                  (r * v).terms)
+        out = {t: Polynomial(tgt.ring, terms) for t, terms in acc.items()}
+        return {t: p for t, p in out.items() if not p.is_zero()}
 
-    def _transport(self, s: int) -> Element:
-        flipped: Element = {}
-        lifted = include({s: self.src.ring.one()}, self.src_exclusions)
-        for t, p in lifted.items():
-            factor = self.odd if t >> self.row & 1 else self.even
-            _add_to(flipped, t, p * factor)
-        return project(flipped, self.tgt_exclusions)
 
-    def _substitute(self, p: Polynomial) -> Polynomial:
-        """sigma(p): p read in the shared ring, then the target's exclusions
-        (pi_tgt on the coefficient of e_{}, which no exclusion re-indexes)."""
-        terms: dict[tuple[int, ...], int] = {}
-        for e, c in p.terms.items():
-            image = self._sigma.get(e)
-            if image is None:
-                mono = Polynomial(self.src.ring, {e: 1})
-                mono = mono.map_to_ring(self.odd.ring)
-                image = project({0: mono}, self.tgt_exclusions)  # 0 if mu = 0
-                image = self._sigma[e] = image[0].terms if image else {}
-            for te, tc in image.items():
-                terms[te] = terms.get(te, 0) + c * tc
-        return Polynomial(self.tgt.ring, terms)
+def _mul_into(acc: dict, a: dict, b: dict) -> None:
+    """acc += a * b, on term dicts."""
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(int.__add__, ea, eb))
+            acc[e] = acc.get(e, 0) + ca * cb
 
 
 # ---------------------------------------------------------------------------

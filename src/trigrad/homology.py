@@ -19,18 +19,18 @@ first, sharing the columns and the boundary echelon, and runs the kernel
 pass only on slices that are not exact.  `slice_homology_dim` stops after
 the ranks.
 
-Closed graphs (`matrix_homology`, `graph_homology`): after the linear
-exclusions of `reduce_closed_matrix`, `koszul.monic_quotient` moves a
+Closed graphs (`matrix_homology`, `graph_homology`) and cube vertices
+alike: after the linear exclusions, `koszul.monic_quotient` moves a
 triangular set of monic rows into relations, and `realize` builds the
 Koszul complex of the other rows over R/(relations), free over the
 remaining variables on (row subset, standard monomial) pairs.  The slices
 are then taken over those few variables, with the same slice code.
 
-Induced maps: cube vertices are realized after their own exclusions, and
+Induced maps: cube vertices are realized after their own reductions, and
 an edge is a `FlipMap`.  `induced_map` sends each slice basis element that
-a source representative uses through iota_src (back into the unexcluded
+a source representative uses through iota_src (back into the unreduced
 source complex), the flip psi or psi', and pi_tgt (into the target's
-excluded complex), and expresses the image in the target solver.  iota and
+reduced complex), and expresses the image in the target solver.  iota and
 pi are homotopy inverse, so this is H(psi) up to vertex isomorphisms, and
 squares anticommute on homology, which is all the cube needs.
 

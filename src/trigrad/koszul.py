@@ -1,10 +1,11 @@
 """Koszul matrices: rows (a_i, b_i) of graded polynomials in Z[a, x], and
 the calculus of elementary row transformations, variable exclusion of
-linear rows (0, ±(y - mu)) (each step keeps a record whose quotients are
-exact in Z, so rationals appear only in homology coordinates), the quotient
-by a triangular set of monic rows (0, ±y^m + ...) of a closed matrix
-(`monic_quotient`; the rows left are then realized over R/(relations)),
-a-aggregation and stripping, dualization, and the Upsilon factorization.
+linear rows (0, ±(y - mu)), the quotient by a triangular set of monic rows
+(0, ±y^m + ...) of a closed matrix (`monic_steps`; the rows left are then
+realized over R/(relations)), a-aggregation and stripping, dualization, and
+the Upsilon factorization.  Exclusions and monic picks keep one kind of
+record (`Exclusion`), whose divisions are exact in Z, so rationals appear
+only in homology coordinates.
 
 Grading convention: the generator of R{n1,n2} sits in bidegree (n1,n2); a row
 with middle shift s realizes R --left--> R{s} --right--> R, so the
@@ -19,7 +20,6 @@ homogeneous of bidegree (2,2)).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 from .algebra import (
     BIDEG_D,
@@ -27,7 +27,6 @@ from .algebra import (
     Bidegree,
     PolyRing,
     Polynomial,
-    exact_divide,
 )
 
 
@@ -237,29 +236,40 @@ def row_op(m: KoszulMatrix, i: int, j: int, lam: Polynomial) -> KoszulMatrix:
 
 @dataclass(frozen=True)
 class Exclusion:
-    """One step of `exclude_all`: row `row` = (0, unit·(var - mu)) of a
-    matrix over `mu.ring`, whose right entries were `rights`, is removed
-    and mu substituted for `var`."""
+    """One step of a vertex reduction: row `row` = (0, f) of a matrix over
+    R/(relations), whose right entries were `rights`, is removed, and the
+    other rows are read over R/(relations, f).  f = ±var^m + terms of
+    lower var-degree is in normal form modulo `relations`, and free of the
+    variables of later steps (`normal_form`).
+
+    `exclude_all` takes the steps with m = 1, f = ±(var - mu): they
+    substitute mu for var and drop var from the ring (`drop`).
+    `monic_steps` takes the others, which keep var in the ring as a
+    relation.  `factor_complex.Reduction` carries elements across both
+    kinds with `reduce` and `quotient`."""
 
     row: int
     var: str
-    mu: Polynomial
-    unit: int
+    f: Polynomial
     rights: tuple[Polynomial, ...]
+    relations: tuple[tuple[str, Polynomial], ...] = ()
+    drop: bool = True
 
-    @cached_property
-    def quotients(self) -> tuple[Polynomial, ...]:
-        """(b_r - b_r|var=mu) / (var - mu) for each row r (0 for the removed
-        row and for rows free of `var`): the first-order correction of the
-        inclusion `factor_complex.include`.  Computed on first use, since
-        only the sources of cube edges need it."""
-        step = self.mu.ring.var(self.var) - self.mu
-        zero = self.mu.ring.zero()
-        return tuple(
-            exact_divide(b - b.substitute(self.var, self.mu), step)
-            if r != self.row and b.contains(self.var) else zero
-            for r, b in enumerate(self.rights)
-        )
+    def reduce(self, p: Polynomial) -> Polynomial:
+        """p, in normal form modulo `relations`, over R/(relations, f): its
+        normal form, over the ring without var when the step drops it."""
+        if p.contains(self.var):
+            p = normal_form(p, self.relations + ((self.var, self.f),))
+        return p.drop_variable(self.var) if self.drop else p
+
+    def quotient(self, q: Polynomial) -> Polynomial:
+        """h with q = reduce(q) + h·f over R/(relations), in normal form.
+        Division by f in var is exact over Z since f is monic, and the
+        quotient is well defined on classes: the earlier relations are free
+        of var, so a multiple of one divides into a multiple of it."""
+        terms = dict(q.terms)
+        quot = monic_divide(terms, self.f, q.ring.index(self.var))
+        return normal_form(Polynomial(q.ring, quot), self.relations)
 
 
 def _unit_solution(row: KoszulRow, var: str) -> Polynomial | None:
@@ -298,19 +308,24 @@ def _exclude(
 ) -> tuple[KoszulMatrix, Exclusion]:
     """Remove row `row_index` = (0, ±(var - mu)), substitute mu for `var`
     and drop it from the ring; also return the step's record."""
+    i = m.ring.index(var)
+    ring = m.ring.without(var)
+
+    def drop(p: Polynomial) -> Polynomial:
+        if any(e[i] for e in p.terms):
+            p = p.substitute(var, mu)
+        return Polynomial(ring, {e[:i] + e[i + 1:]: c for e, c in p.terms.items()})
+
     rows = []
     for idx, r in enumerate(m.rows):
         if idx == row_index:
             continue
-        left = r.left.substitute(var, mu).drop_variable(var)
-        right = r.right.substitute(var, mu).drop_variable(var)
-        nr = KoszulRow(left, right, r.shift)
+        nr = KoszulRow(drop(r.left), drop(r.right), r.shift)
         nr.validate()
         rows.append(nr)
-    unit = m.rows[row_index].right.linear_coefficient(var)
     rights = tuple(r.right for r in m.rows)
-    record = Exclusion(row_index, var, mu, unit, rights)
-    return replace(m, ring=m.ring.without(var), rows=tuple(rows)), record
+    record = Exclusion(row_index, var, rights[row_index], rights)
+    return replace(m, ring=ring, rows=tuple(rows)), record
 
 
 def aggregate_a(m: KoszulMatrix) -> KoszulMatrix:
@@ -412,35 +427,38 @@ def tensor_matrices(m1: KoszulMatrix, m2: KoszulMatrix) -> KoszulMatrix:
     )
 
 
-def exclude_all(
-    m: KoszulMatrix, protect: frozenset[str] = frozenset()
-) -> tuple[KoszulMatrix, list[Exclusion]]:
-    """Greedy exclusion: repeatedly remove rows (0, ±(y - mu)) with y linear
-    of the right degree, not protected, and absent from the potential.
-    Returns the reduced matrix and the ordered exclusion record (each step
-    over the ring current at that step)."""
+def exclude_all(m: KoszulMatrix) -> tuple[KoszulMatrix, list[Exclusion]]:
+    """Greedy exclusion: repeatedly remove the first row (0, ±(y - mu)), with
+    y the first variable in ring order that is linear of the right degree
+    and absent from the potential.  Returns the reduced matrix and the
+    ordered exclusion record (each step over the ring current at that step).
+
+    The potential is taken once: a step only removes a variable absent from
+    it, so it stays the same, over a smaller ring."""
     chain: list[Exclusion] = []
+    w = m.potential()
     while True:
-        w = m.potential()
         found = None
         for idx, r in enumerate(m.rows):
-            if r.right.is_zero():
+            if r.right.is_zero() or not r.left.is_zero():
                 continue
-            for var in m.ring.names:
-                if var in protect:
+            units = {e.index(1) for e, c in r.right.terms.items()
+                     if (c == 1 or c == -1) and sum(e) == 1}
+            bid = r.right.homogeneous_bidegree() if units else None
+            for i in sorted(units):
+                var = m.ring.names[i]
+                if bid != m.ring.var_bidegree(var) or w.contains(var):
                     continue
                 mu = _unit_solution(r, var)
-                if mu is None or w.contains(var):
-                    continue
-                if r.right.homogeneous_bidegree() != m.ring.var_bidegree(var):
-                    continue
-                found = (idx, var, mu)
-                break
+                if mu is not None:
+                    found = (idx, var, mu)
+                    break
             if found:
                 break
         if not found:
             return m, chain
         m, record = _exclude(m, *found)
+        w = w.drop_variable(found[1])
         chain.append(record)
 
 
@@ -456,23 +474,34 @@ def normal_form(p: Polynomial, relations) -> Polynomial:
     variable already reduced."""
     terms = dict(p.terms)
     for var, f in reversed(relations):
-        i = p.ring.index(var)
-        m = f.degree_in(var)
-        lead = next(c for e, c in f.terms.items() if e[i] == m)
-        # y^m = -lead * (f - lead * y^m), since lead = ±1
-        tail = [(e, -lead * c) for e, c in f.terms.items() if e[i] < m]
-        for deg in range(max((e[i] for e in terms), default=0), m - 1, -1):
-            for e in [e for e in terms if e[i] == deg]:
-                c = terms.pop(e)
-                base = e[:i] + (deg - m,) + e[i + 1:]
-                for te, tc in tail:
-                    ne = tuple(map(int.__add__, base, te))
-                    v = terms.get(ne, 0) + c * tc
-                    if v:
-                        terms[ne] = v
-                    else:
-                        terms.pop(ne, None)
+        monic_divide(terms, f, p.ring.index(var))
     return Polynomial(p.ring, terms)
+
+
+def monic_divide(
+    terms: dict[tuple[int, ...], int], f: Polynomial, i: int
+) -> dict[tuple[int, ...], int]:
+    """Divide the polynomial with `terms` by f = ±y^m + terms of lower
+    y-degree, y the variable at position i: `terms` becomes the remainder,
+    of y-degree below m, in place; the quotient's terms are returned."""
+    m = max(e[i] for e in f.terms)
+    lead = next(c for e, c in f.terms.items() if e[i] == m)
+    # y^m = lead * (f - tail), since lead = ±1
+    tail = [(e, -lead * c) for e, c in f.terms.items() if e[i] < m]
+    quot: dict[tuple[int, ...], int] = {}
+    for deg in range(max((e[i] for e in terms), default=0), m - 1, -1):
+        for e in [e for e in terms if e[i] == deg]:
+            c = terms.pop(e)
+            base = e[:i] + (deg - m,) + e[i + 1:]
+            quot[base] = quot.get(base, 0) + lead * c
+            for te, tc in tail:
+                ne = tuple(map(int.__add__, base, te))
+                v = terms.get(ne, 0) + c * tc
+                if v:
+                    terms[ne] = v
+                else:
+                    terms.pop(ne, None)
+    return quot
 
 
 def _monic_top(b: Polynomial, i: int) -> int:
@@ -486,7 +515,7 @@ def _monic_top(b: Polynomial, i: int) -> int:
     return m if abs(c) == 1 and sum(e) == m else 0
 
 
-def monic_quotient(m: KoszulMatrix) -> KoszulMatrix:
+def monic_steps(m: KoszulMatrix) -> tuple[KoszulMatrix, list[Exclusion]]:
     """Move a triangular set of monic rows of a matrix of rows (0, b) into
     `relations`, leaving the other rows in normal form over R/(relations).
 
@@ -508,35 +537,48 @@ def monic_quotient(m: KoszulMatrix) -> KoszulMatrix:
     regular sequence resolves the quotient, so the complex of all rows is
     quasi-isomorphic to the Koszul complex of the other rows over
     R/(picks), which `factor_complex.realize` builds.  The paper's
-    exclusion lemma is the case m = 1."""
+    exclusion lemma is the case m = 1.
+
+    Also returns one record per pick (`Exclusion` with `drop` false), over
+    the rows and relations current at that pick.  A row is put in normal
+    form again only when it contains the variable just picked: the earlier
+    picks are free of it, so no other row changes."""
     if any(not r.left.is_zero() for r in m.rows):
         raise ValueError("monic_quotient needs rows (0, b)")
     names = m.ring.names
-    rows = list(m.rows)
+    rights = [r.right for r in m.rows]
+    alive = list(range(len(rights)))  # unpicked rows, in order
     relations: list[tuple[str, Polynomial]] = []
-    picked: set[int] = set()
+    steps: list[Exclusion] = []
     used: set[int] = set()  # positions of the variables in any pick
     while True:
         best = None
-        for idx, r in enumerate(rows):
-            if idx in picked:
-                continue
-            b = normal_form(r.right, relations)
-            rows[idx] = KoszulRow(r.left, b, r.shift)
+        for idx in alive:
+            b = rights[idx]
             occurs = {i for e in b.terms for i, x in enumerate(e) if x}
-            for i in sorted(occurs - used):
+            for i in occurs - used:
                 deg = _monic_top(b, i)
                 key = (len(occurs), deg, idx, i)
-                if deg and (best is None or key < best[0]):
-                    best = key, occurs
+                if deg and (best is None or key < best):
+                    best = key
         if best is None:
             break
-        (_, _, idx, i), occurs = best
-        relations.append((names[i], rows[idx].right))
-        picked.add(idx)
-        used |= occurs
-    return replace(
-        m,
-        rows=tuple(r for idx, r in enumerate(rows) if idx not in picked),
-        relations=tuple(relations),
-    )
+        _, _, idx, i = best
+        var, f = names[i], rights[idx]
+        steps.append(Exclusion(alive.index(idx), var, f,
+                               tuple(rights[k] for k in alive),
+                               tuple(relations), drop=False))
+        relations.append((var, f))
+        alive.remove(idx)
+        used |= {j for e in f.terms for j, x in enumerate(e) if x}
+        for k in alive:
+            if rights[k].contains(var):
+                rights[k] = normal_form(rights[k], relations)
+    rows = tuple(KoszulRow(m.rows[k].left, rights[k], m.rows[k].shift)
+                 for k in alive)
+    return replace(m, rows=rows, relations=tuple(relations)), steps
+
+
+def monic_quotient(m: KoszulMatrix) -> KoszulMatrix:
+    """The matrix of `monic_steps`, without the records."""
+    return monic_steps(m)[0]

@@ -128,6 +128,12 @@ class TestBuildCube:
         b = build_cube(parse_braid("1 -2"))
         assert a.dump() == b.dump()
 
+    def test_dump_lists_each_vertex_reduction(self):
+        lines = build_cube(parse_braid("1 1 1")).dump().splitlines()
+        assert "vertex 000 j=-3 excluded: x4 x6 relations: " in lines
+        assert ("vertex 011 j=-1 excluded: x6 relations: "
+                "x4: -x4^2 + x4*x7 + x4*x8 - x7*x8") in lines
+
     def test_open_braid_never_happens(self):
         # closures are always closed; the guard is on the shared potential
         cube = build_cube(parse_braid("2", strands=3))

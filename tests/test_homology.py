@@ -254,15 +254,15 @@ class TestInducedMap:
         assert y.homogeneous_bidegree() == Bidegree(0, 2)
         assert edge.cmap.odd == one
         row = edge.cmap.row
-        ex0, ex1 = cube.exclusions[0], cube.exclusions[1]
+        red0, red1 = cube.reductions[0], cube.reductions[1]
         # chi_1 back; in absolute gradings the {0,2} cone shift of the source
         # vertex moves its bidegree from (0,0) to (0,2)
-        chi1 = FlipMap(v1, v0, row, y, one, ex1, ex0)
+        chi1 = FlipMap(red1, red0, row, y, one)
         raw0 = realize(cube.matrices[0])
         raw1 = realize(cube.matrices[1])
         diagonal = {s: {s: y if s >> row & 1 else one} for s in range(raw1.rank())}
         ChainMap(raw1, raw0, diagonal, Bidegree(0, 2)).verify_chain_map()
-        mult = FlipMap(v0, v0, row, y, y, ex0, ex0)
+        mult = FlipMap(red0, red0, row, y, y)
         for (k, l) in [(-1, 3), (-2, 4), (-1, 5)]:
             src = slice_homology_basis(v0, k, l)
             mid = slice_homology_basis(v1, k, l)

@@ -27,10 +27,15 @@ def test_cube_coefficients_are_ints(word, reduced, marks):
     cube = build_cube(parse_braid(word), reduced=reduced, marks_per_segment=marks)
     mats = [cx.d for cx in cube.vertices.values()]
     polys = [p for edge in cube.edges for p in (edge.cmap.odd, edge.cmap.even)]
-    for record in cube.exclusions.values():
-        for ex in record:
-            assert ex.unit in (1, -1)
-            polys += [ex.mu, *ex.quotients]
+    for mask, red in cube.reductions.items():
+        for step in red.steps:
+            m = step.f.degree_in(step.var)
+            i = step.f.ring.index(step.var)
+            assert [c for e, c in step.f.terms.items() if e[i] == m] in ([1], [-1])
+            polys += [step.f, *step.rights]
+        # the lifts carry the quotients H(b_k p) of every step
+        polys += [p for s in range(cube.vertices[mask].rank())
+                  for p in red.lift(s).values()]
     kinds = {type(c) for mat in mats for c in _coefficients(mat)}
     kinds |= {type(c) for p in polys for c in p.terms.values()}
     assert kinds == {int}

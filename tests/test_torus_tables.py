@@ -1,0 +1,45 @@
+"""Whole reduced tables of the torus knots T(2, n) against the theorem.
+
+The reduced triply graded homology of T(2, n), n odd, has rank n: one
+generator in each (j, k, l) = (-2i, -1, 4i + 1) for 0 <= i <= (n - 1)/2 and
+one in each (-2i, -2, 4i + 4) for 0 <= i <= (n - 3)/2.  Its top entry sits
+at l = 2n - 1, so a run at qmax 2n - 1 sees the whole table; a table is
+complete only when its rank reaches n.
+"""
+
+import pytest
+
+from trigrad.braid import BraidWord
+from trigrad.cube import braid_homology
+
+
+def _theorem(n: int) -> dict[tuple[int, int, int], int]:
+    table = {(-2 * i, -1, 4 * i + 1): 1 for i in range((n - 1) // 2 + 1)}
+    table.update({(-2 * i, -2, 4 * i + 4): 1 for i in range((n - 3) // 2 + 1)})
+    return table
+
+
+def _table(n: int, qmax: int) -> dict[tuple[int, int, int], int]:
+    return braid_homology(BraidWord(2, (1,) * n), qmax, reduced=True).dims
+
+
+def _complete(table: dict, n: int) -> bool:
+    return sum(table.values()) == n
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_whole_table_matches_the_theorem(n):
+    expect = _theorem(n)
+    assert sum(expect.values()) == n
+    assert max(l for _, _, l in expect) == 2 * n - 1
+    table = _table(n, 2 * n - 1)
+    assert _complete(table, n)
+    assert table == expect
+
+
+def test_truncated_table_is_not_complete():
+    # T(2,7) at q11 misses the entries at l = 12 and 13
+    table = _table(7, 11)
+    assert sum(table.values()) == 5
+    assert not _complete(table, 7)
+    assert table != _theorem(7)

@@ -1,19 +1,24 @@
-"""Per-vertex exclusion: each cube vertex is realized after `exclude_all`,
-and edges act as pi_tgt o psi o iota_src.
+"""Per-vertex reduction: each cube vertex is realized after `exclude_all`
+and `monic_steps`, over R/(relations), and edges act as
+pi_tgt o psi o iota_src.
 
 iota and pi must be chain maps with pi o iota = id, checked here generator
-by generator against complexes realized from each vertex's unexcluded
-Koszul matrix; and cube squares must anticommute on homology.
+by generator against complexes realized from each vertex's unreduced
+Koszul matrix; cube squares must anticommute on homology; and the quotient
+must not change any vertex's homology.
 """
 
 from collections import defaultdict
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trigrad.braid import parse_braid
+from trigrad.braid import BraidWord, parse_braid
 from trigrad.cube import braid_homology, build_cube
-from trigrad.factor_complex import ChainMap, include, project, realize
-from trigrad.homology import induced_map, slice_homology_basis
+from trigrad.factor_complex import ChainMap, realize
+from trigrad.homology import induced_map, matrix_homology, slice_homology_basis
+from trigrad.koszul import exclude_all
 
 
 def _d(cx, x):
@@ -22,35 +27,47 @@ def _d(cx, x):
 
 @pytest.mark.parametrize(
     "word, reduced, marks",
-    [("1 1 -2 1 -2", False, 1), ("1 1 -2 1 -2", True, 1), ("1 1 1", False, 2)],
+    [
+        ("1 1 -2 1 -2", False, 1),
+        ("1 1 -2 1 -2", True, 1),
+        ("1 1 1", False, 2),
+        ("1 -2 1 -2 1 -2", True, 1),
+    ],
 )
 def test_iota_and_pi_are_chain_maps_with_pi_iota_identity(word, reduced, marks):
     cube = build_cube(parse_braid(word), reduced=reduced, marks_per_segment=marks)
-    excluded_somewhere = False
+    excluded = picked = 0
     for mask, small in cube.vertices.items():
-        record = cube.exclusions[mask]
+        red = cube.reductions[mask]
         big = realize(cube.matrices[mask], j=cube.jdeg[mask])
-        assert big.rank() == small.rank() << len(record)
-        excluded_somewhere |= bool(record)
-        # a nonconstant coefficient checks the (semi)linearity too
+        degrees = [f.degree_in(y) for y, f in red.matrix.relations]
+        assert big.rank() * prod(degrees) == small.rank() << len(red.steps)
+        excluded += any(step.drop for step in red.steps)
+        picked += bool(degrees)
+        # nonconstant coefficients check the (semi)linearity too; on the
+        # unreduced side, y^m of a relation's variable checks the normal form
         names = small.ring.names
         p_small = small.ring.var(names[-1]) if names else None
-        p_big = big.ring.var(record[0].var) if record else None
+        p_big = [
+            prod([big.ring.var(step.var)] * step.f.degree_in(step.var),
+                 start=big.ring.one())
+            for step in red.steps[-1:]
+        ]
         for s in range(small.rank()):
-            for x in ({s: small.ring.one()}, {s: p_small} if p_small else None):
-                if x is None:
+            for p in (small.ring.one(), p_small):
+                if p is None:
                     continue
-                up = include(x, record)
-                assert _d(big, up) == include(_d(small, x), record), (mask, s)
-                assert project(up, record) == x, (mask, s)
+                x = {s: p}
+                up = red.include(x)
+                assert _d(big, up) == red.include(_d(small, x)), (mask, s)
+                assert red.project(up) == x, (mask, s)
         for s in range(big.rank()):
-            for x in ({s: big.ring.one()}, {s: p_big} if p_big else None):
-                if x is None:
-                    continue
-                assert project(_d(big, x), record) == _d(
-                    small, project(x, record)
+            for p in [big.ring.one()] + p_big:
+                x = {s: p}
+                assert red.project(_d(big, x)) == _d(
+                    small, red.project(x)
                 ), (mask, s)
-    assert excluded_somewhere
+    assert excluded and picked
 
 
 def _compose(second, first):
@@ -67,6 +84,7 @@ def _compose(second, first):
 @pytest.mark.parametrize("word", ["1 1", "1 -1", "1 1 1", "1 -2 1 -2"])
 def test_squares_anticommute_on_homology(word):
     cube = build_cube(parse_braid(word))
+    assert any(red.matrix.relations for red in cube.reductions.values())
     out = defaultdict(list)
     for e in cube.edges:
         out[e.src].append(e)
@@ -118,8 +136,21 @@ def test_exclusion_with_mu_zero():
     b = parse_braid("-1 -1 -1")
     cube = build_cube(b, reduced=True, basepoint="x3")
     assert any(
-        ex.mu.is_zero() for record in cube.exclusions.values() for ex in record
+        len(step.f.terms) == 1
+        for red in cube.reductions.values() for step in red.steps if step.drop
     )
     expect = [((1, -2, 0), 1), ((1, -1, -3), 1), ((3, -2, -4), 1)]
     h = braid_homology(b, 8, reduced=True, basepoint="x3")
     assert h.items_sorted() == expect
+
+
+@settings(derandomize=True, max_examples=8, deadline=None, database=None)
+@given(st.lists(st.sampled_from((1, 2, -1, -2)), min_size=1, max_size=4))
+def test_vertex_homology_over_the_quotient_matches_linear_only(word):
+    cube = build_cube(BraidWord(3, tuple(word)))
+    for mask, km in cube.matrices.items():
+        quotient = cube.reductions[mask].matrix
+        linear = exclude_all(km)[0]
+        assert matrix_homology(quotient, 8, reduce=False) == matrix_homology(
+            linear, 8, reduce=False
+        ), (word, mask)
