@@ -4,8 +4,8 @@ Three rings appear throughout:
 
 * ``Z[a, x_1, ..., x_m]`` -- multivariate integer polynomials with the
   bigrading deg(a) = (2,0), deg(x_i) = (0,2), and exact division over Z
-  (`exact_divide`).  Koszul matrices and differentials live here; rationals
-  appear only in homology coordinates.
+  (`exact_divide`).  Koszul matrices and differentials live here, and no
+  rational lies between them and the homology ranks.
 * Laurent polynomials and rational functions in ``(q, t)`` -- the target of
   the HOMFLYPT oracle and of Euler characteristics.
 * q-power series with coefficients in ``Z[t, t^-1]`` -- the common ground on

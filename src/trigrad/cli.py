@@ -97,8 +97,11 @@ def _reject_json(as_json: bool, command: str) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            _config_error(f"--out {out}: {exc.strerror or exc}")
     else:
         click.echo(text)
 

@@ -9,7 +9,7 @@ exclusions and monic picks, both steps of one kind (row (0, f), f monic of
 degree m in its variable; m = 1 for an exclusion).  `FlipMap` is a flip
 carried across the reductions at both ends as pi_tgt o flip o iota_src.
 Every division is exact in Z (`algebra.exact_divide`, or division by a
-monic f); rationals appear only in homology coordinates.
+monic f); no rational lies between Koszul rows and homology ranks.
 
 Sign conventions (fixed once, verified against the rank-4 presentations of
 the two local resolutions):
@@ -41,7 +41,6 @@ class Generator:
     parity: int
     bidegree: Bidegree
     j: int = 0
-    label: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ def realize(m: KoszulMatrix, j: int = 0) -> FactorComplex:
                 bid = bid + m.rows[r].shift
         parity = (bin(mask).count("1") + m.global_parity) % 2
         for u, ub in zip(monos, ubid):
-            gens.append(Generator(parity, bid + ub, j, ("S", mask) + u))
+            gens.append(Generator(parity, bid + ub, j))
     table = [(quo.times(r.left), quo.times(r.right)) for r in m.rows]
     d: Matrix = {}
     for mask in range(1 << n):
@@ -524,7 +523,7 @@ def _mul_into(acc: dict, a: dict, b: dict) -> None:
 
 def shift_complex(c: FactorComplex, db: Bidegree, dj: int = 0) -> FactorComplex:
     gens = tuple(
-        Generator(g.parity, g.bidegree + db, g.j + dj, g.label) for g in c.gens
+        Generator(g.parity, g.bidegree + db, g.j + dj) for g in c.gens
     )
     return replace(c, gens=gens)
 
@@ -576,7 +575,6 @@ def tensor(c1: FactorComplex, c2: FactorComplex) -> FactorComplex:
                     (g1.parity + g2.parity) % 2,
                     g1.bidegree + g2.bidegree,
                     g1.j + g2.j,
-                    (g1.label, g2.label),
                 )
             )
 

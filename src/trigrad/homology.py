@@ -1,8 +1,8 @@
 """The exact linear-algebra kernel: per-bidegree slices of graded free
 modules over Z[a, x], kernels/ranks over Q, homology of vertex
-factorizations with explicit bases, induced maps on homology, cohomology of
-the resolution cube, hom-space dimensions, Euler characteristics, and
-comparison up to an overall shift.
+factorizations with explicit cycle representatives, chain images of cube
+edges, cohomology of the resolution cube, hom-space dimensions, Euler
+characteristics, and comparison up to an overall shift.
 
 Slice columns are integer vectors read straight off the polynomial entries.
 All elimination is integer fraction-free (content reduced), with
@@ -10,9 +10,7 @@ deterministic pivot choice: unit entries first, then smallest magnitude,
 then smallest row index.  It runs in one loop, `Echelon._reduce`.  A pivot
 may carry a record, a sparse vector on which the same row operations act:
 `kernel_and_rank` gives column ci the record {ci: 1}, so a column that
-reduces to zero leaves a kernel vector, and `express` reads its coefficients
-from a record over pivot indices (a pivot without a record stands for the
-unit vector on its own index).
+reduces to zero leaves a kernel vector.
 
 Slice homology has one routine, `slice_homology_basis`: it takes the ranks
 first, sharing the columns and the boundary echelon, and runs the kernel
@@ -26,17 +24,16 @@ Koszul complex of the other rows over R/(relations), free over the
 remaining variables on (row subset, standard monomial) pairs.  The slices
 are then taken over those few variables, with the same slice code.
 
-Induced maps: cube vertices are realized after their own reductions, and
-an edge is a `FlipMap`.  `induced_map` sends each slice basis element that
-a source representative uses through iota_src (back into the unreduced
+Cube ranks: cube vertices are realized after their own reductions, and an
+edge is a `FlipMap`.  `induced_map` sends each slice basis element that a
+source representative uses through iota_src (back into the unreduced
 source complex), the flip psi or psi', and pi_tgt (into the target's
-reduced complex), and expresses the image in the target solver.  iota and
-pi are homotopy inverse, so this is H(psi) up to vertex isomorphisms, and
-squares anticommute on homology, which is all the cube needs.
-
-Rationals appear only in homology coordinates: `Echelon.express` returns
-them, `induced_map` passes them on, and each cube block clears them once per
-column with `scale_to_int`.
+reduced complex), and returns the integer chain image.  iota and pi are
+homotopy inverse, so this is H(psi) up to vertex isomorphisms, and squares
+anticommute on homology, which is all the cube needs.
+`_link_homology_slice` ranks each cube block at chain level modulo the
+target boundaries, so every vector from the Koszul rows to the ranks is an
+integer one.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ from __future__ import annotations
 import heapq
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .algebra import (
@@ -97,34 +93,30 @@ class Echelon:
 
     Pivot vectors are reduced against all earlier pivots at insertion time,
     so reduction of any vector subtracts each pivot at most once (pivots are
-    consumed in insertion order).  A pivot is (row, vector, tag, record).
-    Tagged pivots form a basis of a complement of the untagged span;
-    `express` writes a vector in that basis modulo the untagged span.
+    consumed in insertion order).  A pivot is (row, vector, record).
     """
 
     def __init__(self):
-        self.pivots: list[tuple[int, dict[int, int], object, dict | None]] = []
+        self.pivots: list[tuple[int, dict[int, int], dict | None]] = []
         self.pivot_of_row: dict[int, int] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _reduce(self, vec: dict[int, int], rec: dict | None) -> int:
-        """Clear all pivot rows from vec in place and return the multiplier
-        m of the original: m * original = vec + a combination of pivots.
-        The same row operations act on `rec` (if given), with each pivot's
-        record, or the unit vector on the pivot's index for a pivot without
-        one.  Pivots are consumed in insertion order (a subtraction only
+    def _reduce(self, vec: dict[int, int], rec: dict | None) -> None:
+        """Clear all pivot rows from vec in place: afterwards, vec is a
+        nonzero multiple of the original plus a combination of pivots.  The
+        same row operations act on `rec` (if given) with each pivot's record.
+        Pivots are consumed in insertion order (a subtraction only
         introduces rows of later pivots), so each fires at most once."""
-        mult = 1
         pivots, pivot_of_row = self.pivots, self.pivot_of_row
         heap = [pivot_of_row[r] for r in vec if r in pivot_of_row]
         heapq.heapify(heap)
         seen = set(heap)
         while heap:
             pi = heapq.heappop(heap)
-            prow, pvec, _tag, prec = pivots[pi]
+            prow, pvec, prec = pivots[pi]
             v = vec.get(prow, 0)
             if v == 0:
                 continue
@@ -132,7 +124,6 @@ class Echelon:
             g = gcd(v, p)
             sv, sp = p // g, v // g
             if sv != 1:
-                mult *= sv
                 for k in vec:
                     vec[k] *= sv
                 if rec is not None:
@@ -149,20 +140,17 @@ class Echelon:
                 else:
                     vec.pop(k, None)
             if rec is not None:
-                for k, pv in prec.items() if prec is not None else ((pi, 1),):
+                for k, pv in prec.items():
                     nv = rec.get(k, 0) - sp * pv
                     if nv:
                         rec[k] = nv
                     else:
                         rec.pop(k, None)
-        return mult
 
-    def insert(
-        self, vec: dict[int, int], tag: object = None, rec: dict | None = None
-    ) -> bool:
+    def insert(self, vec: dict[int, int], rec: dict | None = None) -> bool:
         """Reduce a copy of vec and, if nonzero, store it as a new pivot with
-        `tag` and record `rec` (reduced alongside, in place).  Returns True
-        if a pivot was added."""
+        record `rec` (reduced alongside, in place).  Returns True if a pivot
+        was added."""
         vec = dict(vec)
         self._reduce(vec, rec)
         if not vec:
@@ -175,31 +163,9 @@ class Echelon:
             if best is None or key < best:
                 best = key
                 pivot_row = r
-        self.pivots.append((pivot_row, vec, tag, rec))
+        self.pivots.append((pivot_row, vec, rec))
         self.pivot_of_row[pivot_row] = len(self.pivots) - 1
         return True
-
-    def express(self, vec: dict[int, int]) -> dict[object, Fraction]:
-        """Write vec as a rational combination of pivots, which must carry
-        no records; the residual must be zero.  Returns coefficients on the
-        *tagged* pivots only."""
-        vec, rec = dict(vec), {}
-        mult = self._reduce(vec, rec)
-        if vec:
-            raise AssertionError("vector not in the span of the echelon")
-        pivots = self.pivots
-        return {
-            pivots[pi][2]: Fraction(-c, mult)
-            for pi, c in rec.items()
-            if pivots[pi][2] is not None
-        }
-
-
-def scale_to_int(col: dict[int, Fraction]) -> dict[int, int]:
-    m = 1
-    for v in col.values():
-        m = m * v.denominator // gcd(m, v.denominator)
-    return {k: int(v * m) for k, v in col.items() if v != 0}
 
 
 def kernel_and_rank(
@@ -292,12 +258,12 @@ def _columns_of_map(
 
 @dataclass
 class HomologyBasis:
-    """Cycle representatives spanning one homology slice, plus a solver that
-    expresses any cycle in that basis (modulo boundaries)."""
+    """Cycle representatives spanning one homology slice modulo the
+    boundaries into it (both in slice coordinates)."""
 
     basis: SliceBasis
-    reps: list[dict[int, int]]  # vectors in slice coordinates
-    solver: Echelon
+    reps: list[dict[int, int]]
+    boundaries: list[dict[int, int]]  # a basis of the boundary span
 
     @property
     def dim(self) -> int:
@@ -316,24 +282,25 @@ def _slice_ranks(
     below = slice_basis(cx, k - 1, l - 1)
     out_cols = _columns_of_map(cx.d, here, above)
     rank_out, _ = kernel_and_rank(out_cols, want_kernel=False)
-    solver = Echelon()
+    bounds = Echelon()
     for col in sorted(_columns_of_map(cx.d, below, here), key=len):
-        solver.insert(col)
-    return here, out_cols, rank_out, solver
+        bounds.insert(col)
+    return here, out_cols, rank_out, bounds
 
 
 def slice_homology_basis(cx: FactorComplex, k: int, l: int) -> HomologyBasis:
-    """Cycle representatives of the (k, l) homology slice and a solver for
-    them.  Ranks come first; the kernel pass runs only on a slice that is
-    not exact."""
-    here, out_cols, rank_out, solver = _slice_ranks(cx, k, l)
+    """Cycle representatives of the (k, l) homology slice and the boundary
+    vectors they are taken modulo.  Ranks come first; the kernel pass runs
+    only on a slice that is not exact."""
+    here, out_cols, rank_out, bounds = _slice_ranks(cx, k, l)
+    boundaries = [pvec for _, pvec, _ in bounds.pivots]
     reps: list[dict[int, int]] = []
-    if here.dim - rank_out - solver.rank:
+    if here.dim - rank_out - bounds.rank:
         _, kernel_recs = kernel_and_rank(out_cols, want_kernel=True)
         for vec in kernel_recs:
-            if solver.insert(vec, tag=len(reps)):
-                reps.append(solver.pivots[-1][1])
-    return HomologyBasis(here, reps, solver)
+            if bounds.insert(vec):
+                reps.append(bounds.pivots[-1][1])
+    return HomologyBasis(here, reps, boundaries)
 
 
 # perfbench/spans.py HOOKS wraps this name; that is its only reason to exist
@@ -342,28 +309,31 @@ _gated_homology_basis = slice_homology_basis
 
 def slice_homology_dim(cx: FactorComplex, k: int, l: int) -> int:
     """dim of the (k, l) homology slice, from the ranks alone."""
-    here, _, rank_out, solver = _slice_ranks(cx, k, l)
-    return here.dim - rank_out - solver.rank
+    here, _, rank_out, bounds = _slice_ranks(cx, k, l)
+    return here.dim - rank_out - bounds.rank
 
 
 def induced_map(
-    f: ChainMap | FlipMap, src: HomologyBasis, tgt: HomologyBasis
-) -> list[dict[int, Fraction]]:
-    """Matrix of the induced map on homology slices: column per source
-    representative, entries over target representatives.  Each slice basis
-    element that a representative uses goes through `f.apply` once (for a
-    cube edge: iota_src, the flip, pi_tgt).  Raises if some image fails to
-    be a cycle in the target span (a broken chain map)."""
+    f: ChainMap | FlipMap,
+    src: SliceBasis,
+    tgt: SliceBasis,
+    vecs: list[dict[int, int]],
+) -> list[dict[int, int]]:
+    """Integer images under `f` of vectors of the `src` slice, in `tgt`
+    slice coordinates.  Each slice basis element that a vector uses goes
+    through `f.apply` once (for a cube edge: iota_src, the flip, pi_tgt).
+    A chain map sends cycles to cycles and boundaries to boundaries, so the
+    images of cycle representatives give the induced map on homology."""
     ring = f.src.ring
-    index = tgt.basis.index
+    index = tgt.index
     columns: dict[int, dict[int, int]] = {}  # slice position -> its image
     out = []
-    for rep in src.reps:
+    for vec in vecs:
         image: dict[int, int] = {}
-        for pos, c in rep.items():
+        for pos, c in vec.items():
             col = columns.get(pos)
             if col is None:
-                gi, mono = src.basis.elems[pos]
+                gi, mono = src.elems[pos]
                 col = columns[pos] = {}
                 moved = f.apply({gi: Polynomial(ring, {mono: 1})})
                 for tgt_gen, poly in moved.items():
@@ -373,7 +343,7 @@ def induced_map(
                             col[tpos] = col.get(tpos, 0) + v
             for tpos, v in col.items():
                 image[tpos] = image.get(tpos, 0) + c * v
-        out.append(tgt.solver.express({p: v for p, v in image.items() if v}))
+        out.append({p: v for p, v in image.items() if v})
     return out
 
 
@@ -575,38 +545,56 @@ def _init_worker(cube):
 
 
 def _link_homology_slice(cube, k: int, l: int) -> dict[int, int]:
-    """Cohomology dims over the cube degree j at one (k, l)."""
-    bases: dict[int, HomologyBasis] = {}
-    for mask, cx in cube.vertices.items():
-        bases[mask] = slice_homology_basis(cx, k, l)
-    # group homology coordinates by cube degree
-    offset: dict[int, int] = {}
-    sizes: dict[int, int] = {}
-    for mask, cx in cube.vertices.items():
-        j = cube.jdeg[mask]
-        offset[mask] = sizes.get(j, 0)
-        sizes[j] = sizes.get(j, 0) + bases[mask].dim
-    # columns of the differential out of each j
-    cols_by_j: dict[int, dict[int, dict[int, Fraction]]] = {
-        j: {} for j in sizes
+    """Cohomology dims over the cube degree j at one (k, l).
+
+    Edge maps are chain maps, so the rank of the cube differential on
+    homology out of degree j is rank(B + D.reps) - rank(B) at chain level:
+    D.rep is the signed sum of a representative's images along its
+    out-edges, and B holds the boundary vectors of each target slice, in
+    that target's own coordinate range.  An edge into a zero homology slice
+    is skipped: its images are boundaries there."""
+    bases = {
+        mask: slice_homology_basis(cx, k, l)
+        for mask, cx in cube.vertices.items()
     }
+    sizes: dict[int, int] = {}
+    for mask, basis in bases.items():
+        j = cube.jdeg[mask]
+        sizes[j] = sizes.get(j, 0) + basis.dim
+    blocks: dict[int, list[dict[int, int]]] = {}  # j -> B and D.reps
+    rank_b: dict[int, int] = {}
+    offset: dict[int, int] = {}  # target vertex -> its first coordinate
+    nrows = 0
+    images: dict[int, list[dict[int, int]]] = {}  # source vertex -> D.reps
     for edge in cube.edges:
         sb, tb = bases[edge.src], bases[edge.tgt]
         if sb.dim == 0 or tb.dim == 0:
             continue
-        mat = induced_map(edge.cmap, sb, tb)
         j = cube.jdeg[edge.src]
-        block = cols_by_j[j]
-        for ci, col in enumerate(mat):
-            dst = block.setdefault(offset[edge.src] + ci, {})
-            for ti, v in col.items():
-                key = offset[edge.tgt] + ti
-                dst[key] = dst.get(key, Fraction(0)) + edge.sign * v
+        block = blocks.setdefault(j, [])
+        if edge.tgt not in offset:
+            offset[edge.tgt] = nrows
+            block.extend(
+                {nrows + p: v for p, v in vec.items()} for vec in tb.boundaries
+            )
+            rank_b[j] = rank_b.get(j, 0) + len(tb.boundaries)
+            nrows += tb.basis.dim
+        if edge.src not in images:
+            images[edge.src] = [{} for _ in sb.reps]
+            block.extend(images[edge.src])
+        off = offset[edge.tgt]
+        mat = induced_map(edge.cmap, sb.basis, tb.basis, sb.reps)
+        for dst, col in zip(images[edge.src], mat):
+            for p, v in col.items():
+                dst[off + p] = dst.get(off + p, 0) + edge.sign * v
+    ranks = {
+        j: kernel_and_rank(
+            [{p: v for p, v in col.items() if v} for col in cols],
+            want_kernel=False,
+        )[0] - rank_b[j]
+        for j, cols in blocks.items()
+    }
     out: dict[int, int] = {}
-    ranks: dict[int, int] = {}
-    for j, block in cols_by_j.items():
-        cols = [scale_to_int(block.get(i, {})) for i in range(sizes[j])]
-        ranks[j], _ = kernel_and_rank(cols, want_kernel=False)
     for j, size in sizes.items():
         d = size - ranks.get(j, 0) - ranks.get(j - 1, 0)
         if d:

@@ -4,8 +4,8 @@ linear rows (0, ±(y - mu)), the quotient by a triangular set of monic rows
 (0, ±y^m + ...) of a closed matrix (`monic_steps`; the rows left are then
 realized over R/(relations)), a-aggregation and stripping, dualization, and
 the Upsilon factorization.  Exclusions and monic picks keep one kind of
-record (`Exclusion`), whose divisions are exact in Z, so rationals appear
-only in homology coordinates.
+record (`Exclusion`), whose divisions are exact in Z, so no rational lies
+between Koszul rows and homology ranks.
 
 Grading convention: the generator of R{n1,n2} sits in bidegree (n1,n2); a row
 with middle shift s realizes R --left--> R{s} --right--> R, so the

@@ -95,6 +95,15 @@ class TestHomologyCommand:
         assert res.exit_code == 0
         assert json.loads(path.read_text())["dims"] == [[0, -1, 1, 1], [0, -1, 3, 1]]
 
+    def test_unwritable_out_is_a_config_violation(self, runner, tmp_path):
+        path = tmp_path / "missing" / "result.json"
+        res = runner.invoke(cli.main, ["homology", "1", "--qmax", "3",
+                                       "--out", str(path)])
+        assert res.exit_code == cli.EXIT_CONFIG
+        assert res.output == (
+            f"config violation: --out {path}: No such file or directory\n"
+        )
+
     def test_workers_flag_same_output(self, runner):
         a = runner.invoke(cli.main, ["homology", "1 1", "--qmax", "6", "--json"])
         b = runner.invoke(
@@ -127,6 +136,12 @@ class TestHomflyCommand:
         neg = payload["F_series"]
         # -t^{-1}q^{-1} * unknot = -t^{-2} (1 + q^2 + ...)
         assert neg[0] == [0, [[-2, "-1"]]]
+
+    def test_unwritable_out_is_a_config_violation(self, runner, tmp_path):
+        res = runner.invoke(cli.main, ["homfly", "1 1 1", "--out",
+                                       str(tmp_path)])
+        assert res.exit_code == cli.EXIT_CONFIG
+        assert res.output.startswith(f"config violation: --out {tmp_path}: ")
 
     def test_trefoil_single_fraction(self, runner):
         res = runner.invoke(cli.main, ["homfly", "1 1 1"])

@@ -1,11 +1,13 @@
 """The chain level works over Z: every vertex differential and edge map
-holds Python ints, and any step whose quotient would leave Z raises a
-ValueError instead of producing a fraction."""
+holds Python ints, so does every vector the cube ranks are taken of, and
+any step whose quotient would leave Z raises a ValueError instead of
+producing a fraction."""
 
 from fractions import Fraction
 
 import pytest
 
+import trigrad.homology
 from trigrad.algebra import Bidegree, PolyRing
 from trigrad.braid import parse_braid
 from trigrad.cube import build_cube
@@ -39,6 +41,43 @@ def test_cube_coefficients_are_ints(word, reduced, marks):
     kinds = {type(c) for mat in mats for c in _coefficients(mat)}
     kinds |= {type(c) for p in polys for c in p.terms.values()}
     assert kinds == {int}
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_cube_rank_columns_are_ints(monkeypatch, reduced):
+    # every chain image of a cube edge and every column handed to the
+    # elimination (vertex slices and cube blocks alike) is an integer vector
+    hom = trigrad.homology
+    real_induced, real_rank = hom.induced_map, hom.kernel_and_rank
+    real_basis = hom.slice_homology_basis
+    kinds = set()
+    calls = {"images": 0, "blocks": 0, "in_vertex": 0}
+
+    def induced(*args):
+        out = real_induced(*args)
+        calls["images"] += len(out)
+        kinds.update(type(v) for col in out for v in col.values())
+        return out
+
+    def basis(*args):
+        calls["in_vertex"] += 1
+        try:
+            return real_basis(*args)
+        finally:
+            calls["in_vertex"] -= 1
+
+    def rank(cols, want_kernel=True):
+        calls["blocks"] += not calls["in_vertex"]
+        kinds.update(type(v) for col in cols for v in col.values())
+        return real_rank(cols, want_kernel)
+
+    monkeypatch.setattr(hom, "induced_map", induced)
+    monkeypatch.setattr(hom, "slice_homology_basis", basis)
+    monkeypatch.setattr(hom, "kernel_and_rank", rank)
+    cube = build_cube(parse_braid("1 1 -2 1 -2"), reduced=reduced)
+    assert hom.link_homology(cube, 6).dims
+    assert calls["images"] and calls["blocks"] and kinds == {int}
+    assert not hasattr(hom, "Fraction")
 
 
 def test_const_rejects_a_fraction():
