@@ -37,7 +37,6 @@ from .koszul import (
     aggregate_a,
     build_upsilon,
     dualize,
-    exclude_variable,
     koszul_of_graph,
     row_op,
     strip_a,
@@ -68,7 +67,6 @@ __all__ = [
     "compare_up_to_shift",
     "dualize",
     "euler_characteristic",
-    "exclude_variable",
     "graph_homology",
     "hom_space_dim",
     "homfly_F",

@@ -207,13 +207,6 @@ class Polynomial:
                 return c
         return None
 
-    def linear_coefficient(self, name: str) -> int:
-        """Coefficient of the bare variable `name` (exponent vector e_i)."""
-        i = self.ring.index(name)
-        e = [0] * self.ring.nvars
-        e[i] = 1
-        return self.terms.get(tuple(e), 0)
-
     # -- substitution ---------------------------------------------------------
 
     def substitute(self, name: str, value: "Polynomial") -> "Polynomial":

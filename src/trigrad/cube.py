@@ -10,14 +10,14 @@ second row that depends on the resolution:
     0-smoothing:  (0, x2-x3)                middle shift {-1,1}
     wide edge:    (0, (x2-x3)(x4-x2))       middle shift {-1,3}
 
-After the shared reduction each vertex runs `exclude_all` once more, which
-removes the rows (0, x2-x3) of its 0-smoothings (and any other linear row)
-together with one variable each.  Then `monic_steps` moves a triangular set
-of the rows left, each monic of degree m in its own variable y (a wide
-edge's row is, up to sign, monic of degree 2 in x2), into relations, and
-the vertex is realized over R/(relations): generators (row subset, standard
-monomial), over the variables that are neither excluded nor picked.  Each
-vertex keeps the steps of both kinds as a `Reduction`.
+After the shared reduction each vertex runs `exclude_all` once more.  Its
+linear picks remove the rows (0, x2-x3) of the 0-smoothings (and any other
+linear row) together with one variable each.  Its monic picks then move a
+triangular set of the rows left, each monic of degree m in its own
+variable y (a wide edge's row is, up to sign, monic of degree 2 in x2),
+into relations, and the vertex is realized over R/(relations): generators
+(row subset, standard monomial), over the variables that are neither
+excluded nor picked.  Each vertex keeps the steps as a `Reduction`.
 
 The edge maps are psi'(x4-x2) (positive crossings, 0 -> 1, the map chi_0) and
 psi(x4-x2) (negative crossings, 1 -> 0, the map chi_1).  Both are diagonal in
@@ -46,7 +46,6 @@ from .koszul import (
     aggregate_a,
     exclude_all,
     make_row,
-    monic_steps,
     strip_a,
 )
 
@@ -204,11 +203,10 @@ def build_cube(
             shared.global_shift + Bidegree(0, lshift),
             shared.global_parity,
         )
-        small, record = exclude_all(km)
-        small, picks = monic_steps(small)
+        small, steps = exclude_all(km)
         matrices[mask] = km
         vertices[mask] = realize(small, j=j)
-        reductions[mask] = Reduction(record + picks, small, ring)
+        reductions[mask] = Reduction(steps, small, ring)
         jdeg[mask] = j
 
     noff = len(leftover)

@@ -4,12 +4,13 @@ over R/(relations) when the matrix carries monic relations, on generators
 (row subset S, standard monomial u)), flip morphisms, crossing cones, tensor
 products, Gaussian cancellation of unit entries, and the maps across a
 vertex's reduction (`Reduction`): the inclusion iota and projection pi
-between the complex of a matrix and that of the matrix after its linear
-exclusions and monic picks, both steps of one kind (row (0, f), f monic of
-degree m in its variable; m = 1 for an exclusion).  `FlipMap` is a flip
-carried across the reductions at both ends as pi_tgt o flip o iota_src.
-Every division is exact in Z (`algebra.exact_divide`, or division by a
-monic f); no rational lies between Koszul rows and homology ranks.
+between the complex of a matrix and that of the matrix after
+`koszul.exclude_all`, whose linear exclusions and monic picks are steps of
+one kind (row (0, f), f monic of degree m in its variable; m = 1 for an
+exclusion).  `FlipMap` is a flip carried across the reductions at both
+ends as pi_tgt o flip o iota_src.  Every division is exact in Z
+(`algebra.exact_divide`, or division by a monic f); no rational lies
+between Koszul rows and homology ranks.
 
 Sign conventions (fixed once, verified against the rank-4 presentations of
 the two local resolutions):
@@ -347,9 +348,9 @@ def _sign(mask: int, k: int) -> int:
 
 class Reduction:
     """How a cube vertex, realized after its reduction, sits in the complex
-    of its unreduced matrix, realize(big) over `outer`.  The `steps` are the
-    linear exclusions of `exclude_all`, then the monic picks of
-    `monic_steps`; they lead from big to `matrix`.
+    of its unreduced matrix, realize(big) over `outer`.  The `steps` are
+    those of `exclude_all`, the linear exclusions first and then the monic
+    picks; they lead from big to `matrix`.
 
     A step removes row i = (0, f), f = ±y^m + terms of lower y-degree, from
     a Koszul complex K over A = R/(earlier relations); the earlier relations

@@ -18,10 +18,10 @@ pass only on slices that are not exact.  `slice_homology_dim` stops after
 the ranks.
 
 Closed graphs (`matrix_homology`, `graph_homology`) and cube vertices
-alike: after the linear exclusions, `koszul.monic_quotient` moves a
-triangular set of monic rows into relations, and `realize` builds the
-Koszul complex of the other rows over R/(relations), free over the
-remaining variables on (row subset, standard monomial) pairs.  The slices
+alike: `koszul.exclude_all` removes the linear rows with their variables
+and moves a triangular set of monic rows into relations, and `realize`
+builds the Koszul complex of the other rows over R/(relations), free over
+the remaining variables on (row subset, standard monomial) pairs.  The slices
 are then taken over those few variables, with the same slice code.
 
 Cube ranks: cube vertices are realized after their own reductions, and an
@@ -58,7 +58,6 @@ from .koszul import (
     dualize,
     exclude_all,
     koszul_of_graph,
-    monic_quotient,
     strip_a,
     tensor_matrices,
 )
@@ -426,7 +425,8 @@ def compare_up_to_shift(
 
 
 def reduce_closed_matrix(m: KoszulMatrix) -> KoszulMatrix:
-    """aggregate -> strip a -> greedy exclusions; for closed matrices."""
+    """aggregate -> strip a -> `exclude_all` (linear exclusions, then the
+    monic picks); for closed matrices."""
     if not m.is_closed():
         raise ValueError("closed matrix required")
     m = aggregate_a(m)
@@ -443,9 +443,9 @@ def matrix_homology(
 ) -> TriGradedDims:
     """Bigraded homology dims of a closed Koszul matrix, reported at j = 0.
     With `reduce`, the complex is realized over R/(monic rows) after the
-    linear exclusions (`monic_quotient`)."""
+    linear exclusions (`reduce_closed_matrix`)."""
     if reduce:
-        m = monic_quotient(reduce_closed_matrix(m))
+        m = reduce_closed_matrix(m)
     cx = realize(m)
     if "a" in cx.ring.names and krange is None:
         raise ValueError("matrices containing `a` need an explicit krange")

@@ -1,11 +1,12 @@
 """Koszul matrices: rows (a_i, b_i) of graded polynomials in Z[a, x], and
-the calculus of elementary row transformations, variable exclusion of
-linear rows (0, ±(y - mu)), the quotient by a triangular set of monic rows
-(0, ±y^m + ...) of a closed matrix (`monic_steps`; the rows left are then
-realized over R/(relations)), a-aggregation and stripping, dualization, and
-the Upsilon factorization.  Exclusions and monic picks keep one kind of
-record (`Exclusion`), whose divisions are exact in Z, so no rational lies
-between Koszul rows and homology ranks.
+the calculus of elementary row transformations, a-aggregation and
+stripping, dualization, and the Upsilon factorization.  One routine,
+`exclude_all`, removes rows (0, f) with f monic in one variable: the
+paper's exclusion of linear rows (0, ±(y - mu)) together with y, then,
+when every row is (0, b), the quotient by a triangular set of monic rows
+(0, ±y^m + ...), whose other rows are realized over R/(relations).  Its
+steps keep one kind of record (`Exclusion`), whose divisions are exact in
+Z, so no rational lies between Koszul rows and homology ranks.
 
 Grading convention: the generator of R{n1,n2} sits in bidegree (n1,n2); a row
 with middle shift s realizes R --left--> R{s} --right--> R, so the
@@ -81,7 +82,7 @@ class KoszulMatrix:
     external_signs: tuple[tuple[str, int], ...] = ()
     global_shift: Bidegree = BIDEG_ZERO
     global_parity: int = 0
-    # (y, f): the rows live over R/(f, ...), see `monic_quotient`
+    # (y, f): the rows live over R/(f, ...), see `exclude_all`
     relations: tuple[tuple[str, Polynomial], ...] = ()
 
     def potential(self) -> Polynomial:
@@ -234,100 +235,6 @@ def row_op(m: KoszulMatrix, i: int, j: int, lam: Polynomial) -> KoszulMatrix:
     return out
 
 
-@dataclass(frozen=True)
-class Exclusion:
-    """One step of a vertex reduction: row `row` = (0, f) of a matrix over
-    R/(relations), whose right entries were `rights`, is removed, and the
-    other rows are read over R/(relations, f).  f = ±var^m + terms of
-    lower var-degree is in normal form modulo `relations`, and free of the
-    variables of later steps (`normal_form`).
-
-    `exclude_all` takes the steps with m = 1, f = ±(var - mu): they
-    substitute mu for var and drop var from the ring (`drop`).
-    `monic_steps` takes the others, which keep var in the ring as a
-    relation.  `factor_complex.Reduction` carries elements across both
-    kinds with `reduce` and `quotient`."""
-
-    row: int
-    var: str
-    f: Polynomial
-    rights: tuple[Polynomial, ...]
-    relations: tuple[tuple[str, Polynomial], ...] = ()
-    drop: bool = True
-
-    def reduce(self, p: Polynomial) -> Polynomial:
-        """p, in normal form modulo `relations`, over R/(relations, f): its
-        normal form, over the ring without var when the step drops it."""
-        if p.contains(self.var):
-            p = normal_form(p, self.relations + ((self.var, self.f),))
-        return p.drop_variable(self.var) if self.drop else p
-
-    def quotient(self, q: Polynomial) -> Polynomial:
-        """h with q = reduce(q) + h·f over R/(relations), in normal form.
-        Division by f in var is exact over Z since f is monic, and the
-        quotient is well defined on classes: the earlier relations are free
-        of var, so a multiple of one divides into a multiple of it."""
-        terms = dict(q.terms)
-        quot = monic_divide(terms, self.f, q.ring.index(self.var))
-        return normal_form(Polynomial(q.ring, quot), self.relations)
-
-
-def _unit_solution(row: KoszulRow, var: str) -> Polynomial | None:
-    """mu with row = (0, c·var - c·mu), when c = ±1 and mu is free of `var`;
-    otherwise None.  c is its own inverse, so mu = c·(c·var - right)."""
-    if not row.left.is_zero():
-        return None
-    c = row.right.linear_coefficient(var)
-    if c != 1 and c != -1:
-        return None
-    mu = (row.right.ring.var(var) * c - row.right) * c
-    return None if mu.contains(var) else mu
-
-
-def exclude_variable(m: KoszulMatrix, row_index: int, var: str) -> KoszulMatrix:
-    """Remove a row (0, ±(var - mu)) and substitute mu for `var` everywhere,
-    dropping `var` from the ring.  Valid whenever the potential does not
-    involve `var` (so in particular `var` is not external) and mu is free of
-    `var`.  A chain homotopy equivalence."""
-    row = m.rows[row_index]
-    mu = _unit_solution(row, var)
-    if mu is None:
-        raise ValueError(
-            f"row ({row.left}, {row.right}) is not (0, ±({var} - mu)) "
-            f"with mu free of {var!r}"
-        )
-    if any(name == var for name, _ in m.external_signs):
-        raise ValueError(f"{var!r} is external")
-    if m.potential().contains(var):
-        raise ValueError(f"potential involves {var!r}")
-    return _exclude(m, row_index, var, mu)[0]
-
-
-def _exclude(
-    m: KoszulMatrix, row_index: int, var: str, mu: Polynomial
-) -> tuple[KoszulMatrix, Exclusion]:
-    """Remove row `row_index` = (0, ±(var - mu)), substitute mu for `var`
-    and drop it from the ring; also return the step's record."""
-    i = m.ring.index(var)
-    ring = m.ring.without(var)
-
-    def drop(p: Polynomial) -> Polynomial:
-        if any(e[i] for e in p.terms):
-            p = p.substitute(var, mu)
-        return Polynomial(ring, {e[:i] + e[i + 1:]: c for e, c in p.terms.items()})
-
-    rows = []
-    for idx, r in enumerate(m.rows):
-        if idx == row_index:
-            continue
-        nr = KoszulRow(drop(r.left), drop(r.right), r.shift)
-        nr.validate()
-        rows.append(nr)
-    rights = tuple(r.right for r in m.rows)
-    record = Exclusion(row_index, var, rights[row_index], rights)
-    return replace(m, ring=ring, rows=tuple(rows)), record
-
-
 def aggregate_a(m: KoszulMatrix) -> KoszulMatrix:
     """Chain of [1p]_1 operations collecting `a` into the first a-row, whose
     right entry becomes the signed sum of external variables (0 for closed
@@ -427,44 +334,149 @@ def tensor_matrices(m1: KoszulMatrix, m2: KoszulMatrix) -> KoszulMatrix:
     )
 
 
+# ---------------------------------------------------------------------------
+# Exclusion: removing rows (0, f), f monic in one variable
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Exclusion:
+    """One step of `exclude_all`: row `row` = (0, f) of a matrix over
+    R/(relations), whose right entries were `rights`, is removed, and the
+    other rows are read over R/(relations, f).  f = ±var^m + terms of
+    lower var-degree is in normal form modulo `relations`, and free of the
+    variables of later steps (`normal_form`).
+
+    A linear step (m = 1, f = ±(var - mu), taken while no relation is held)
+    substitutes mu for var and drops var from the ring (`drop`); a monic
+    step keeps var in the ring as a relation.  `factor_complex.Reduction`
+    carries elements across both kinds with `reduce` and `quotient`."""
+
+    row: int
+    var: str
+    f: Polynomial
+    rights: tuple[Polynomial, ...]
+    relations: tuple[tuple[str, Polynomial], ...]
+    drop: bool
+
+    def reduce(self, p: Polynomial) -> Polynomial:
+        """p, in normal form modulo `relations`, over R/(relations, f): its
+        normal form, over the ring without var when the step drops it (the
+        normal form modulo ±(var - mu) is p with mu substituted for var)."""
+        if p.contains(self.var):
+            p = normal_form(p, self.relations + ((self.var, self.f),))
+        return p.drop_variable(self.var) if self.drop else p
+
+    def quotient(self, q: Polynomial) -> Polynomial:
+        """h with q = reduce(q) + h·f over R/(relations), in normal form.
+        Division by f in var is exact over Z since f is monic, and the
+        quotient is well defined on classes: the earlier relations are free
+        of var, so a multiple of one divides into a multiple of it."""
+        terms = dict(q.terms)
+        quot = monic_divide(terms, self.f, q.ring.index(self.var))
+        return normal_form(Polynomial(q.ring, quot), self.relations)
+
+
 def exclude_all(m: KoszulMatrix) -> tuple[KoszulMatrix, list[Exclusion]]:
-    """Greedy exclusion: repeatedly remove the first row (0, ±(y - mu)), with
-    y the first variable in ring order that is linear of the right degree
-    and absent from the potential.  Returns the reduced matrix and the
-    ordered exclusion record (each step over the ring current at that step).
+    """Remove rows (0, f), f monic in one variable y, one step at a time.
+    Returns the reduced matrix and one record per step (`Exclusion`), over
+    the ring, rows and relations current at that step.  There are two kinds
+    of pick:
 
-    The potential is taken once: a step only removes a variable absent from
-    it, so it stays the same, over a smaller ring."""
-    chain: list[Exclusion] = []
-    w = m.potential()
+    - Linear picks come first and are taken while no relation is held:
+      the first row (0, ±(y - mu)) with mu free of y, and the first such y
+      in ring order that is absent from the potential.  mu is substituted
+      for y and y leaves the ring: the paper's exclusion lemma.  The
+      potential is taken once, as a step only removes a variable absent
+      from it.  mu has the bidegree of y, so every row stays homogeneous.
+    - Monic picks follow once no linear pick is left, and only if every
+      row is (0, b); so a matrix with left entries gets linear exclusion
+      only.  A pair (row, y) qualifies when y is in no pick so far and the
+      only term of top y-degree m of the row, kept in normal form modulo
+      the picks, is ±y^m; take the pair whose row has the fewest
+      variables, then the lowest m, the first row and the first y in ring
+      order.  The row becomes a relation (y stays in the ring), and the
+      rows left are realized over R/(relations) by
+      `factor_complex.realize`.
+
+    Why the monic picks are sound: in lex order with later picks above
+    earlier ones and both above the other variables, pick i has leading
+    term ±y_i^m_i (it is free of later picks' variables, and its only top
+    y_i-term is ±y_i^m_i).  Pure powers of distinct variables are coprime,
+    so the picks are a Groebner basis over Z and a regular sequence, and
+    Z[x]/(picks) is free over the remaining variables on the monomials
+    prod y_i^e_i, e_i < m_i.  Each pick is its row minus a combination of
+    earlier picks, i.e. a row operation (`row_op`, left entries being 0).
+    The Koszul complex of a regular sequence resolves the quotient, so the
+    complex of all rows is quasi-isomorphic to the Koszul complex of the
+    other rows over R/(picks).  A linear pick is the case m = 1 with the
+    quotient R/(y - mu) read as the ring without y.
+
+    After a step, only the rows that contain y are put in normal form
+    again (`Exclusion.reduce`): the earlier picks are free of y, so no
+    other row changes."""
+    ring, w = m.ring, m.potential()
+    rows, relations = list(m.rows), list(m.relations)
+    used = {i for _, f in relations for e in f.terms
+            for i, x in enumerate(e) if x}
+    steps: list[Exclusion] = []
     while True:
-        found = None
-        for idx, r in enumerate(m.rows):
-            if r.right.is_zero() or not r.left.is_zero():
+        pick = None if relations else _pick(rows, used, w)
+        drop = pick is not None
+        if not drop and all(r.left.is_zero() for r in rows):
+            pick = _pick(rows, used)
+        if pick is None:
+            return replace(m, ring=ring, rows=tuple(rows),
+                           relations=tuple(relations)), steps
+        idx, i = pick
+        st = Exclusion(idx, ring.names[i], rows[idx].right,
+                       tuple(r.right for r in rows), tuple(relations), drop)
+        steps.append(st)
+        del rows[idx]
+        rows = [KoszulRow(st.reduce(r.left), st.reduce(r.right), r.shift)
+                for r in rows]
+        if drop:
+            ring, w = ring.without(st.var), w.drop_variable(st.var)
+        else:
+            relations.append((st.var, st.f))
+            used |= {j for e in st.f.terms for j, x in enumerate(e) if x}
+
+
+def _pick(rows: list[KoszulRow], used: set[int],
+          w: Polynomial | None = None) -> tuple[int, int] | None:
+    """(row index, variable position) of the next step of `exclude_all`:
+    given the potential w, the first linear pick; otherwise the best monic
+    pick.  Rows with a left entry are skipped."""
+    best = None
+    for idx, r in enumerate(rows):
+        if not r.left.is_zero():
+            continue
+        b = r.right
+        occurs = {i for e in b.terms for i, x in enumerate(e) if x}
+        for i in occurs - used:
+            deg = _monic_top(b, i)
+            if w is None:
+                key = (len(occurs), deg, idx, i)
+            elif deg == 1 and not any(e[i] for e in w.terms):
+                key = (idx, i)
+            else:
                 continue
-            units = {e.index(1) for e, c in r.right.terms.items()
-                     if (c == 1 or c == -1) and sum(e) == 1}
-            bid = r.right.homogeneous_bidegree() if units else None
-            for i in sorted(units):
-                var = m.ring.names[i]
-                if bid != m.ring.var_bidegree(var) or w.contains(var):
-                    continue
-                mu = _unit_solution(r, var)
-                if mu is not None:
-                    found = (idx, var, mu)
-                    break
-            if found:
-                break
-        if not found:
-            return m, chain
-        m, record = _exclude(m, *found)
-        w = w.drop_variable(found[1])
-        chain.append(record)
+            if deg and (best is None or key < best):
+                best = key
+        if best and w is not None:
+            break
+    return None if best is None else best[-2:]
 
 
-# ---------------------------------------------------------------------------
-# Monic quotient
-# ---------------------------------------------------------------------------
+def _monic_top(b: Polynomial, i: int) -> int:
+    """m when the only term of b of top degree m >= 1 in variable i is
+    ±(that variable)^m; otherwise 0."""
+    m = max((e[i] for e in b.terms), default=0)
+    top = [(e, c) for e, c in b.terms.items() if e[i] == m]
+    if m == 0 or len(top) != 1:
+        return 0
+    (e, c), = top
+    return m if abs(c) == 1 and sum(e) == m else 0
 
 
 def normal_form(p: Polynomial, relations) -> Polynomial:
@@ -502,83 +514,3 @@ def monic_divide(
                 else:
                     terms.pop(ne, None)
     return quot
-
-
-def _monic_top(b: Polynomial, i: int) -> int:
-    """m when the only term of b of top degree m >= 1 in variable i is
-    ±(that variable)^m; otherwise 0."""
-    m = max((e[i] for e in b.terms), default=0)
-    top = [(e, c) for e, c in b.terms.items() if e[i] == m]
-    if m == 0 or len(top) != 1:
-        return 0
-    (e, c), = top
-    return m if abs(c) == 1 and sum(e) == m else 0
-
-
-def monic_steps(m: KoszulMatrix) -> tuple[KoszulMatrix, list[Exclusion]]:
-    """Move a triangular set of monic rows of a matrix of rows (0, b) into
-    `relations`, leaving the other rows in normal form over R/(relations).
-
-    The pick rule, repeated until no pair qualifies: put every unpicked row
-    in normal form modulo the picks so far; a pair (row, y) qualifies when y
-    is neither picked nor in any earlier pick and the only term of top
-    y-degree m in the row's normal form is ±y^m; take the pair whose normal
-    form has the fewest variables, then the lowest m, the lowest row index,
-    and the first y in ring order.
-
-    Why it is sound: in lex order with later picks above earlier ones and
-    both above the other variables, pick i has leading term ±y_i^m_i (it is
-    free of later picks' variables, and its only top y_i-term is ±y_i^m_i).
-    Pure powers of distinct variables are coprime, so the picks are a
-    Groebner basis over Z and a regular sequence, and Z[x]/(picks) is free
-    over the remaining variables on the monomials prod y_i^e_i, e_i < m_i.
-    Each pick is its row minus a combination of earlier picks, i.e. a row
-    operation (`row_op`, left entries being 0).  The Koszul complex of a
-    regular sequence resolves the quotient, so the complex of all rows is
-    quasi-isomorphic to the Koszul complex of the other rows over
-    R/(picks), which `factor_complex.realize` builds.  The paper's
-    exclusion lemma is the case m = 1.
-
-    Also returns one record per pick (`Exclusion` with `drop` false), over
-    the rows and relations current at that pick.  A row is put in normal
-    form again only when it contains the variable just picked: the earlier
-    picks are free of it, so no other row changes."""
-    if any(not r.left.is_zero() for r in m.rows):
-        raise ValueError("monic_quotient needs rows (0, b)")
-    names = m.ring.names
-    rights = [r.right for r in m.rows]
-    alive = list(range(len(rights)))  # unpicked rows, in order
-    relations: list[tuple[str, Polynomial]] = []
-    steps: list[Exclusion] = []
-    used: set[int] = set()  # positions of the variables in any pick
-    while True:
-        best = None
-        for idx in alive:
-            b = rights[idx]
-            occurs = {i for e in b.terms for i, x in enumerate(e) if x}
-            for i in occurs - used:
-                deg = _monic_top(b, i)
-                key = (len(occurs), deg, idx, i)
-                if deg and (best is None or key < best):
-                    best = key
-        if best is None:
-            break
-        _, _, idx, i = best
-        var, f = names[i], rights[idx]
-        steps.append(Exclusion(alive.index(idx), var, f,
-                               tuple(rights[k] for k in alive),
-                               tuple(relations), drop=False))
-        relations.append((var, f))
-        alive.remove(idx)
-        used |= {j for e in f.terms for j, x in enumerate(e) if x}
-        for k in alive:
-            if rights[k].contains(var):
-                rights[k] = normal_form(rights[k], relations)
-    rows = tuple(KoszulRow(m.rows[k].left, rights[k], m.rows[k].shift)
-                 for k in alive)
-    return replace(m, rows=rows, relations=tuple(relations)), steps
-
-
-def monic_quotient(m: KoszulMatrix) -> KoszulMatrix:
-    """The matrix of `monic_steps`, without the records."""
-    return monic_steps(m)[0]

@@ -36,7 +36,7 @@ class TestGraphHomologyBases:
         )
         # the complex matrix_homology realizes: linear exclusions, then the
         # quotient by monic rows
-        cx = realize(monic_quotient(reduce_closed_matrix(koszul_of_graph(g))))
+        cx = realize(reduce_closed_matrix(koszul_of_graph(g)))
         dims = graph_homology(g, 7)
         lmin = min(gen.bidegree.l for gen in cx.gens)
         bases = {
@@ -54,8 +54,8 @@ from trigrad.koszul import (
     KoszulMatrix,
     KoszulRow,
     ResolutionGraph,
+    aggregate_a,
     koszul_of_graph,
-    monic_quotient,
 )
 
 
@@ -191,20 +191,38 @@ class TestGraphHomology:
 
     def test_multiplication_by_a_acts_as_zero(self):
         # on the unreduced closed matrix, multiplication by `a` induces the
-        # zero map on every homology slice
-        m = closed_matrix("theta")
+        # zero map on homology.  The slices are two k-degrees apart and both
+        # carry homology.  Control: the contraction x1^2 e_1* e_2* by two
+        # rows (0, b) is a chain map of the same bidegree (2, 0), and it is
+        # not zero on homology, so the check can fail.  The rows are
+        # aggregated first, an isomorphism that leaves a single row (a, 0).
+        m = aggregate_a(closed_matrix("gamma2-closure"))
+        assert [r.left.is_zero() for r in m.rows[1:3]] == [True, True]
+        assert m.rows[1].shift + m.rows[2].shift == Bidegree(-2, 4)
         cx = realize(m)
+        x1 = cx.ring.var("x1")
         amap = ChainMap(
             cx, cx,
             {i: {i: cx.ring.var("a")} for i in range(cx.rank())},
             Bidegree(2, 0),
         )
+        contraction = ChainMap(
+            cx, cx,
+            {s: {s ^ 6: x1 * x1} for s in range(cx.rank()) if s & 6 == 6},
+            Bidegree(2, 0),
+        )
         amap.verify_chain_map()
-        for (k, l) in [(-1, 1), (-1, 3), (-2, 4), (-3, 3)]:
+        contraction.verify_chain_map()
+        control = 0
+        for (k, l) in [(-3, 5), (-3, 7)]:
             src = slice_homology_basis(cx, k, l)
             tgt = slice_homology_basis(cx, k + 2, l)
+            assert src.dim and tgt.dim, (k, l)
             cols = induced_map(amap, src.basis, tgt.basis, src.reps)
             assert _rank_modulo(tgt.boundaries, cols) == 0, (k, l)
+            cols = induced_map(contraction, src.basis, tgt.basis, src.reps)
+            control += _rank_modulo(tgt.boundaries, cols)
+        assert control
 
     def test_reduce_false_agrees(self):
         d = build_marked_diagram(parse_braid("1 1"))

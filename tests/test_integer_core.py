@@ -12,7 +12,7 @@ from trigrad.algebra import Bidegree, PolyRing
 from trigrad.braid import parse_braid
 from trigrad.cube import build_cube
 from trigrad.factor_complex import FactorComplex, Generator, exact_divide, simplify
-from trigrad.koszul import KoszulMatrix, exclude_all, exclude_variable, make_row
+from trigrad.koszul import KoszulMatrix, exclude_all, make_row
 
 
 def _coefficients(mat):
@@ -95,11 +95,14 @@ def _matrix_with_row(r, last):
     )
 
 
-def test_exclude_variable_rejects_a_non_unit_coefficient():
-    r = PolyRing(("a", "x1", "x2", "x3", "x4", "x5"))
-    m = _matrix_with_row(r, r.var("x5") * 2 - r.var("x2"))
-    with pytest.raises(ValueError, match=r"2\*x5"):
-        exclude_variable(m, 1, "x5")
+def test_exclude_all_never_picks_a_non_unit_leading_coefficient():
+    # rows (0, b) only, so monic picks are open: 2*x5^2 - x1*x2 has no
+    # lone top term ±y^m in any variable, and 2*x5 - 2*x6 no unit one
+    r = PolyRing(("x1", "x2", "x5", "x6"))
+    x1, x2, x5, x6 = (r.var(n) for n in r.names)
+    m = KoszulMatrix(r, (make_row(r.zero(), x5 * x5 * 2 - x1 * x2),
+                         make_row(r.zero(), (x5 - x6) * 2)))
+    assert exclude_all(m) == (m, [])
 
 
 def test_exclude_all_skips_a_non_unit_row():

@@ -15,7 +15,6 @@ from trigrad.koszul import (
     build_upsilon,
     dualize,
     exclude_all,
-    exclude_variable,
     koszul_of_graph,
     make_row,
     row_op,
@@ -157,7 +156,8 @@ class TestExclude:
             ),
             (("x1", 1), ("x2", 1), ("x3", -1), ("x4", -1)),
         )
-        out = exclude_variable(m, 2, "x5")
+        out, steps = exclude_all(m)
+        assert [(st.row, st.var, st.drop) for st in steps] == [(2, "x5", True)]
         r2 = out.ring
         assert r2.names == ("a", "x1", "x2", "x3", "x4")
         assert len(out.rows) == 2
@@ -175,9 +175,8 @@ class TestExclude:
             ),
             (("x1", 1), ("x2", -1)),
         )
-        # x2 is external here, so exclusion must refuse
-        with pytest.raises(ValueError):
-            exclude_variable(m, 1, "x2")
+        # x2 is external here, so it is not excluded
+        assert exclude_all(m) == (m, [])
         m2 = KoszulMatrix(
             r,
             (
@@ -186,9 +185,24 @@ class TestExclude:
             ),
             (),
         )
-        out = exclude_variable(m2, 1, "x2")
+        out, steps = exclude_all(m2)
         assert out.ring.names == ("a", "x1")
         assert len(out.rows) == 1
+        assert [(st.var, st.f) for st in steps] == [("x2", r.var("x2"))]
+
+    def test_a_left_entry_gets_linear_exclusion_only(self):
+        # the closure of two wide edges, aggregated: while the row (a, 0) is
+        # in, exclude_all removes the linear rows and keeps the monic ones;
+        # once it is stripped, a monic row becomes a relation
+        d = build_marked_diagram(parse_braid("1 1"))
+        m = aggregate_a(koszul_of_graph(resolve(d, 3)))
+        out, steps = exclude_all(m)
+        assert [st.var for st in steps] == ["x2", "x1", "x3"]
+        assert all(st.drop for st in steps) and out.relations == ()
+        assert not out.rows[0].left.is_zero() and len(out.rows) == 3
+        out, steps = exclude_all(strip_a(m))
+        assert [st.drop for st in steps] == [True, True, True, False]
+        assert [y for y, _ in out.relations] == ["x4"]
 
     def test_iia_exclusion_step(self):
         r = PolyRing(("a", "x1", "x2", "x3", "x4", "x5", "x6"))
@@ -204,14 +218,20 @@ class TestExclude:
         m = KoszulMatrix(r, rows, ext)
         m = row_op(m, 0, 2, r.one())
         assert m.rows[2].left.is_zero()
-        out = exclude_variable(m, 2, "x5")
+        # x2 is external, so row 1 goes with x6 = x2 first; then row 2
+        # goes with x5, and x2 is substituted into the quadratic row
+        out, steps = exclude_all(m)
+        assert [(st.row, st.var) for st in steps] == [(1, "x6"), (1, "x5")]
+        v = {n: steps[1].f.ring.var(n) for n in ("x2", "x3", "x4", "x5")}
+        assert steps[1].f == v["x5"] + v["x2"] - v["x3"] - v["x4"]
         r2 = out.ring
-        y = {i: r2.var(f"x{i}") for i in (1, 2, 3, 4, 6)}
+        assert r2.names == ("a", "x1", "x2", "x3", "x4")
+        y = {i: r2.var(f"x{i}") for i in (1, 2, 3, 4)}
         assert [row.right for row in out.rows] == [
             y[1] + y[2] - y[3] - y[4],
-            y[2] - y[6],
-            (y[6] - y[4]) * (y[3] - y[6]),
+            (y[2] - y[4]) * (y[3] - y[2]),
         ]
+        assert out.relations == ()
 
 
 class TestAggregateStrip:

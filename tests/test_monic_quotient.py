@@ -1,5 +1,7 @@
-"""The quotient by monic rows: the pick rule, integer normal forms, the
-generators (S, u) of `realize`, and agreement with the linear-only path."""
+"""The quotient by monic rows, taken by `exclude_all` once no linear row is
+left: the pick rule, integer normal forms, the generators (S, u) of
+`realize`, and agreement with a reference that takes the paper's linear
+exclusions alone."""
 
 from math import prod
 
@@ -12,10 +14,13 @@ from trigrad.factor_complex import realize
 from trigrad.homology import matrix_homology, reduce_closed_matrix
 from trigrad.koszul import (
     KoszulMatrix,
+    KoszulRow,
+    aggregate_a,
+    exclude_all,
     koszul_of_graph,
     make_row,
-    monic_quotient,
     normal_form,
+    strip_a,
 )
 
 R = PolyRing(("x1", "x2"))
@@ -31,14 +36,41 @@ def _graph_matrix(word, mask):
     return koszul_of_graph(resolve(d, mask))
 
 
+def _unit_term(b, i):
+    """c when b = c·y + terms free of y with c = ±1, y the i-th variable;
+    otherwise 0."""
+    terms = [(e, c) for e, c in b.terms.items() if e[i]]
+    if len(terms) == 1 and sum(terms[0][0]) == 1 and abs(terms[0][1]) == 1:
+        return terms[0][1]
+    return 0
+
+
 def _linear_only(m, qmax):
-    return matrix_homology(reduce_closed_matrix(m), qmax, reduce=False).dims
+    """Homology of a closed matrix after the linear exclusions alone: while
+    some row is (0, c·y + rest) with c = ±1 and rest free of y, drop it and
+    put y = -c·rest everywhere."""
+    m = strip_a(aggregate_a(m))
+    ring, rows = m.ring, list(m.rows)
+    while True:
+        found = [(idx, y) for idx, r in enumerate(rows)
+                 for i, y in enumerate(ring.names) if _unit_term(r.right, i)]
+        if not found:
+            break
+        idx, y = found[0]
+        b = rows.pop(idx).right
+        mu = ring.var(y) - b * _unit_term(b, ring.index(y))
+        rows = [KoszulRow(r.left.substitute(y, mu).drop_variable(y),
+                          r.right.substitute(y, mu).drop_variable(y), r.shift)
+                for r in rows]
+        ring = ring.without(y)
+    m = KoszulMatrix(ring, tuple(rows), (), m.global_shift, m.global_parity)
+    return matrix_homology(m, qmax, reduce=False).dims
 
 
 def test_refuses_a_variable_of_an_earlier_pick():
     # x2^2 - x1*x2 is monic in x2, but x2 occurs in the first pick
     first, second = X1 * X1 - X1 * X2, X2 * X2 - X1 * X2
-    q = monic_quotient(_matrix(first, second))
+    q = exclude_all(_matrix(first, second))[0]
     assert q.relations == (("x1", first),)
     assert [r.right for r in q.rows] == [second]
     assert matrix_homology(q, 8, reduce=False) == matrix_homology(
@@ -50,7 +82,7 @@ def test_sparsest_normal_form_is_picked_first():
     # x2^2 has one variable, so it goes first; x1 may follow, since the
     # first pick is free of it
     m = _matrix(X1 * X1 - X1 * X2, X2 * X2)
-    q = monic_quotient(m)
+    q = exclude_all(m)[0]
     assert q.relations == (("x2", X2 * X2), ("x1", X1 * X1 - X1 * X2))
     assert q.rows == () and len(realize(q).gens) == 4
     assert matrix_homology(q, 8, reduce=False) == matrix_homology(
@@ -61,7 +93,7 @@ def test_sparsest_normal_form_is_picked_first():
 def test_row_reducing_to_zero():
     f = X1 * X1 - X1 * X2
     m = _matrix(f, f * -1)
-    q = monic_quotient(m)
+    q = exclude_all(m)[0]
     assert q.relations == (("x1", f),)
     assert len(q.rows) == 1 and q.rows[0].right.is_zero()
     cx = realize(q)
@@ -72,7 +104,7 @@ def test_row_reducing_to_zero():
 
 
 def test_normal_form_and_entries_are_int():
-    q = monic_quotient(reduce_closed_matrix(_graph_matrix((1, 2) * 3, 63)))
+    q = reduce_closed_matrix(_graph_matrix((1, 2) * 3, 63))
     assert q.relations
     p = q.rows[0].right * q.relations[-1][1] + q.rows[-1].right
     nf = normal_form(p * p, q.relations)
@@ -89,7 +121,7 @@ def test_normal_form_and_entries_are_int():
 def test_generator_count():
     for word, mask in (((1, 2) * 3, 63), ((1, 1, 1, 1, 1, 2), 31),
                        ((1, 1, 2, 1, 2, 2), 55)):
-        q = monic_quotient(reduce_closed_matrix(_graph_matrix(word, mask)))
+        q = reduce_closed_matrix(_graph_matrix(word, mask))
         cx = realize(q)
         assert len(cx.gens) == 2 ** len(q.rows) * prod(
             f.degree_in(y) for y, f in q.relations

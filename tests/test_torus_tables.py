@@ -19,8 +19,10 @@ def _theorem(n: int) -> dict[tuple[int, int, int], int]:
     return table
 
 
-def _table(n: int, qmax: int) -> dict[tuple[int, int, int], int]:
-    return braid_homology(BraidWord(2, (1,) * n), qmax, reduced=True).dims
+def _table(
+    n: int, qmax: int, sign: int = 1
+) -> dict[tuple[int, int, int], int]:
+    return braid_homology(BraidWord(2, (sign,) * n), qmax, reduced=True).dims
 
 
 def _complete(table: dict, n: int) -> bool:
@@ -43,3 +45,12 @@ def test_truncated_table_is_not_complete():
     assert sum(table.values()) == 5
     assert not _complete(table, 7)
     assert table != _theorem(7)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_mirror_table_is_the_dual_table(n):
+    table, mirror = _table(n, 12), _table(n, 12, sign=-1)
+    assert _complete(table, n) and _complete(mirror, n)
+    assert mirror == {
+        (1 - j, -3 - k, 1 - l): d for (j, k, l), d in table.items()
+    }

@@ -1,5 +1,5 @@
 """Per-vertex reduction: each cube vertex is realized after `exclude_all`
-and `monic_steps`, over R/(relations), and edges act as
+(linear exclusions, then monic picks), over R/(relations), and edges act as
 pi_tgt o psi o iota_src.
 
 iota and pi must be chain maps with pi o iota = id, checked here generator
@@ -23,7 +23,6 @@ from trigrad.homology import (
     matrix_homology,
     slice_homology_basis,
 )
-from trigrad.koszul import exclude_all
 
 
 def _d(cx, x):
@@ -148,13 +147,27 @@ def test_exclusion_with_mu_zero():
     assert h.items_sorted() == expect
 
 
+def test_drop_steps_come_before_the_first_relation():
+    # linear picks are taken only while no relation is held
+    seen = 0
+    for word in ("1 1 -2 1 -2", "1 -2 1 -2 1 -2", "1 1 2 1 2 2"):
+        for reduced in (False, True):
+            cube = build_cube(parse_braid(word), reduced=reduced)
+            for mask, red in cube.reductions.items():
+                drops = [step.drop for step in red.steps]
+                assert drops == sorted(drops, reverse=True), (word, mask)
+                assert all(not step.relations for step in red.steps
+                           if step.drop), (word, mask)
+                seen += True in drops and False in drops
+    assert seen
+
+
 @settings(derandomize=True, max_examples=8, deadline=None, database=None)
 @given(st.lists(st.sampled_from((1, 2, -1, -2)), min_size=1, max_size=4))
-def test_vertex_homology_over_the_quotient_matches_linear_only(word):
+def test_vertex_homology_over_the_quotient_matches_unreduced(word):
     cube = build_cube(BraidWord(3, tuple(word)))
     for mask, km in cube.matrices.items():
         quotient = cube.reductions[mask].matrix
-        linear = exclude_all(km)[0]
         assert matrix_homology(quotient, 8, reduce=False) == matrix_homology(
-            linear, 8, reduce=False
+            km, 8, reduce=False
         ), (word, mask)
