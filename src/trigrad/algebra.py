@@ -71,9 +71,6 @@ class PolyRing:
         except ValueError:
             raise KeyError(f"unknown variable {name!r} in ring {self.names}")
 
-    def var_bidegree(self, name: str) -> Bidegree:
-        return Bidegree(2, 0) if name == "a" else Bidegree(0, 2)
-
     def monomial_bidegree(self, exps: tuple[int, ...]) -> Bidegree:
         k = l = 0
         for name, e in zip(self.names, exps):
@@ -563,17 +560,6 @@ class QSeries:
             out[q] = tp
         return QSeries(out, lim)
 
-    def mul_laurent(self, l: LaurentQT) -> "QSeries":
-        out: dict[int, dict[int, Fraction]] = {}
-        for qe, tpoly in self.coeffs.items():
-            for (dq, dt), c in l.terms.items():
-                if qe + dq > self.qmax:
-                    continue
-                row = out.setdefault(qe + dq, {})
-                for te, c2 in tpoly.items():
-                    row[te + dt] = row.get(te + dt, ZERO) + c * c2
-        return QSeries(out, self.qmax)
-
     def first_difference(self, other: "QSeries") -> int | None:
         """Smallest q-exponent at which the two series differ, else None."""
         lim = min(self.qmax, other.qmax)
@@ -594,13 +580,6 @@ class QSeries:
             tp = LaurentQT({(0, te): c for te, c in self.coeffs[qe].items()})
             parts.append(f"({tp})*q^{qe}")
         return " + ".join(parts) + f" + O(q^{self.qmax + 1})"
-
-
-def laurent_to_series(l: LaurentQT, qmax: int) -> QSeries:
-    out: dict[int, dict[int, Fraction]] = {}
-    for (qe, te), c in l.terms.items():
-        out.setdefault(qe, {})[te] = c
-    return QSeries(out, qmax)
 
 
 def qt_expand(f: RationalQT, qmax: int) -> QSeries:

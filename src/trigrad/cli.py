@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 from typing import NoReturn
 
 import click
@@ -128,18 +127,6 @@ def emit_result(
         "euler": series_to_json(euler_characteristic(h)),
     }
     return json.dumps(payload, separators=(",", ":"))
-
-
-def parse_result(text: str) -> dict:
-    payload = json.loads(text)
-    payload["dims"] = [
-        [int(j), int(k), int(l), int(d)] for j, k, l, d in payload["dims"]
-    ]
-    payload["euler"] = [
-        [int(qe), [[int(te), Fraction(c)] for te, c in row]]
-        for qe, row in payload["euler"]
-    ]
-    return payload
 
 
 def poincare_text(h: TriGradedDims) -> str:

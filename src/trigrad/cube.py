@@ -35,7 +35,9 @@ from dataclasses import dataclass
 
 from .algebra import Bidegree, PolyRing, Polynomial
 from .braid import BraidWord, MarkedDiagram, build_marked_diagram
-from .factor_complex import FactorComplex, FlipMap, Reduction, realize
+from .factor_complex import (
+    FactorComplex, FlipMap, Reduction, flip_factors, realize,
+)
 # perfbench/spans.py HOOKS wraps trigrad.cube.simplify; nothing here calls it
 from .factor_complex import simplify  # noqa: F401
 from .homology import InconclusiveComparison, TriGradedDims, link_homology
@@ -205,29 +207,24 @@ def build_cube(
         )
         small, steps = exclude_all(km)
         matrices[mask] = km
-        vertices[mask] = realize(small, j=j)
+        vertices[mask] = realize(small)
         reductions[mask] = Reduction(steps, small, ring)
         jdeg[mask] = j
 
     noff = len(leftover)
     edges: list[CubeEdge] = []
-    one = ring.one()
     for mask in range(1 << nc):
         for p in range(nc):
             bit = mask >> p & 1
             if signs[p] > 0 and bit == 0:
-                src, tgt = mask, mask | (1 << p)
-                odd_factor, even_factor = one, flip[p]  # psi'
+                src, tgt, kind = mask, mask | (1 << p), "psi'"
             elif signs[p] < 0 and bit == 1:
-                src, tgt = mask, mask & ~(1 << p)
-                odd_factor, even_factor = flip[p], one  # psi
+                src, tgt, kind = mask, mask & ~(1 << p), "psi"
             else:
                 continue
             sign = -1 if bin(mask & ((1 << p) - 1)).count("1") % 2 else 1
-            cmap = FlipMap(
-                reductions[src], reductions[tgt], noff + p, odd_factor,
-                even_factor,
-            )
+            cmap = FlipMap(reductions[src], reductions[tgt], noff + p,
+                           *flip_factors(kind, flip[p]))
             edges.append(CubeEdge(src, tgt, p, sign, cmap))
     return CubeComplex(
         b, d, ring, vertices, jdeg, edges, matrices, reductions, reduced,

@@ -1,16 +1,15 @@
 """Explicit chain-level objects over Z[a, x]: graded free modules with a
 2-periodic differential d (realized from Koszul matrices with Koszul signs,
 over R/(relations) when the matrix carries monic relations, on generators
-(row subset S, standard monomial u)), flip morphisms, crossing cones, tensor
-products, Gaussian cancellation of unit entries, and the maps across a
-vertex's reduction (`Reduction`): the inclusion iota and projection pi
-between the complex of a matrix and that of the matrix after
-`koszul.exclude_all`, whose linear exclusions and monic picks are steps of
-one kind (row (0, f), f monic of degree m in its variable; m = 1 for an
-exclusion).  `FlipMap` is a flip carried across the reductions at both
-ends as pi_tgt o flip o iota_src.  Every division is exact in Z
-(`algebra.exact_divide`, or division by a monic f); no rational lies
-between Koszul rows and homology ranks.
+(row subset S, standard monomial u)), flip morphisms, Gaussian cancellation
+of unit entries, and the maps across a vertex's reduction (`Reduction`):
+the inclusion iota and projection pi between the complex of a matrix and
+that of the matrix after `koszul.exclude_all`, whose linear exclusions and
+monic picks are steps of one kind (row (0, f), f monic of degree m in its
+variable; m = 1 for an exclusion).  `FlipMap` is a flip carried across the
+reductions at both ends as pi_tgt o flip o iota_src.  Every division is
+exact in Z (`algebra.exact_divide`, or division by a monic f); no rational
+lies between Koszul rows and homology ranks.
 
 Sign conventions (fixed once, verified against the rank-4 presentations of
 the two local resolutions):
@@ -41,7 +40,6 @@ Element = dict[int, Polynomial]  # generator index -> coefficient
 class Generator:
     parity: int
     bidegree: Bidegree
-    j: int = 0
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,6 @@ class FactorComplex:
     gens: tuple[Generator, ...]
     d: Matrix
     w: Polynomial  # d^2 = w * Id
-    cube_d: Matrix | None = None
 
     def rank(self) -> int:
         return len(self.gens)
@@ -70,41 +67,13 @@ class FactorComplex:
                         f"d^2 fails at {s}->{tgt}: got {p}, want {expect}"
                     )
 
-    def verify_cube(self) -> None:
-        """cube_d anticommutes with d and squares to zero."""
-        if self.cube_d is None:
-            return
-        n = len(self.gens)
-        for s in range(n):
-            acc: dict[int, Polynomial] = {}
-            for mid, p in self.cube_d.get(s, {}).items():
-                for tgt, q in self.cube_d.get(mid, {}).items():
-                    acc[tgt] = acc.get(tgt, self.ring.zero()) + q * p
-            for tgt, p in acc.items():
-                if not p.is_zero():
-                    raise AssertionError(f"cube_d^2 fails at {s}->{tgt}")
-            acc = {}
-            for mid, p in self.d.get(s, {}).items():
-                for tgt, q in self.cube_d.get(mid, {}).items():
-                    acc[tgt] = acc.get(tgt, self.ring.zero()) + q * p
-            for mid, p in self.cube_d.get(s, {}).items():
-                for tgt, q in self.d.get(mid, {}).items():
-                    acc[tgt] = acc.get(tgt, self.ring.zero()) + q * p
-            for tgt, p in acc.items():
-                if not p.is_zero():
-                    raise AssertionError(f"d cube_d + cube_d d fails at {s}->{tgt}")
-
     def dump(self) -> str:
         lines = []
         for i, g in enumerate(self.gens):
-            lines.append(f"gen {i}: parity {g.parity} {g.bidegree} j={g.j}")
+            lines.append(f"gen {i}: parity {g.parity} {g.bidegree}")
         for s in sorted(self.d):
             for t in sorted(self.d[s]):
                 lines.append(f"d: {s} -> {t}: {self.d[s][t]}")
-        if self.cube_d:
-            for s in sorted(self.cube_d):
-                for t in sorted(self.cube_d[s]):
-                    lines.append(f"del: {s} -> {t}: {self.cube_d[s][t]}")
         return "\n".join(lines)
 
 
@@ -112,7 +81,7 @@ def _popcount_below(mask: int, k: int) -> int:
     return bin(mask & ((1 << k) - 1)).count("1")
 
 
-def realize(m: KoszulMatrix, j: int = 0) -> FactorComplex:
+def realize(m: KoszulMatrix) -> FactorComplex:
     """Tensor product of the rows over R/(m.relations): generators (S, u)
     for row subsets S and standard monomials u (degree below m_i in each
     relation's variable y_i), in bidegree shift(S) + bidegree(u), over R
@@ -132,7 +101,7 @@ def realize(m: KoszulMatrix, j: int = 0) -> FactorComplex:
                 bid = bid + m.rows[r].shift
         parity = (bin(mask).count("1") + m.global_parity) % 2
         for u, ub in zip(monos, ubid):
-            gens.append(Generator(parity, bid + ub, j))
+            gens.append(Generator(parity, bid + ub))
     table = [(quo.times(r.left), quo.times(r.right)) for r in m.rows]
     d: Matrix = {}
     for mask in range(1 << n):
@@ -276,37 +245,40 @@ def flip_map(
     kind "psi":  (x, y*z) -> (x*y, z), components (1, y, 1);
     kind "psi'": (x*y, z) -> (x, y*z), components (y, 1, y).
 
-    Returns the chain map together with the target Koszul matrix.
+    Returns the chain map together with the target Koszul matrix.  The map
+    is the `FlipMap` between the two unreduced complexes, tabulated.
     """
+    odd, even = flip_factors(kind, y)
     row = m.rows[row_index]
     ydeg = y.homogeneous_bidegree()
     if ydeg is None:
         raise ValueError("flip factor must be homogeneous")
     if kind == "psi":
-        z = exact_divide(row.right, y)
-        new_row = KoszulRow(row.left * y, z, row.shift - ydeg)
-        odd_factor, even_factor = y, m.ring.one()
-        bidegree = BIDEG_ZERO
-    elif kind == "psi'":
+        new_row = KoszulRow(row.left * y, exact_divide(row.right, y),
+                            row.shift - ydeg)
+    else:
         x = exact_divide(row.left, y) if not row.left.is_zero() else m.ring.zero()
         new_row = KoszulRow(x, row.right * y, row.shift + ydeg)
-        odd_factor, even_factor = m.ring.one(), y
-        bidegree = ydeg
-    else:
-        raise ValueError("kind must be 'psi' or 'psi''")
     new_row.validate()
     rows = list(m.rows)
     rows[row_index] = new_row
     m2 = replace(m, rows=tuple(rows))
-    src = realize(m)
-    tgt = realize(m2)
-    mat: Matrix = {}
-    for mask in range(1 << len(m.rows)):
-        factor = odd_factor if mask >> row_index & 1 else even_factor
-        if not factor.is_zero():
-            mat[mask] = {mask: factor}
-    f = ChainMap(src, tgt, mat, bidegree)
-    return f, m2
+    src, tgt = realize(m), realize(m2)
+    f = FlipMap(Reduction((), m, m.ring), Reduction((), m2, m.ring),
+                row_index, odd, even)
+    one = m.ring.one()
+    mat = {s: r for s in range(src.rank()) if (r := f.apply({s: one}))}
+    return ChainMap(src, tgt, mat, ydeg if kind == "psi'" else BIDEG_ZERO), m2
+
+
+def flip_factors(kind: str, y: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """(odd, even) of a flip by y on one row: its factor on the subsets
+    that hold the row and on the others.  psi is (y, 1), psi' is (1, y)."""
+    if kind == "psi":
+        return y, y.ring.one()
+    if kind == "psi'":
+        return y.ring.one(), y
+    raise ValueError("kind must be 'psi' or 'psi''")
 
 
 def row_op_transport(
@@ -518,107 +490,6 @@ def _mul_into(acc: dict, a: dict, b: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Cones and tensor products
-# ---------------------------------------------------------------------------
-
-
-def shift_complex(c: FactorComplex, db: Bidegree, dj: int = 0) -> FactorComplex:
-    gens = tuple(
-        Generator(g.parity, g.bidegree + db, g.j + dj) for g in c.gens
-    )
-    return replace(c, gens=gens)
-
-
-def cone(f: ChainMap, crossing_sign: int) -> FactorComplex:
-    """The two-term complex a crossing contributes.
-
-    positive: C(Gamma^0){0,2} in cube degree -1 --chi_0--> C(Gamma^1) in 0;
-    negative: C(Gamma^1){0,-2} in cube degree 0 --chi_1--> C(Gamma^0){0,-2} in 1.
-    """
-    if crossing_sign > 0:
-        if f.bidegree != Bidegree(0, 2):
-            raise ValueError("positive crossing needs the bidegree-(0,2) map")
-        src = shift_complex(f.src, Bidegree(0, 2), -1)
-        tgt = shift_complex(f.tgt, BIDEG_ZERO, 0)
-    else:
-        if f.bidegree != BIDEG_ZERO:
-            raise ValueError("negative crossing needs the bidegree-(0,0) map")
-        src = shift_complex(f.src, Bidegree(0, -2), 0)
-        tgt = shift_complex(f.tgt, Bidegree(0, -2), 1)
-    ns = len(src.gens)
-    gens = src.gens + tgt.gens
-    d: Matrix = {}
-    for s, row in src.d.items():
-        d[s] = dict(row)
-    for s, row in tgt.d.items():
-        d[ns + s] = {ns + t: p for t, p in row.items()}
-    # the cube differential must anticommute with d: twist the chain map by
-    # the parity of the source generator
-    cube: Matrix = {}
-    for s, row in f.mat.items():
-        sgn = -1 if src.gens[s].parity else 1
-        cube[s] = {ns + t: p * sgn for t, p in row.items()}
-    return FactorComplex(src.ring, gens, d, src.w, cube)
-
-
-def tensor(c1: FactorComplex, c2: FactorComplex) -> FactorComplex:
-    """Tensor product with the super sign rule on the total degree
-    (parity + cube degree) of the first factor."""
-    if c1.ring.names != c2.ring.names:
-        raise ValueError("tensor needs a common ring")
-    ring = c1.ring
-    n2 = len(c2.gens)
-    gens = []
-    for g1 in c1.gens:
-        for g2 in c2.gens:
-            gens.append(
-                Generator(
-                    (g1.parity + g2.parity) % 2,
-                    g1.bidegree + g2.bidegree,
-                    g1.j + g2.j,
-                )
-            )
-
-    def idx(i1: int, i2: int) -> int:
-        return i1 * n2 + i2
-
-    def build(part1: Matrix, part2: Matrix) -> Matrix:
-        out: Matrix = {}
-        for i1, g1 in enumerate(c1.gens):
-            sgn = -1 if (g1.parity + g1.j) % 2 else 1
-            for i2 in range(n2):
-                row: dict[int, Polynomial] = {}
-                for t1, p in part1.get(i1, {}).items():
-                    k = idx(t1, i2)
-                    row[k] = row.get(k, ring.zero()) + p
-                for t2, p in part2.get(i2, {}).items():
-                    k = idx(i1, t2)
-                    row[k] = row.get(k, ring.zero()) + p * sgn
-                row = {t: p for t, p in row.items() if not p.is_zero()}
-                if row:
-                    out[idx(i1, i2)] = row
-        return out
-
-    d = build(c1.d, c2.d)
-    cube = None
-    if c1.cube_d is not None or c2.cube_d is not None:
-        cube = build(c1.cube_d or {}, c2.cube_d or {})
-    return FactorComplex(ring, tuple(gens), d, c1.w + c2.w, cube)
-
-
-def free_euler(c: FactorComplex):
-    """Graded Euler characteristic of the underlying free module:
-    sum over generators of (-1)^(parity+j) t^k q^l."""
-    from .algebra import LaurentQT
-
-    out = LaurentQT.zero()
-    for g in c.gens:
-        sgn = -1 if (g.parity + g.j) % 2 else 1
-        out = out + LaurentQT.term(g.bidegree.l, g.bidegree.k, sgn)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Gaussian cancellation of unit entries
 # ---------------------------------------------------------------------------
 
@@ -639,7 +510,7 @@ def simplify(c: FactorComplex) -> tuple[FactorComplex, ChainMap, ChainMap]:
 
     Returns (simplified, iota, pi) with iota: simplified -> c and
     pi: c -> simplified exact chain maps, pi o iota = id, both homotopy
-    equivalences; cube differentials are transported as pi o cube_d o iota.
+    equivalences.
     """
     ring = c.ring
     total_iota = identity_map(c)
@@ -670,7 +541,7 @@ def simplify(c: FactorComplex) -> tuple[FactorComplex, ChainMap, ChainMap]:
             }
             if row2:
                 newd[reindex[l]] = row2
-        small = FactorComplex(ring, gens, newd, cur.w, None)
+        small = FactorComplex(ring, gens, newd, cur.w)
         # iota: e_l -> e_l - u^{-1} B_l e_j
         imat: Matrix = {}
         for l in keep:
@@ -694,25 +565,5 @@ def simplify(c: FactorComplex) -> tuple[FactorComplex, ChainMap, ChainMap]:
         total_iota = total_iota.compose(step_iota)
         total_pi = step_pi.compose(total_pi)
         cur = small
-    if c.cube_d is not None:
-        # transport: pi o cube_d o iota
-        transported = _matmul(
-            total_pi.mat, _matmul(c.cube_d, total_iota.mat, ring), ring
-        )
-        cur = replace(cur, cube_d=transported)
-        total_iota = ChainMap(cur, c, total_iota.mat, total_iota.bidegree)
-        total_pi = ChainMap(c, cur, total_pi.mat, total_pi.bidegree)
     return cur, total_iota, total_pi
 
-
-def _matmul(second: Matrix, first: Matrix, ring: PolyRing) -> Matrix:
-    out: Matrix = {}
-    for s, row in first.items():
-        acc: dict[int, Polynomial] = {}
-        for mid, p in row.items():
-            for t, q in second.get(mid, {}).items():
-                acc[t] = acc.get(t, ring.zero()) + q * p
-        acc = {t: p for t, p in acc.items() if not p.is_zero()}
-        if acc:
-            out[s] = acc
-    return out

@@ -145,41 +145,6 @@ def hecke_of_braid(b: BraidWord) -> HeckeElement:
     )
 
 
-def hecke_mul(x: HeckeElement, y: HeckeElement) -> HeckeElement:
-    """Product, expanding each T_w of y through a reduced word of w."""
-    if x.n != y.n:
-        raise ValueError("size mismatch")
-    out: dict[Permutation, RationalQT] = {}
-    for w, c in y.coeffs:
-        word = _reduced_word(w)
-        for u, cu in x.coeffs:
-            d = {u: {0: 1}}
-            for i in word:
-                d = _right_mul_gen(d, i, False)
-            for v, p in d.items():
-                term = cu * c * _q_laurent_rqt(p)
-                out[v] = out.get(v, RationalQT.zero()) + term
-    return HeckeElement.from_dict(x.n, out)
-
-
-def _reduced_word(w: Permutation) -> list[int]:
-    """A reduced word for w: sort the one-line notation by adjacent swaps
-    (each swap at a descent drops the length by one), then reverse."""
-    n = len(w)
-    word = []
-    cur = list(w)
-    while True:
-        for i in range(n - 1):
-            if cur[i] > cur[i + 1]:
-                cur[i], cur[i + 1] = cur[i + 1], cur[i]
-                word.append(i)
-                break
-        else:
-            break
-    word.reverse()
-    return word
-
-
 @dataclass(frozen=True)
 class TraceParams:
     delta: RationalQT

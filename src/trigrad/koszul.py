@@ -414,7 +414,8 @@ def exclude_all(m: KoszulMatrix) -> tuple[KoszulMatrix, list[Exclusion]]:
 
     After a step, only the rows that contain y are put in normal form
     again (`Exclusion.reduce`): the earlier picks are free of y, so no
-    other row changes."""
+    other row changes, and a zero left entry becomes the zero of the new
+    ring."""
     ring, w = m.ring, m.potential()
     rows, relations = list(m.rows), list(m.relations)
     used = {i for _, f in relations for e in f.terms
@@ -433,13 +434,14 @@ def exclude_all(m: KoszulMatrix) -> tuple[KoszulMatrix, list[Exclusion]]:
                        tuple(r.right for r in rows), tuple(relations), drop)
         steps.append(st)
         del rows[idx]
-        rows = [KoszulRow(st.reduce(r.left), st.reduce(r.right), r.shift)
-                for r in rows]
         if drop:
             ring, w = ring.without(st.var), w.drop_variable(st.var)
         else:
             relations.append((st.var, st.f))
             used |= {j for e in st.f.terms for j, x in enumerate(e) if x}
+        zero = ring.zero()
+        rows = [KoszulRow(zero if r.left.is_zero() else st.reduce(r.left),
+                          st.reduce(r.right), r.shift) for r in rows]
 
 
 def _pick(rows: list[KoszulRow], used: set[int],

@@ -25,7 +25,7 @@ class TestHomologyCommand:
             cli.main, ["homology", "1 1", "--qmax", "6", "--json"]
         )
         assert res.exit_code == 0
-        payload = cli.parse_result(res.output)
+        payload = json.loads(res.output)
         assert payload["braid"] == "1 1"
         assert payload["qmax"] == 6
         assert payload["reduced"] is False

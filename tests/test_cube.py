@@ -61,10 +61,7 @@ class TestBuildCube:
         # vertex's Koszul matrix
         for text in ["1 1", "1 -1", "1 1 1"]:
             cube = build_cube(parse_braid(text))
-            raw = {
-                mask: realize(m, j=cube.jdeg[mask])
-                for mask, m in cube.matrices.items()
-            }
+            raw = {mask: realize(m) for mask, m in cube.matrices.items()}
             flips = {}
             for e in cube.edges:
                 f = e.cmap

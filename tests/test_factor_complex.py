@@ -3,21 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from trigrad.algebra import Bidegree, LaurentQT, PolyRing, Polynomial
+from trigrad.algebra import Bidegree, PolyRing, Polynomial
 from trigrad.braid import build_marked_diagram, parse_braid
 from trigrad.cube import resolve
 from trigrad.factor_complex import (
     ChainMap,
-    cone,
     exact_divide,
     flip_map,
-    free_euler,
     identity_map,
     realize,
     row_op_transport,
-    shift_complex,
     simplify,
-    tensor,
 )
 from trigrad.koszul import (
     KoszulMatrix,
@@ -181,6 +177,35 @@ class TestFlipAndChi:
         with pytest.raises(ValueError):
             flip_map(self.g0m, 1, self.r.var("x1"), "psi")
 
+    def test_flips_of_a_two_crossing_braid(self):
+        # sigma sigma^{-1}: the edge maps psi'(x5-x2) on the top crossing's
+        # linear row and psi(x3-x6) on the bottom crossing's quadratic row
+        r = PolyRing(("a", "x1", "x2", "x3", "x4", "x5", "x6"))
+        a = r.var("a")
+        x = {i: r.var(f"x{i}") for i in range(1, 7)}
+        top0 = KoszulMatrix(
+            r,
+            (
+                make_row(a, x[1] + x[2] - x[5] - x[6]),
+                make_row(r.zero(), x[2] - x[6]),
+            ),
+            (("x1", 1), ("x2", 1), ("x5", -1), ("x6", -1)),
+        )
+        f1, top1 = flip_map(top0, 1, x[5] - x[2], "psi'")
+        f1.verify_chain_map()
+        assert top1.rows[1].right == (x[2] - x[6]) * (x[5] - x[2])
+        bot1 = KoszulMatrix(
+            r,
+            (
+                make_row(a, x[5] + x[6] - x[3] - x[4]),
+                make_row(r.zero(), (x[6] - x[4]) * (x[3] - x[6])),
+            ),
+            (("x5", 1), ("x6", 1), ("x3", -1), ("x4", -1)),
+        )
+        f2, bot0 = flip_map(bot1, 1, x[3] - x[6], "psi")
+        f2.verify_chain_map()
+        assert bot0.rows[1].right == x[6] - x[4]
+
     def test_row_op_transport_nonadjacent(self):
         rng = random.Random(31)
         r = self.r
@@ -197,111 +222,6 @@ class TestFlipAndChi:
         g, m3 = row_op_transport(m2, 0, 2, -r.one())
         g.verify_chain_map()
         assert m3.rows == m.rows
-
-
-class TestCone:
-    def _chis(self):
-        r = ring4()
-        y = r.var("x4") - r.var("x2")
-        _, g0m = row_op_transport(gamma0(r), 0, 1, r.one())
-        _, g1m = row_op_transport(gamma1(r), 1, 0, -r.var("x2"))
-        chi0, _ = flip_map(g0m, 1, y, "psi'")
-        chi1, _ = flip_map(g1m, 1, y, "psi")
-        return chi0, chi1
-
-    def test_positive_cone_layout(self):
-        chi0, _ = self._chis()
-        c = cone(chi0, +1)
-        n = len(chi0.src.gens)
-        assert all(g.j == -1 for g in c.gens[:n])
-        assert all(g.j == 0 for g in c.gens[n:])
-        assert c.gens[0].bidegree == chi0.src.gens[0].bidegree + Bidegree(0, 2)
-        c.verify_d_squared()
-        c.verify_cube()
-
-    def test_negative_cone_layout(self):
-        _, chi1 = self._chis()
-        c = cone(chi1, -1)
-        n = len(chi1.src.gens)
-        assert all(g.j == 0 for g in c.gens[:n])
-        assert all(g.j == 1 for g in c.gens[n:])
-        assert c.gens[0].bidegree == chi1.src.gens[0].bidegree + Bidegree(0, -2)
-        c.verify_cube()
-
-    def test_wrong_map_kind_rejected(self):
-        chi0, chi1 = self._chis()
-        with pytest.raises(ValueError):
-            cone(chi0, -1)
-        with pytest.raises(ValueError):
-            cone(chi1, +1)
-
-    def test_cone_free_euler_contributions(self):
-        chi0, chi1 = self._chis()
-        q2 = LaurentQT.term(2, 0)
-        pos = cone(chi0, +1)
-        assert free_euler(pos) == free_euler(chi0.tgt) - q2 * free_euler(chi0.src)
-        neg = cone(chi1, -1)
-        qm2 = LaurentQT.term(-2, 0)
-        assert free_euler(neg) == qm2 * (
-            free_euler(chi1.src) - free_euler(chi1.tgt)
-        )
-
-
-class TestTensor:
-    def test_unit(self):
-        r = ring4()
-        c = realize(gamma1(r))
-        unit = realize(KoszulMatrix(r, (), ()))
-        t = tensor(c, unit)
-        assert t.rank() == c.rank()
-        assert [g.bidegree for g in t.gens] == [g.bidegree for g in c.gens]
-        assert all(
-            t.d.get(i, {}) == c.d.get(i, {}) for i in range(c.rank())
-        )
-
-    def test_free_euler_multiplicative(self):
-        r = ring4()
-        c1 = realize(gamma0(r))
-        c2 = realize(gamma1(r))
-        assert free_euler(tensor(c1, c2)) == free_euler(c1) * free_euler(c2)
-
-    def test_two_crossing_cube(self):
-        # sigma sigma^{-1}: positive cone tensor negative cone; the two edge
-        # maps are Id (x) psi'(x5-x2) (x) Id^2 and Id^3 (x) psi(x3-x6)
-        r = PolyRing(("a", "x1", "x2", "x3", "x4", "x5", "x6"))
-        a = r.var("a")
-        x = {i: r.var(f"x{i}") for i in range(1, 7)}
-        top0 = KoszulMatrix(
-            r,
-            (
-                make_row(a, x[1] + x[2] - x[5] - x[6]),
-                make_row(r.zero(), x[2] - x[6]),
-            ),
-            (("x1", 1), ("x2", 1), ("x5", -1), ("x6", -1)),
-        )
-        y_top = x[5] - x[2]
-        f1, top1 = flip_map(top0, 1, y_top, "psi'")
-        f1.verify_chain_map()
-        assert top1.rows[1].right == (x[2] - x[6]) * (x[5] - x[2])
-        bot1 = KoszulMatrix(
-            r,
-            (
-                make_row(a, x[5] + x[6] - x[3] - x[4]),
-                make_row(r.zero(), (x[6] - x[4]) * (x[3] - x[6])),
-            ),
-            (("x5", 1), ("x6", 1), ("x3", -1), ("x4", -1)),
-        )
-        y_bot = x[3] - x[6]
-        f2, bot0 = flip_map(bot1, 1, y_bot, "psi")
-        f2.verify_chain_map()
-        assert bot0.rows[1].right == x[6] - x[4]
-        total = tensor(cone(f1, +1), cone(f2, -1))
-        assert total.rank() == 64
-        js = sorted({g.j for g in total.gens})
-        assert js == [-1, 0, 1]
-        assert total.w == a * (x[1] + x[2] - x[3] - x[4])
-        total.verify_d_squared()
-        total.verify_cube()
 
 
 def _dense_slice_homology(cx, k, l):

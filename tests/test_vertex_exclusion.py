@@ -43,7 +43,7 @@ def test_iota_and_pi_are_chain_maps_with_pi_iota_identity(word, reduced, marks):
     excluded = picked = 0
     for mask, small in cube.vertices.items():
         red = cube.reductions[mask]
-        big = realize(cube.matrices[mask], j=cube.jdeg[mask])
+        big = realize(cube.matrices[mask])
         degrees = [f.degree_in(y) for y, f in red.matrix.relations]
         assert big.rank() * prod(degrees) == small.rank() << len(red.steps)
         excluded += any(step.drop for step in red.steps)
