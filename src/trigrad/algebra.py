@@ -4,23 +4,20 @@ Three rings appear throughout:
 
 * ``Z[a, x_1, ..., x_m]`` -- multivariate integer polynomials with the
   bigrading deg(a) = (2,0), deg(x_i) = (0,2), and exact division over Z
-  (`exact_divide`).  Koszul matrices and differentials live here, and no
-  rational lies between them and the homology ranks.
-* Laurent polynomials and rational functions in ``(q, t)`` -- the target of
-  the HOMFLYPT oracle and of Euler characteristics.
+  (`exact_divide`).  Koszul matrices and differentials live here.
+* Laurent polynomials over Z in ``(q, t)``, and fractions of two of them --
+  the target of the HOMFLYPT oracle and of Euler characteristics.
 * q-power series with coefficients in ``Z[t, t^-1]`` -- the common ground on
   which the two are compared, up to an explicit cutoff ``qmax``.
 
-Everything is exact; no floats anywhere.
+Every coefficient in all three is an ``int``, which their constructors
+check (`_integer`); no rational or float appears anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-
-ZERO = Fraction(0)
 
 
 class ExpansionError(ValueError):
@@ -108,7 +105,7 @@ def ring(*names: str) -> PolyRing:
 
 def _integer(c) -> int:
     if not isinstance(c, int):
-        raise ValueError(f"polynomial coefficient {c!r} is not an integer")
+        raise ValueError(f"coefficient {c!r} is not an integer")
     return c
 
 
@@ -256,30 +253,28 @@ class Polynomial:
     # -- printing -------------------------------------------------------------
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            factors = [
-                n if d == 1 else f"{n}^{d}"
-                for n, d in zip(self.ring.names, e)
-                if d
-            ]
-            body = "*".join(factors)
-            if not body:
-                s = str(c)
-            elif c == 1:
-                s = body
-            elif c == -1:
-                s = "-" + body
-            else:
-                s = f"{c}*{body}"
-            parts.append(s)
-        out = parts[0]
-        for s in parts[1:]:
-            out += " - " + s[1:] if s.startswith("-") else " + " + s
-        return out
+        return _format_terms(
+            (self.terms[e], zip(self.ring.names, e))
+            for e in sorted(self.terms, reverse=True)
+        )
+
+
+def _format_terms(terms) -> str:
+    """Sign-joined 'c*x^e*...' for each (c, [(x, e), ...]) pair in order,
+    leaving out zero exponents; '0' when there are no terms."""
+    out = ""
+    for c, powers in terms:
+        body = "*".join(x if e == 1 else f"{x}^{e}" for x, e in powers if e)
+        if not body:
+            s = str(c)
+        elif c in (1, -1):
+            s = body if c == 1 else "-" + body
+        else:
+            s = f"{c}*{body}"
+        if out:
+            s = " - " + s[1:] if s.startswith("-") else " + " + s
+        out += s
+    return out or "0"
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -330,16 +325,17 @@ def _monomials_cached(nvars: int, total: int) -> list[tuple[int, ...]]:
 
 
 class LaurentQT:
-    """Laurent polynomial in q and t: {(q_exp, t_exp): Fraction}."""
+    """Laurent polynomial in q and t over Z: {(q_exp, t_exp): int}."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
-        self.terms = {e: Fraction(c) for e, c in (terms or {}).items() if c != 0}
+    def __init__(self, terms: dict[tuple[int, int], int] | None = None):
+        # _integer raises on a non-int and returns c, so zeros drop out
+        self.terms = {e: c for e, c in (terms or {}).items() if _integer(c)}
 
     @staticmethod
-    def term(qe: int, te: int, c=1) -> "LaurentQT":
-        return LaurentQT({(qe, te): Fraction(c)})
+    def term(qe: int, te: int, c: int = 1) -> "LaurentQT":
+        return LaurentQT({(qe, te): c})
 
     @staticmethod
     def zero() -> "LaurentQT":
@@ -355,26 +351,26 @@ class LaurentQT:
     def __add__(self, other: "LaurentQT") -> "LaurentQT":
         t = dict(self.terms)
         for e, c in other.terms.items():
-            t[e] = t.get(e, ZERO) + c
+            t[e] = t.get(e, 0) + c
         return LaurentQT(t)
 
     def __sub__(self, other: "LaurentQT") -> "LaurentQT":
         t = dict(self.terms)
         for e, c in other.terms.items():
-            t[e] = t.get(e, ZERO) - c
+            t[e] = t.get(e, 0) - c
         return LaurentQT(t)
 
     def __neg__(self) -> "LaurentQT":
         return LaurentQT({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return LaurentQT({e: c * other for e, c in self.terms.items()})
-        t: dict[tuple[int, int], Fraction] = {}
+        t: dict[tuple[int, int], int] = {}
         for (q1, t1), c1 in self.terms.items():
             for (q2, t2), c2 in other.terms.items():
                 e = (q1 + q2, t1 + t2)
-                t[e] = t.get(e, ZERO) + c1 * c2
+                t[e] = t.get(e, 0) + c1 * c2
         return LaurentQT(t)
 
     __rmul__ = __mul__
@@ -396,39 +392,19 @@ class LaurentQT:
         return (min(q for q, _ in self.terms), min(t for _, t in self.terms))
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (qe, te) in sorted(self.terms):
-            c = self.terms[(qe, te)]
-            factors = []
-            if qe:
-                factors.append("q" if qe == 1 else f"q^{qe}")
-            if te:
-                factors.append("t" if te == 1 else f"t^{te}")
-            body = "*".join(factors)
-            if not body:
-                s = str(c)
-            elif c == 1:
-                s = body
-            elif c == -1:
-                s = "-" + body
-            else:
-                s = f"{c}*{body}"
-            parts.append(s)
-        out = parts[0]
-        for s in parts[1:]:
-            out += " - " + s[1:] if s.startswith("-") else " + " + s
-        return out
+        return _format_terms(
+            (c, (("q", qe), ("t", te))) for (qe, te), c in sorted(self.terms.items())
+        )
 
 
 class RationalQT:
     """Exact rational function in (q, t), stored as numerator/denominator.
 
     Normalisation: the denominator's lowest q- and t-exponents are shifted to
-    zero (the monomial content moves into the numerator) and both parts are
-    scaled so the denominator's lexicographically smallest term has
-    coefficient 1.  Equality is by cross-multiplication.
+    zero (the monomial content moves into the numerator), and both parts are
+    negated if the denominator's lexicographically smallest term is
+    negative.  Nothing is divided, so both parts stay over Z.  Equality is
+    by cross-multiplication.
     """
 
     __slots__ = ("num", "den")
@@ -443,11 +419,8 @@ class RationalQT:
         mq, mt = den.min_exponents()
         den = den.shifted(-mq, -mt)
         num = num.shifted(-mq, -mt)
-        lead = den.terms[min(den.terms)]
-        if lead != 1:
-            inv = 1 / lead
-            den = den * inv
-            num = num * inv
+        if den.terms[min(den.terms)] < 0:
+            num, den = -num, -den
         self.num = num
         self.den = den
 
@@ -456,7 +429,7 @@ class RationalQT:
         return RationalQT(l, LaurentQT.one())
 
     @staticmethod
-    def term(qe: int, te: int, c=1) -> "RationalQT":
+    def term(qe: int, te: int, c: int = 1) -> "RationalQT":
         return RationalQT.from_laurent(LaurentQT.term(qe, te, c))
 
     @staticmethod
@@ -484,19 +457,14 @@ class RationalQT:
         return RationalQT(-self.num, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalQT(self.num * other, self.den)
-        if isinstance(other, LaurentQT):
-            return RationalQT(self.num * other, self.den)
-        return RationalQT(self.num * other.num, self.den * other.den)
+        if isinstance(other, RationalQT):
+            return RationalQT(self.num * other.num, self.den * other.den)
+        return RationalQT(self.num * other, self.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "RationalQT":
         return RationalQT(self.den, self.num)
-
-    def __truediv__(self, other: "RationalQT") -> "RationalQT":
-        return self * other.inverse()
 
     def __pow__(self, n: int) -> "RationalQT":
         out = RationalQT.one()
@@ -517,23 +485,20 @@ class RationalQT:
 
 
 class QSeries:
-    """Power series in q, coefficients Laurent polynomials in t, exact up to
-    (and including) q-degree qmax."""
+    """Power series in q, coefficients Laurent polynomials in t over Z,
+    exact up to (and including) q-degree qmax."""
 
     __slots__ = ("coeffs", "qmax")
 
-    def __init__(self, coeffs: dict[int, dict[int, Fraction]], qmax: int):
+    def __init__(self, coeffs: dict[int, dict[int, int]], qmax: int):
         self.qmax = qmax
-        clean: dict[int, dict[int, Fraction]] = {}
+        self.coeffs: dict[int, dict[int, int]] = {}
         for qe, tpoly in coeffs.items():
-            if qe > qmax:
-                continue
-            tp = {te: Fraction(c) for te, c in tpoly.items() if c != 0}
-            if tp:
-                clean[qe] = tp
-        self.coeffs = clean
+            tp = {te: c for te, c in tpoly.items() if _integer(c)}
+            if tp and qe <= qmax:
+                self.coeffs[qe] = tp
 
-    def coefficient(self, qe: int) -> dict[int, Fraction]:
+    def coefficient(self, qe: int) -> dict[int, int]:
         return dict(self.coeffs.get(qe, {}))
 
     def is_zero(self) -> bool:
@@ -542,23 +507,7 @@ class QSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        lim = min(self.qmax, other.qmax)
-        qs = {q for q in self.coeffs if q <= lim} | {
-            q for q in other.coeffs if q <= lim
-        }
-        return all(self.coeffs.get(q, {}) == other.coeffs.get(q, {}) for q in qs)
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        lim = min(self.qmax, other.qmax)
-        out: dict[int, dict[int, Fraction]] = {}
-        for q in {*self.coeffs, *other.coeffs}:
-            if q > lim:
-                continue
-            tp = dict(self.coeffs.get(q, {}))
-            for te, c in other.coeffs.get(q, {}).items():
-                tp[te] = tp.get(te, ZERO) - c
-            out[q] = tp
-        return QSeries(out, lim)
+        return self.first_difference(other) is None
 
     def first_difference(self, other: "QSeries") -> int | None:
         """Smallest q-exponent at which the two series differ, else None."""
@@ -582,19 +531,25 @@ class QSeries:
         return " + ".join(parts) + f" + O(q^{self.qmax + 1})"
 
 
+def _by_q(l: LaurentQT) -> dict[int, dict[int, int]]:
+    """{q_exp: {t_exp: coefficient}}."""
+    out: dict[int, dict[int, int]] = {}
+    for (qe, te), c in l.terms.items():
+        out.setdefault(qe, {})[te] = c
+    return out
+
+
 def qt_expand(f: RationalQT, qmax: int) -> QSeries:
     """Expand ``f`` as a q-power series, exactly, up to q-degree qmax.
 
     Requires the lowest-q coefficient of the (normalised) denominator to be a
-    single t-monomial; otherwise no Laurent-series expansion with t-Laurent
-    coefficients exists and an ExpansionError reports the offending
-    coefficient.
+    single t-monomial with coefficient 1: otherwise no Laurent-series
+    expansion with t-Laurent coefficients over Z exists, and an
+    ExpansionError reports the offending coefficient.
     """
     if f.is_zero():
         return QSeries({}, qmax)
-    den_by_q: dict[int, dict[int, Fraction]] = {}
-    for (qe, te), c in f.den.terms.items():
-        den_by_q.setdefault(qe, {})[te] = c
+    den_by_q = _by_q(f.den)
     d0 = min(den_by_q)  # = 0 after normalisation
     lead = den_by_q[d0]
     if len(lead) != 1:
@@ -602,26 +557,25 @@ def qt_expand(f: RationalQT, qmax: int) -> QSeries:
             "denominator's lowest q-degree coefficient is not a t-monomial: "
             f"q^{d0} coefficient has t-terms {sorted(lead)}"
         )
-    (lead_t, _), = lead.items()  # coefficient 1 by RationalQT normalisation
-    num_by_q: dict[int, dict[int, Fraction]] = {}
-    for (qe, te), c in f.num.terms.items():
-        num_by_q.setdefault(qe, {})[te] = c
-    n0 = min(num_by_q)
+    (lead_t, lead_c), = lead.items()
+    if lead_c != 1:
+        raise ExpansionError(
+            f"denominator's lowest q-degree coefficient {lead_c}*t^{lead_t} "
+            "is not 1, so the expansion leaves the integers"
+        )
+    num_by_q = _by_q(f.num)
     # series starts at q^(n0 - d0); S_r solved from S*den = num
-    series: dict[int, dict[int, Fraction]] = {}
-    start = n0 - d0
-    for r in range(start, qmax + 1):
+    series: dict[int, dict[int, int]] = {}
+    for r in range(min(num_by_q) - d0, qmax + 1):
         acc = dict(num_by_q.get(r + d0, {}))
         for i, di in den_by_q.items():
-            if i == d0 or r - (i - d0) < start:
-                continue
-            s_prev = series.get(r - (i - d0))
+            s_prev = series.get(r - (i - d0)) if i != d0 else None
             if not s_prev:
                 continue
             for te1, c1 in di.items():
                 for te2, c2 in s_prev.items():
                     te = te1 + te2
-                    acc[te] = acc.get(te, ZERO) - c1 * c2
+                    acc[te] = acc.get(te, 0) - c1 * c2
         coeff = {te - lead_t: c for te, c in acc.items() if c != 0}
         if coeff:
             series[r] = coeff

@@ -88,8 +88,6 @@ class CubeComplex:
     edges: list[CubeEdge]
     matrices: dict[int, KoszulMatrix]  # before the per-vertex reduction
     reductions: dict[int, Reduction]
-    reduced: bool = False
-    basepoint: str | None = None
 
     def dump(self) -> str:
         lines = [f"braid: {self.braid.strands} {list(self.braid.letters)}"]
@@ -226,10 +224,7 @@ def build_cube(
             cmap = FlipMap(reductions[src], reductions[tgt], noff + p,
                            *flip_factors(kind, flip[p]))
             edges.append(CubeEdge(src, tgt, p, sign, cmap))
-    return CubeComplex(
-        b, d, ring, vertices, jdeg, edges, matrices, reductions, reduced,
-        basepoint,
-    )
+    return CubeComplex(b, d, ring, vertices, jdeg, edges, matrices, reductions)
 
 
 def braid_homology(

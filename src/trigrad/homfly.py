@@ -35,7 +35,6 @@ formal square root A.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .algebra import LaurentQT, RationalQT
@@ -154,8 +153,8 @@ class TraceParams:
 def solve_trace_params() -> TraceParams:
     """delta = (1 + t^{-1}q)/(1 - q^2), z = 1/delta; the unique pair with
     delta*z = 1 and delta*(q^{-2} z + 1 - q^{-2}) = -t^{-1}q^{-1}."""
-    num = LaurentQT({(0, 0): Fraction(1), (1, -1): Fraction(1)})
-    den = LaurentQT({(0, 0): Fraction(1), (2, 0): Fraction(-1)})
+    num = LaurentQT({(0, 0): 1, (1, -1): 1})
+    den = LaurentQT({(0, 0): 1, (2, 0): -1})
     delta = RationalQT(num, den)
     return TraceParams(delta, delta.inverse())
 
@@ -238,7 +237,7 @@ def unknot_value() -> RationalQT:
     """t^{-1} / (q^{-1} - q)."""
     return RationalQT(
         LaurentQT.term(0, -1),
-        LaurentQT({(-1, 0): Fraction(1), (1, 0): Fraction(-1)}),
+        LaurentQT({(-1, 0): 1, (1, 0): -1}),
     )
 
 
@@ -292,34 +291,6 @@ class SqrtAlphaQT:
         if self.value.is_zero() and other.value.is_zero():
             return True
         return self.odd == other.odd and self.value == other.value
-
-    def mul_A(self, power: int = 1) -> "SqrtAlphaQT":
-        odd, value = self.odd, self.value
-        if power >= 0:
-            for _ in range(power):
-                if odd:
-                    odd, value = 0, value * ALPHA
-                else:
-                    odd = 1
-        else:
-            for _ in range(-power):
-                if odd:
-                    odd = 0
-                else:
-                    odd, value = 1, value * ALPHA.inverse()
-        return SqrtAlphaQT(odd, value)
-
-    def scaled(self, c: RationalQT) -> "SqrtAlphaQT":
-        return SqrtAlphaQT(self.odd, self.value * c)
-
-    def __sub__(self, other: "SqrtAlphaQT") -> "SqrtAlphaQT":
-        if self.value.is_zero():
-            return SqrtAlphaQT(other.odd, -other.value)
-        if other.value.is_zero():
-            return self
-        if self.odd != other.odd:
-            raise ValueError("mixed half-integer powers do not combine")
-        return SqrtAlphaQT(self.odd, self.value - other.value)
 
 
 def homfly_F_tilde(b: BraidWord) -> SqrtAlphaQT:

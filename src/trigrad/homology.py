@@ -355,7 +355,6 @@ def induced_map(
 class TriGradedDims:
     dims: dict[tuple[int, int, int], int]
     qmax: int
-    note: str = ""
 
     def __post_init__(self):
         self.dims = {

@@ -60,7 +60,7 @@ class TestPolynomial:
             p = r.zero()
             for _ in range(rng.randint(1, 4)):
                 e = tuple(rng.randint(0, 2) for _ in range(3))
-                p = p + Polynomial(r, {e: Fraction(rng.randint(-3, 3))})
+                p = p + Polynomial(r, {e: rng.randint(-3, 3)})
             return p
 
         for _ in range(40):
@@ -75,8 +75,8 @@ class TestPolynomial:
         for _ in range(30):
             ea = rng.randint(0, 2)
             e1 = rng.randint(0, 2)
-            p = Polynomial(r, {(ea, e1, 0): Fraction(2)})
-            q = Polynomial(r, {(0, rng.randint(0, 2), 1): Fraction(-1)})
+            p = Polynomial(r, {(ea, e1, 0): 2})
+            q = Polynomial(r, {(0, rng.randint(0, 2), 1): -1})
             dp = p.homogeneous_bidegree()
             dq = q.homogeneous_bidegree()
             assert (p * q).homogeneous_bidegree() == dp + dq
@@ -86,6 +86,27 @@ class TestPolynomial:
         assert ms[0] == (2, 0, 0)
         assert len(ms) == 6
         assert len(set(ms)) == 6
+
+
+class TestIntegerCoefficients:
+    def test_laurent_rejects_a_fraction(self):
+        with pytest.raises(ValueError, match=r"Fraction\(1, 2\)"):
+            LaurentQT({(0, 0): Fraction(1, 2)})
+        with pytest.raises(ValueError, match=r"Fraction\(3, 1\)"):
+            LaurentQT.term(1, 0, Fraction(3))
+
+    def test_series_rejects_a_fraction(self):
+        with pytest.raises(ValueError, match=r"Fraction\(1, 1\)"):
+            QSeries({0: {0: 1}, 2: {-1: Fraction(1)}}, 4)
+
+    def test_negative_lowest_denominator_term_flips_both_signs(self):
+        # 3q / (q^2 - 1) is stored as -3q / (1 - q^2), over Z
+        one, q = LaurentQT.one(), LaurentQT.term(1, 0)
+        f = RationalQT(q * 3, q * q - one)
+        assert f.den == one - q * q
+        assert f.num == q * -3
+        coeffs = [*f.num.terms.values(), *f.den.terms.values()]
+        assert all(type(c) is int for c in coeffs)
 
 
 class TestRationalQT:
@@ -140,12 +161,10 @@ class TestQtExpand:
     def test_unknot_series(self):
         f = RationalQT(
             LaurentQT.term(0, -1),
-            LaurentQT({(-1, 0): Fraction(1), (1, 0): Fraction(-1)}),
+            LaurentQT({(-1, 0): 1, (1, 0): -1}),
         )
         s = qt_expand(f, 5)
-        assert s == QSeries(
-            {1: {-1: Fraction(1)}, 3: {-1: Fraction(1)}, 5: {-1: Fraction(1)}}, 5
-        )
+        assert s == QSeries({1: {-1: 1}, 3: {-1: 1}, 5: {-1: 1}}, 5)
 
     def test_trivial_quotient(self):
         den = LaurentQT.term(2, 0) - LaurentQT.one()
@@ -161,8 +180,13 @@ class TestQtExpand:
             s = qt_expand(f, 14)
             assert _times(s, f.den) == _series(f.num, 14)
 
+    def test_non_unit_lowest_coefficient_is_refused(self):
+        den = LaurentQT({(0, 0): 2, (1, 0): 1})  # 2 + q
+        with pytest.raises(ExpansionError, match=r"\b2\*t\^0 is not 1"):
+            qt_expand(RationalQT(LaurentQT.one(), den), 5)
+
     def test_blocked_denominator_reports_coefficient(self):
-        den = LaurentQT({(0, 0): Fraction(1), (0, 1): Fraction(1)})  # 1 + t
+        den = LaurentQT({(0, 0): 1, (0, 1): 1})  # 1 + t
         with pytest.raises(ExpansionError, match="q\\^0"):
             qt_expand(RationalQT(LaurentQT.one(), den), 5)
 
@@ -170,9 +194,7 @@ class TestQtExpand:
 def _random_laurent(rng) -> LaurentQT:
     terms = {}
     for _ in range(rng.randint(1, 4)):
-        terms[(rng.randint(-2, 3), rng.randint(-2, 2))] = Fraction(
-            rng.randint(-4, 4) or 1
-        )
+        terms[(rng.randint(-2, 3), rng.randint(-2, 2))] = rng.randint(-4, 4) or 1
     return LaurentQT(terms)
 
 

@@ -1,23 +1,30 @@
 """No library code is reached only by tests.
 
-Every module-level function and class in ``src/trigrad`` must be named
-somewhere outside its own definition: in ``src/trigrad`` itself, in
-``demos/``, in ``perfbench/`` or in the acceptance suite
-``tests/test_acceptance.py``.  A name counts as a name token, or as a
-string literal that is exactly the name, since ``perfbench/spans.py``
-looks its hooks up by attribute name.  Click commands are exempt: the
-command line reaches them through their decorators.
+Every module-level function and class in ``src/trigrad``, every
+non-dunder method of its classes and every annotated field in a class
+body must be named somewhere outside its own definition: in
+``src/trigrad`` itself, in ``demos/``, in ``perfbench/`` or in the
+acceptance suite ``tests/test_acceptance.py``.
+
+Names are collected from the syntax tree: names, attribute names,
+imported names, keyword-argument names, and string constants that are
+exactly an identifier, since ``perfbench/spans.py`` looks its hooks up by
+attribute name.  Names inside f-strings count too.  Exempt are click
+commands, which the command line reaches through their decorators, and
+the members of classes with a base class from outside the package (such
+as the click overrides of ``cli._Cli``), which that base calls.
 
 A name check sees only direct references, so it cannot see code that is
 dead only transitively: a function whose only callers are themselves
 unreached passes, as ``shift_complex`` did while only ``cone``, reached
-by nothing but unit tests, called it.
+by nothing but unit tests, called it.  Nor does it know which class an
+attribute belongs to: a member passes if any attribute of that name is
+used, so ``CubeComplex.dump`` passes only because ``KoszulMatrix.dump``,
+which it calls, has the same name.
 """
 
 import ast
 import os
-import re
-import tokenize
 from collections import defaultdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -33,17 +40,25 @@ def _reaching_files():
     yield os.path.join(ROOT, "tests", "test_acceptance.py")
 
 
-def _names(path):
-    """(identifier, line) for each name token and each string literal that
-    is a bare identifier."""
-    with tokenize.open(path) as fh:
-        for tok in tokenize.generate_tokens(fh.readline):
-            if tok.type == tokenize.NAME:
-                yield tok.string, tok.start[0]
-            elif tok.type == tokenize.STRING:
-                quoted = re.fullmatch(r"(['\"])(\w+)\1", tok.string)
-                if quoted:
-                    yield quoted.group(2), tok.start[0]
+def _parse(path):
+    with open(path) as fh:
+        return ast.parse(fh.read())
+
+
+def _names(tree):
+    """(identifier, line) for each name the tree uses."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], node.lineno
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg, node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            yield node.value, node.lineno
 
 
 def _is_click_command(node):
@@ -54,28 +69,56 @@ def _is_click_command(node):
     return False
 
 
+def _members(cls):
+    """Non-dunder methods and annotated fields of a class body."""
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.name, node
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+
+
 def _definitions():
+    """(path, name, node) for each definition the check covers."""
+    trees = {}
     for name in sorted(os.listdir(PKG)):
-        if not name.endswith(".py"):
-            continue
-        path = os.path.join(PKG, name)
-        with open(path) as fh:
-            tree = ast.parse(fh.read())
+        if name.endswith(".py"):
+            path = os.path.join(PKG, name)
+            trees[path] = _parse(path)
+    own_classes = {node.name for tree in trees.values() for node in tree.body
+                   if isinstance(node, ast.ClassDef)}
+    for path, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)) and not _is_click_command(node):
-                yield path, node
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not _is_click_command(node):
+                    yield path, node.name, node
+            elif isinstance(node, ast.ClassDef):
+                yield path, node.name, node
+                if all(isinstance(b, ast.Name) and b.id in own_classes
+                       for b in node.bases):
+                    for name, member in _members(node):
+                        yield path, name, member
+
+
+def _span(node):
+    decorators = getattr(node, "decorator_list", [])
+    first = min([node.lineno] + [d.lineno for d in decorators])
+    return range(first, node.end_lineno + 1)
+
+
+def _unreached():
+    uses = defaultdict(set)
+    for path in _reaching_files():
+        for name, line in _names(_parse(path)):
+            uses[name].add((path, line))
+    return [
+        f"{os.path.relpath(path, ROOT)}: {name}"
+        for path, name, node in _definitions()
+        if not uses[name] - {(path, line) for line in _span(node)}
+    ]
 
 
 def test_every_library_name_is_reached_outside_the_unit_tests():
-    uses = defaultdict(set)
-    for path in _reaching_files():
-        for name, line in _names(path):
-            uses[name].add((path, line))
-    unreached = []
-    for path, node in _definitions():
-        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-        own = {(path, line) for line in range(first, node.end_lineno + 1)}
-        if not uses[node.name] - own:
-            unreached.append(f"{os.path.relpath(path, ROOT)}: {node.name}")
+    unreached = _unreached()
     assert not unreached, "reached only by unit tests: " + ", ".join(unreached)

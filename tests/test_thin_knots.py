@@ -8,16 +8,13 @@ table cut at qmax has at most that rank, so equality also shows that the
 table is complete; a truncated table fails it.
 """
 
-from fractions import Fraction
-
 import pytest
 
 from trigrad.algebra import LaurentQT
 from trigrad.braid import parse_braid
-from trigrad.cube import braid_homology
 from trigrad.homfly import homfly_F
 
-ONE_MINUS_Q2 = LaurentQT({(0, 0): Fraction(1), (2, 0): Fraction(-1)})
+ONE_MINUS_Q2 = LaurentQT({(0, 0): 1, (2, 0): -1})
 
 
 def _thin_rank(word: str) -> int:
@@ -26,10 +23,6 @@ def _thin_rank(word: str) -> int:
     f = homfly_F(parse_braid(word))
     assert f.den == ONE_MINUS_Q2
     return sum(abs(c) for c in f.num.terms.values())
-
-
-def _table(word: str, qmax: int) -> dict[tuple[int, int, int], int]:
-    return braid_homology(parse_braid(word), qmax, reduced=True).dims
 
 
 # each qmax is the top l of its table; the rank identity shows that no
@@ -45,13 +38,15 @@ def _table(word: str, qmax: int) -> dict[tuple[int, int, int], int]:
         ("1 1 1 1 1 1 1", 13, 7, -2),  # T(2,7)
     ],
 )
-def test_two_bridge_table_is_thin_and_complete(word, qmax, rank, delta):
-    table = _table(word, qmax)
+def test_two_bridge_table_is_thin_and_complete(
+    reduced_table, word, qmax, rank, delta
+):
+    table = reduced_table(word, qmax)
     assert sum(table.values()) == _thin_rank(word) == rank
     assert {2 * j + 3 * k + l for j, k, l in table} == {delta}
 
 
-def test_truncated_table_fails_the_rank_identity():
+def test_truncated_table_fails_the_rank_identity(reduced_table):
     # T(2,7) at q11 misses its entries at l = 12 and 13
     word = "1 1 1 1 1 1 1"
-    assert sum(_table(word, 11).values()) == 5 < _thin_rank(word)
+    assert sum(reduced_table(word, 11).values()) == 5 < _thin_rank(word)

@@ -9,9 +9,6 @@ complete only when its rank reaches n.
 
 import pytest
 
-from trigrad.braid import BraidWord
-from trigrad.cube import braid_homology
-
 
 def _theorem(n: int) -> dict[tuple[int, int, int], int]:
     table = {(-2 * i, -1, 4 * i + 1): 1 for i in range((n - 1) // 2 + 1)}
@@ -19,10 +16,9 @@ def _theorem(n: int) -> dict[tuple[int, int, int], int]:
     return table
 
 
-def _table(
-    n: int, qmax: int, sign: int = 1
-) -> dict[tuple[int, int, int], int]:
-    return braid_homology(BraidWord(2, (sign,) * n), qmax, reduced=True).dims
+def _word(n: int, sign: int = 1) -> str:
+    """sigma_1^(sign * n), whose closure is T(2, sign * n)."""
+    return " ".join([str(sign)] * n)
 
 
 def _complete(table: dict, n: int) -> bool:
@@ -30,26 +26,27 @@ def _complete(table: dict, n: int) -> bool:
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
-def test_whole_table_matches_the_theorem(n):
+def test_whole_table_matches_the_theorem(reduced_table, n):
     expect = _theorem(n)
     assert sum(expect.values()) == n
     assert max(l for _, _, l in expect) == 2 * n - 1
-    table = _table(n, 2 * n - 1)
+    table = reduced_table(_word(n), 2 * n - 1)
     assert _complete(table, n)
     assert table == expect
 
 
-def test_truncated_table_is_not_complete():
+def test_truncated_table_is_not_complete(reduced_table):
     # T(2,7) at q11 misses the entries at l = 12 and 13
-    table = _table(7, 11)
+    table = reduced_table(_word(7), 11)
     assert sum(table.values()) == 5
     assert not _complete(table, 7)
     assert table != _theorem(7)
 
 
 @pytest.mark.parametrize("n", [3, 5])
-def test_mirror_table_is_the_dual_table(n):
-    table, mirror = _table(n, 12), _table(n, 12, sign=-1)
+def test_mirror_table_is_the_dual_table(reduced_table, n):
+    table = reduced_table(_word(n), 12)
+    mirror = reduced_table(_word(n, sign=-1), 12)
     assert _complete(table, n) and _complete(mirror, n)
     assert mirror == {
         (1 - j, -3 - k, 1 - l): d for (j, k, l), d in table.items()
