@@ -259,8 +259,9 @@ def homfly(braid, strands, qmax, as_json, out):
 def euler_check(braid, strands, qmax, reduced, basepoint, marks, as_json, out, workers):
     """Compare the homology Euler characteristic against the trace oracle.
 
-    With --reduced the oracle side is F * (1 - q^2), since H = Hbar (x) Q[x].
-    """
+    The homology comes from the reduced cube either way: without --reduced
+    it is Hbar (x) Q[x] and the oracle side is F; with --reduced it is Hbar
+    and the oracle side is F * (1 - q^2)."""
     workers = _workers(workers)
     _check_config(qmax, workers, marks)
     _reject_json(as_json, "euler-check")

@@ -27,6 +27,10 @@ complexes as pi_tgt o psi o iota_src (`FlipMap`), through the inclusion and
 projection of the two ends' reductions.  These are homotopy equivalences,
 so the induced maps on vertex homology are those of psi up to vertex
 isomorphisms, and cube squares anticommute on homology.
+
+`braid_homology` always builds the reduced cube (one mark set to zero, one
+variable fewer at every vertex); the unreduced table is Hbar (x) Q[x].  Only
+`reduce_mode_check` builds the unreduced cube, to test that identity.
 """
 
 from __future__ import annotations
@@ -72,40 +76,19 @@ def resolve(d: MarkedDiagram, mask: int) -> ResolutionGraph:
 @dataclass(frozen=True)
 class CubeEdge:
     src: int
-    tgt: int
-    crossing: int
+    tgt: int  # differs from src in the bit of its crossing
     sign: int
     cmap: FlipMap
 
 
 @dataclass
 class CubeComplex:
-    braid: BraidWord
-    diagram: MarkedDiagram
     ring: PolyRing
     vertices: dict[int, FactorComplex]  # realized after the reduction
     jdeg: dict[int, int]
     edges: list[CubeEdge]
     matrices: dict[int, KoszulMatrix]  # before the per-vertex reduction
     reductions: dict[int, Reduction]
-
-    def dump(self) -> str:
-        lines = [f"braid: {self.braid.strands} {list(self.braid.letters)}"]
-        lines.append(f"ring: {' '.join(self.ring.names)}")
-        for mask in sorted(self.vertices):
-            red = self.reductions[mask]
-            excluded = " ".join(st.var for st in red.steps if st.drop)
-            relations = ", ".join(f"{y}: {f}" for y, f in red.matrix.relations)
-            lines.append(f"vertex {mask:0{len(self.diagram.crossings)}b} "
-                         f"j={self.jdeg[mask]} excluded: {excluded} "
-                         f"relations: {relations}")
-            lines.append(self.vertices[mask].dump())
-        for e in self.edges:
-            lines.append(
-                f"edge {e.src}->{e.tgt} at {e.crossing} sign {e.sign}: "
-                f"row {e.cmap.row} odd {e.cmap.odd} even {e.cmap.even}"
-            )
-        return "\n".join(lines)
 
 
 def build_cube(
@@ -223,8 +206,8 @@ def build_cube(
             sign = -1 if bin(mask & ((1 << p) - 1)).count("1") % 2 else 1
             cmap = FlipMap(reductions[src], reductions[tgt], noff + p,
                            *flip_factors(kind, flip[p]))
-            edges.append(CubeEdge(src, tgt, p, sign, cmap))
-    return CubeComplex(b, d, ring, vertices, jdeg, edges, matrices, reductions)
+            edges.append(CubeEdge(src, tgt, sign, cmap))
+    return CubeComplex(ring, vertices, jdeg, edges, matrices, reductions)
 
 
 def braid_homology(
@@ -235,19 +218,32 @@ def braid_homology(
     marks_per_segment: int = 1,
     workers: int = 1,
 ) -> TriGradedDims:
-    cube = build_cube(b, reduced, basepoint, marks_per_segment)
-    return link_homology(cube, qmax, workers=workers)
+    """Homology of the closure of b up to q-degree qmax, from the reduced
+    cube (mark `basepoint`, default x1, set to zero).  The unreduced table
+    is H = Hbar (x) Q[x] with x in (0, 0, 2) (Rasmussen, math/0607544):
+    H at l sums Hbar at l, l-2, ..., so it is exact up to qmax.  The direct
+    unreduced cube is built only by `reduce_mode_check`."""
+    cube = build_cube(b, True, basepoint, marks_per_segment)
+    red = link_homology(cube, qmax, workers=workers)
+    if reduced:
+        return red
+    dims: dict[tuple[int, int, int], int] = {}
+    for (j, k, l), d in red.dims.items():
+        for ll in range(l, qmax + 1, 2):
+            dims[j, k, ll] = dims.get((j, k, ll), 0) + d
+    return TriGradedDims(dims, qmax)
 
 
 def reduce_mode_check(
     b: BraidWord,
     qmax: int,
     basepoint: str | None = None,
-    margin: int = 2,
+    margin: int = 0,
     workers: int = 1,
 ) -> bool:
-    """Does H = Hbar (x) Q[x] hold slice-by-slice up to the cutoff margin?"""
-    unred = braid_homology(b, qmax, workers=workers)
+    """Does H = Hbar (x) Q[x] hold slice-by-slice up to qmax - margin, with
+    H from the direct unreduced cube?"""
+    unred = link_homology(build_cube(b), qmax, workers=workers)
     red = braid_homology(b, qmax, reduced=True, basepoint=basepoint, workers=workers)
     limit = qmax - margin
     if not red.dims:

@@ -67,15 +67,6 @@ class FactorComplex:
                         f"d^2 fails at {s}->{tgt}: got {p}, want {expect}"
                     )
 
-    def dump(self) -> str:
-        lines = []
-        for i, g in enumerate(self.gens):
-            lines.append(f"gen {i}: parity {g.parity} {g.bidegree}")
-        for s in sorted(self.d):
-            for t in sorted(self.d[s]):
-                lines.append(f"d: {s} -> {t}: {self.d[s][t]}")
-        return "\n".join(lines)
-
 
 def _popcount_below(mask: int, k: int) -> int:
     return bin(mask & ((1 << k) - 1)).count("1")

@@ -4,6 +4,7 @@ import pytest
 
 from trigrad.algebra import Bidegree
 from trigrad.braid import build_marked_diagram, parse_braid
+import trigrad.cube as cube_module
 from trigrad.cube import braid_homology, build_cube, reduce_mode_check, resolve
 from trigrad.factor_complex import ChainMap, realize
 from trigrad.homology import (
@@ -78,10 +79,11 @@ class TestBuildCube:
             for e1 in cube.edges:
                 for e2 in out[e1.tgt]:
                     for f1 in out[e1.src]:
-                        if f1.crossing != e2.crossing:
+                        if f1.src ^ f1.tgt != e2.src ^ e2.tgt:
                             continue
                         for f2 in out[f1.tgt]:
-                            if f2.crossing != e1.crossing or f2.tgt != e2.tgt:
+                            if (f2.src ^ f2.tgt != e1.src ^ e1.tgt
+                                    or f2.tgt != e2.tgt):
                                 continue
                             a = flips[e2.src, e2.tgt].compose(flips[e1.src, e1.tgt])
                             b = flips[f2.src, f2.tgt].compose(flips[f1.src, f1.tgt])
@@ -107,7 +109,7 @@ class TestBuildCube:
                 for p, s in enumerate(b.letters)
                 if s > 0 and not mask >> p & 1
             ) + sum(-2 for s in b.letters if s < 0)
-            hg = graph_homology(resolve(cube.diagram, mask), 8)
+            hg = graph_homology(resolve(build_marked_diagram(b), mask), 8)
             ks = sorted({g.bidegree.k for g in cx.gens})
             lmin = min(g.bidegree.l for g in cx.gens)
             dims = {}
@@ -120,16 +122,37 @@ class TestBuildCube:
                 key: v for key, v in hg.dims.items() if key[2] <= 8
             }, mask
 
-    def test_deterministic_dump(self):
+    def test_deterministic_build(self):
         a = build_cube(parse_braid("1 -2"))
         b = build_cube(parse_braid("1 -2"))
-        assert a.dump() == b.dump()
+        assert a.ring == b.ring
+        assert a.vertices == b.vertices
+        assert a.jdeg == b.jdeg
+        for mask in a.vertices:
+            ra, rb = a.reductions[mask], b.reductions[mask]
+            assert ra.steps == rb.steps
+            assert ra.matrix.relations == rb.matrix.relations
 
-    def test_dump_lists_each_vertex_reduction(self):
-        lines = build_cube(parse_braid("1 1 1")).dump().splitlines()
-        assert "vertex 000 j=-3 excluded: x4 x6 relations: " in lines
-        assert ("vertex 011 j=-1 excluded: x6 relations: "
-                "x4: -x4^2 + x4*x7 + x4*x8 - x7*x8") in lines
+        def edges(cube):
+            return [(e.src, e.tgt, e.sign, e.cmap.row, e.cmap.odd, e.cmap.even)
+                    for e in cube.edges]
+
+        assert edges(a) == edges(b)
+
+    def test_each_vertex_keeps_its_reduction(self):
+        cube = build_cube(parse_braid("1 1 1"))
+
+        def excluded(mask):
+            return [st.var for st in cube.reductions[mask].steps if st.drop]
+
+        def relations(mask):
+            return [(y, str(f))
+                    for y, f in cube.reductions[mask].matrix.relations]
+
+        assert (cube.jdeg[0b000], excluded(0b000), relations(0b000)) == (
+            -3, ["x4", "x6"], [])
+        assert (cube.jdeg[0b011], excluded(0b011), relations(0b011)) == (
+            -1, ["x6"], [("x4", "-x4^2 + x4*x7 + x4*x8 - x7*x8")])
 
     def test_open_braid_never_happens(self):
         # closures are always closed; the guard is on the shared potential
@@ -162,12 +185,65 @@ class TestReduced:
         with pytest.raises(InconclusiveComparison):
             reduce_mode_check(parse_braid("", strands=1), 2, margin=2)
 
+    @pytest.mark.parametrize("text, strands, qmax", [
+        ("", 3, 10),
+        ("1 1", 3, 10),
+        ("1 1 1 1", None, 10),
+        ("-1 -1", None, 10),
+        ("1 1 -2 1 -2", None, 10),
+    ], ids=["unlink3", "hopf-on-3-strands", "T(2,4)", "negative-hopf",
+            "1 1 -2 1 -2"])
+    def test_links_match_exactly_up_to_qmax(self, text, strands, qmax):
+        assert reduce_mode_check(parse_braid(text, strands), qmax, margin=0)
+
+    def test_direct_side_builds_the_unreduced_cube(self, monkeypatch):
+        real = cube_module.build_cube
+        seen = []
+
+        def spy(b, reduced=False, *args, **kwargs):
+            seen.append(reduced)
+            return real(b, reduced, *args, **kwargs)
+
+        monkeypatch.setattr(cube_module, "build_cube", spy)
+        assert reduce_mode_check(parse_braid("1 1"), 8)
+        assert sorted(seen) == [False, True]
+
+    def test_perturbed_direct_side_fails(self, monkeypatch):
+        # one extra class in the direct unreduced table must be caught
+        real_build, real_link = cube_module.build_cube, cube_module.link_homology
+        direct = []
+
+        def build(b, reduced=False, *args, **kwargs):
+            cube = real_build(b, reduced, *args, **kwargs)
+            if not reduced:
+                direct.append(cube)
+            return cube
+
+        def link(cube, qmax, **kwargs):
+            h = real_link(cube, qmax, **kwargs)
+            if any(cube is c for c in direct):
+                h.dims[max(h.dims)] += 1
+            return h
+
+        monkeypatch.setattr(cube_module, "build_cube", build)
+        monkeypatch.setattr(cube_module, "link_homology", link)
+        assert not reduce_mode_check(parse_braid("1 1"), 8)
+        assert direct
+
 
 class TestMarks:
     def test_mark_count_does_not_change_homology(self):
         b = parse_braid("1 -1")
         h1 = braid_homology(b, 8, marks_per_segment=1)
         h2 = braid_homology(b, 8, marks_per_segment=2)
+        assert h1.dims == h2.dims
+
+    def test_mark_count_does_not_change_the_direct_unreduced_cube(self):
+        # braid_homology goes through the reduced cube; this checks the
+        # unreduced one built directly
+        b = parse_braid("1 -1")
+        h1 = link_homology(build_cube(b, marks_per_segment=1), 8)
+        h2 = link_homology(build_cube(b, marks_per_segment=2), 8)
         assert h1.dims == h2.dims
 
 

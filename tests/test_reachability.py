@@ -19,8 +19,8 @@ dead only transitively: a function whose only callers are themselves
 unreached passes, as ``shift_complex`` did while only ``cone``, reached
 by nothing but unit tests, called it.  Nor does it know which class an
 attribute belongs to: a member passes if any attribute of that name is
-used, so ``CubeComplex.dump`` passes only because ``KoszulMatrix.dump``,
-which it calls, has the same name.
+used, as ``CubeComplex.dump`` did, only because ``KoszulMatrix.dump``,
+which it called, has the same name.
 """
 
 import ast

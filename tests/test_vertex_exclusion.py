@@ -99,10 +99,10 @@ def test_squares_anticommute_on_homology(word):
     for e1 in cube.edges:
         for e2 in out[e1.tgt]:
             for f1 in out[e1.src]:
-                if f1.crossing != e2.crossing:
+                if f1.src ^ f1.tgt != e2.src ^ e2.tgt:
                     continue
                 for f2 in out[f1.tgt]:
-                    if f2.crossing == e1.crossing and f2.tgt == e2.tgt:
+                    if f2.src ^ f2.tgt == e1.src ^ e1.tgt and f2.tgt == e2.tgt:
                         squares.append((e1, e2, f1, f2))
     assert squares
     ks = sorted({g.bidegree.k for cx in cube.vertices.values() for g in cx.gens})
