@@ -99,10 +99,6 @@ class PolyRing:
         return PolyRing(tuple(n for n in self.names if n != name))
 
 
-def ring(*names: str) -> PolyRing:
-    return PolyRing(tuple(names))
-
-
 def _integer(c) -> int:
     if not isinstance(c, int):
         raise ValueError(f"coefficient {c!r} is not an integer")
@@ -201,34 +197,7 @@ class Polynomial:
                 return c
         return None
 
-    # -- substitution ---------------------------------------------------------
-
-    def substitute(self, name: str, value: "Polynomial") -> "Polynomial":
-        """Replace every occurrence of `name` by `value` (same ring; `value`
-        must not contain `name`, except for the identity substitution)."""
-        self._check(value)
-        if value.contains(name):
-            if value == self.ring.var(name):
-                return self
-            raise ValueError(f"substitution value contains {name!r}")
-        i = self.ring.index(name)
-        maxdeg = self.degree_in(name)
-        if not maxdeg:
-            return self
-        powers = [self.ring.one()]
-        for _ in range(maxdeg):
-            powers.append(powers[-1] * value)
-        terms: dict[tuple[int, ...], int] = {}
-        for e, c in self.terms.items():
-            d = e[i]
-            if not d:
-                terms[e] = terms.get(e, 0) + c
-                continue
-            base = e[:i] + (0,) + e[i + 1 :]
-            for pe, pc in powers[d].terms.items():
-                ne = tuple(map(int.__add__, base, pe))
-                terms[ne] = terms.get(ne, 0) + c * pc
-        return Polynomial(self.ring, terms)
+    # -- change of ring -------------------------------------------------------
 
     def drop_variable(self, name: str) -> "Polynomial":
         """Re-express over the ring without `name` (which must not occur)."""

@@ -10,6 +10,10 @@ second row that depends on the resolution:
     0-smoothing:  (0, x2-x3)                middle shift {-1,1}
     wide edge:    (0, (x2-x3)(x4-x2))       middle shift {-1,3}
 
+The reduced complex sets one mark x_b to zero: its shared rows begin with
+the row (0, x_b), which the shared `exclude_all` takes as its first linear
+pick (mu = 0) and removes together with x_b.
+
 After the shared reduction each vertex runs `exclude_all` once more.  Its
 linear picks remove the rows (0, x2-x3) of the 0-smoothings (and any other
 linear row) together with one variable each.  Its monic picks then move a
@@ -17,7 +21,8 @@ triangular set of the rows left, each monic of degree m in its own
 variable y (a wide edge's row is, up to sign, monic of degree 2 in x2),
 into relations, and the vertex is realized over R/(relations): generators
 (row subset, standard monomial), over the variables that are neither
-excluded nor picked.  Each vertex keeps the steps as a `Reduction`.
+excluded nor picked.  The steps of a vertex make its `Reduction`, which
+every edge at that vertex shares.
 
 The edge maps are psi'(x4-x2) (positive crossings, 0 -> 1, the map chi_0) and
 psi(x4-x2) (negative crossings, 1 -> 0, the map chi_1).  Both are diagonal in
@@ -87,8 +92,6 @@ class CubeComplex:
     vertices: dict[int, FactorComplex]  # realized after the reduction
     jdeg: dict[int, int]
     edges: list[CubeEdge]
-    matrices: dict[int, KoszulMatrix]  # before the per-vertex reduction
-    reductions: dict[int, Reduction]
 
 
 def build_cube(
@@ -106,35 +109,18 @@ def build_cube(
 
     a = full.var("a")
     shared_rows = []
+    if reduced:
+        # the first linear pick of `exclude_all` removes (0, x_b) with x_b
+        basepoint = basepoint or names[0]
+        if basepoint not in names:
+            raise ValueError(f"unknown basepoint {basepoint!r}")
+        shared_rows.append(make_row(full.zero(), full.var(basepoint)))
     for c in d.crossings:
         shared_rows.append(
             make_row(a, var(c.x1) + var(c.x2) - var(c.x3) - var(c.x4))
         )
     for t, h in d.arcs:
         shared_rows.append(make_row(a, var(h) - var(t)))
-    lin = [var(c.x2) - var(c.x3) for c in d.crossings]
-    quad = [
-        (var(c.x2) - var(c.x3)) * (var(c.x4) - var(c.x2)) for c in d.crossings
-    ]
-    flip = [var(c.x4) - var(c.x2) for c in d.crossings]
-
-    if reduced:
-        basepoint = basepoint or names[0]
-        if basepoint not in names:
-            raise ValueError(f"unknown basepoint {basepoint!r}")
-        zero = full.zero()
-        shared_rows = [
-            KoszulRow(
-                r.left.substitute(basepoint, zero).drop_variable(basepoint),
-                r.right.substitute(basepoint, zero).drop_variable(basepoint),
-                r.shift,
-            )
-            for r in shared_rows
-        ]
-        lin = [p.substitute(basepoint, zero).drop_variable(basepoint) for p in lin]
-        quad = [p.substitute(basepoint, zero).drop_variable(basepoint) for p in quad]
-        flip = [p.substitute(basepoint, zero).drop_variable(basepoint) for p in flip]
-        full = full.without(basepoint)
 
     shared = KoszulMatrix(full, tuple(shared_rows))
     if not shared.potential().is_zero():
@@ -146,20 +132,20 @@ def build_cube(
     leftover = shared.rows  # only (0,0) rows can remain (circles etc.)
 
     def resolve_poly(p: Polynomial) -> Polynomial:
-        p = p.drop_variable("a") if "a" in p.ring.names else p
+        p = p.drop_variable("a")
         for ex in chain:
             p = ex.reduce(p)
         return p
 
-    lin = [resolve_poly(p) for p in lin]
-    quad = [resolve_poly(p) for p in quad]
-    flip = [resolve_poly(p) for p in flip]
+    # the chain is linear, so resolving is a ring homomorphism
+    lin = [resolve_poly(var(c.x2) - var(c.x3)) for c in d.crossings]
+    flip = [resolve_poly(var(c.x4) - var(c.x2)) for c in d.crossings]
+    quad = [f * g for f, g in zip(lin, flip)]
 
     nc = len(d.crossings)
     signs = [c.sign for c in d.crossings]
     vertices: dict[int, FactorComplex] = {}
     jdeg: dict[int, int] = {}
-    matrices: dict[int, KoszulMatrix] = {}
     reductions: dict[int, Reduction] = {}
     for mask in range(1 << nc):
         rows = list(leftover)
@@ -180,16 +166,11 @@ def build_cube(
                 j += 1 - bit
                 lshift -= 2
         km = KoszulMatrix(
-            ring,
-            tuple(rows),
-            (),
-            shared.global_shift + Bidegree(0, lshift),
-            shared.global_parity,
+            ring, tuple(rows), (), shared.global_shift + Bidegree(0, lshift)
         )
         small, steps = exclude_all(km)
-        matrices[mask] = km
         vertices[mask] = realize(small)
-        reductions[mask] = Reduction(steps, small, ring)
+        reductions[mask] = Reduction(km, steps, small)
         jdeg[mask] = j
 
     noff = len(leftover)
@@ -207,7 +188,7 @@ def build_cube(
             cmap = FlipMap(reductions[src], reductions[tgt], noff + p,
                            *flip_factors(kind, flip[p]))
             edges.append(CubeEdge(src, tgt, sign, cmap))
-    return CubeComplex(ring, vertices, jdeg, edges, matrices, reductions)
+    return CubeComplex(ring, vertices, jdeg, edges)
 
 
 def braid_homology(

@@ -38,7 +38,6 @@ Element = dict[int, Polynomial]  # generator index -> coefficient
 
 @dataclass(frozen=True)
 class Generator:
-    parity: int
     bidegree: Bidegree
 
 
@@ -90,9 +89,8 @@ def realize(m: KoszulMatrix) -> FactorComplex:
         for r in range(n):
             if mask >> r & 1:
                 bid = bid + m.rows[r].shift
-        parity = (bin(mask).count("1") + m.global_parity) % 2
-        for u, ub in zip(monos, ubid):
-            gens.append(Generator(parity, bid + ub))
+        for ub in ubid:
+            gens.append(Generator(bid + ub))
     table = [(quo.times(r.left), quo.times(r.right)) for r in m.rows]
     d: Matrix = {}
     for mask in range(1 << n):
@@ -255,8 +253,7 @@ def flip_map(
     rows[row_index] = new_row
     m2 = replace(m, rows=tuple(rows))
     src, tgt = realize(m), realize(m2)
-    f = FlipMap(Reduction((), m, m.ring), Reduction((), m2, m.ring),
-                row_index, odd, even)
+    f = FlipMap(Reduction(m, (), m), Reduction(m2, (), m2), row_index, odd, even)
     one = m.ring.one()
     mat = {s: r for s in range(src.rank()) if (r := f.apply({s: one}))}
     return ChainMap(src, tgt, mat, ydeg if kind == "psi'" else BIDEG_ZERO), m2
@@ -311,9 +308,9 @@ def _sign(mask: int, k: int) -> int:
 
 class Reduction:
     """How a cube vertex, realized after its reduction, sits in the complex
-    of its unreduced matrix, realize(big) over `outer`.  The `steps` are
-    those of `exclude_all`, the linear exclusions first and then the monic
-    picks; they lead from big to `matrix`.
+    of its unreduced matrix `big`, realize(big) over big.ring.  The `steps`
+    are those of `exclude_all` on big, the linear exclusions first and then
+    the monic picks; they lead from big to `matrix`.
 
     A step removes row i = (0, f), f = ±y^m + terms of lower y-degree, from
     a Koszul complex K over A = R/(earlier relations); the earlier relations
@@ -341,9 +338,9 @@ class Reduction:
     The lifts iota(e_(S,u)) and sigma of each monomial are cached here, so
     every cube edge at this vertex shares them."""
 
-    def __init__(self, steps: Sequence[Exclusion], matrix: KoszulMatrix,
-                 outer: PolyRing):
-        self.steps, self.matrix, self.outer = tuple(steps), matrix, outer
+    def __init__(self, big: KoszulMatrix, steps: Sequence[Exclusion],
+                 matrix: KoszulMatrix):
+        self.big, self.steps, self.matrix = big, tuple(steps), matrix
         self.quo = Quotient(matrix)
         self.ring = self.quo.ring
         self._lifts: dict[int, Element] = {}
@@ -400,13 +397,13 @@ class Reduction:
 
     def substitute(self, p: Polynomial) -> dict[int, dict[tuple[int, ...], int]]:
         """sigma(p), split over u as {index of u: terms over `ring`}, for p
-        over `outer` or over a ring of some of its variables."""
+        over big.ring or over a ring of some of its variables."""
         cache = self._sigma.setdefault(p.ring.names, {})
         parts: dict[int, dict[tuple[int, ...], int]] = {}
         for e, c in p.terms.items():
             image = cache.get(e)
             if image is None:
-                mono = Polynomial(p.ring, {e: 1}).map_to_ring(self.outer)
+                mono = Polynomial(p.ring, {e: 1}).map_to_ring(self.big.ring)
                 for st in self.steps:
                     mono = st.reduce(mono)
                 image = cache[e] = self.quo.split(mono)

@@ -515,9 +515,7 @@ def hom_space_dim(
     if m_src.potential() != n_tgt.potential():
         raise ValueError("potential mismatch")
     k = tensor_matrices(n_tgt, dualize(m_src))
-    k = KoszulMatrix(
-        k.ring, k.rows, (), k.global_shift, k.global_parity
-    )
+    k = KoszulMatrix(k.ring, k.rows, (), k.global_shift)
     if not k.potential().is_zero():
         raise AssertionError("tensor with the dual must kill the potential")
     k, _ = exclude_all(k)

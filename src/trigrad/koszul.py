@@ -81,7 +81,6 @@ class KoszulMatrix:
     rows: tuple[KoszulRow, ...]
     external_signs: tuple[tuple[str, int], ...] = ()
     global_shift: Bidegree = BIDEG_ZERO
-    global_parity: int = 0
     # (y, f): the rows live over R/(f, ...), see `exclude_all`
     relations: tuple[tuple[str, Polynomial], ...] = ()
 
@@ -118,10 +117,8 @@ class KoszulMatrix:
                 f"{'+' if s > 0 else '-'}{n}" for n, s in self.external_signs
             )
             lines.append(f"externals: {ext}")
-        if self.global_shift != BIDEG_ZERO or self.global_parity:
-            lines.append(
-                f"global: {self.global_shift} parity {self.global_parity}"
-            )
+        if self.global_shift != BIDEG_ZERO:
+            lines.append(f"global: {self.global_shift}")
         return "\n".join(lines)
 
 
@@ -259,8 +256,7 @@ def aggregate_a(m: KoszulMatrix) -> KoszulMatrix:
 def strip_a(m: KoszulMatrix) -> KoszulMatrix:
     """Remove the (a, 0) row together with the variable a.  Only valid for
     closed matrices where a occurs in no other row.  The surviving generator
-    of that row sits in its middle shift, so the global shift gains it and
-    the parity flips."""
+    of that row sits in its middle shift, so the global shift gains it."""
     if not m.is_closed():
         raise ValueError("strip_a needs a closed matrix")
     a = m.ring.var("a")
@@ -288,7 +284,6 @@ def strip_a(m: KoszulMatrix) -> KoszulMatrix:
         ring=newring,
         rows=tuple(rows),
         global_shift=m.global_shift + m.rows[pivot].shift,
-        global_parity=(m.global_parity + 1) % 2,
     )
 
 
@@ -330,7 +325,6 @@ def tensor_matrices(m1: KoszulMatrix, m2: KoszulMatrix) -> KoszulMatrix:
         m1.rows + m2.rows,
         tuple((n, s) for n, s in ext.items() if s != 0),
         m1.global_shift + m2.global_shift,
-        (m1.global_parity + m2.global_parity) % 2,
     )
 
 

@@ -25,27 +25,6 @@ def x(r, i):
 
 
 class TestPolynomial:
-    def test_substitute_mark_removal(self):
-        r = ring5()
-        p = x(r, 1) * x(r, 5) - x(r, 3) * x(r, 4)
-        q = p.substitute("x5", x(r, 2))
-        assert q == x(r, 1) * x(r, 2) - x(r, 3) * x(r, 4)
-
-    def test_substitute_identity(self):
-        r = ring5()
-        p = x(r, 1) * x(r, 2) + x(r, 3)
-        assert p.substitute("x1", x(r, 1)) == p
-
-    def test_substitute_zero(self):
-        r = ring5()
-        p = x(r, 1) * x(r, 2) + x(r, 1)
-        assert p.substitute("x2", r.zero()) == x(r, 1)
-
-    def test_substitute_unknown_variable(self):
-        r = ring5()
-        with pytest.raises(KeyError):
-            x(r, 1).substitute("zz", r.zero())
-
     def test_monomial_bidegree(self):
         r = PolyRing(("a", "x1", "x2", "x3"))
         assert r.monomial_bidegree((2, 1, 1, 0)) == Bidegree(4, 4)

@@ -284,8 +284,8 @@ def _contractible_pair(r, unit, bidegree):
     from trigrad.factor_complex import FactorComplex, Generator
 
     gens = (
-        Generator(0, bidegree),
-        Generator(1, bidegree + Bidegree(1, 1)),
+        Generator(bidegree),
+        Generator(bidegree + Bidegree(1, 1)),
     )
     return FactorComplex(r, gens, {0: {1: r.const(unit)}}, r.zero())
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import vertex_reductions
 from trigrad.algebra import Bidegree, PolyRing, QSeries
 from trigrad.braid import BraidWord, build_marked_diagram, parse_braid
 from trigrad.catalog import closed_matrix, hom_pair
@@ -258,12 +259,12 @@ class TestInducedMap:
         assert y.homogeneous_bidegree() == Bidegree(0, 2)
         assert edge.cmap.odd == one
         row = edge.cmap.row
-        red0, red1 = cube.reductions[0], cube.reductions[1]
+        reds = vertex_reductions(cube)
+        red0, red1 = reds[0], reds[1]
         # chi_1 back; in absolute gradings the {0,2} cone shift of the source
         # vertex moves its bidegree from (0,0) to (0,2)
         chi1 = FlipMap(red1, red0, row, y, one)
-        raw0 = realize(cube.matrices[0])
-        raw1 = realize(cube.matrices[1])
+        raw0, raw1 = realize(red0.big), realize(red1.big)
         diagonal = {s: {s: y if s >> row & 1 else one} for s in range(raw1.rank())}
         ChainMap(raw1, raw0, diagonal, Bidegree(0, 2)).verify_chain_map()
         mult = FlipMap(red0, red0, row, y, y)

@@ -276,7 +276,6 @@ class TestAggregateStrip:
         assert m.rows == ()
         assert m.ring.names == ("x1",)
         assert m.global_shift == Bidegree(-1, 1)
-        assert m.global_parity == 1
 
     def test_strip_requires_no_other_a(self):
         r = PolyRing(("a", "x1"))

@@ -7,7 +7,7 @@ from math import prod
 
 from hypothesis import given, settings, strategies as st
 
-from trigrad.algebra import PolyRing
+from trigrad.algebra import PolyRing, Polynomial
 from trigrad.braid import BraidWord, build_marked_diagram
 from trigrad.cube import resolve
 from trigrad.factor_complex import realize
@@ -45,6 +45,16 @@ def _unit_term(b, i):
     return 0
 
 
+def _substitute(p, y, mu):
+    """p with mu, free of y, put for the variable y."""
+    i = p.ring.index(y)
+    out = p.ring.zero()
+    for e, c in p.terms.items():
+        term = Polynomial(p.ring, {e[:i] + (0,) + e[i + 1:]: c})
+        out = out + prod([mu] * e[i], start=term)
+    return out
+
+
 def _linear_only(m, qmax):
     """Homology of a closed matrix after the linear exclusions alone: while
     some row is (0, c·y + rest) with c = ±1 and rest free of y, drop it and
@@ -59,11 +69,11 @@ def _linear_only(m, qmax):
         idx, y = found[0]
         b = rows.pop(idx).right
         mu = ring.var(y) - b * _unit_term(b, ring.index(y))
-        rows = [KoszulRow(r.left.substitute(y, mu).drop_variable(y),
-                          r.right.substitute(y, mu).drop_variable(y), r.shift)
+        rows = [KoszulRow(_substitute(r.left, y, mu).drop_variable(y),
+                          _substitute(r.right, y, mu).drop_variable(y), r.shift)
                 for r in rows]
         ring = ring.without(y)
-    m = KoszulMatrix(ring, tuple(rows), (), m.global_shift, m.global_parity)
+    m = KoszulMatrix(ring, tuple(rows), (), m.global_shift)
     return matrix_homology(m, qmax, reduce=False).dims
 
 

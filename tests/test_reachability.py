@@ -9,7 +9,11 @@ acceptance suite ``tests/test_acceptance.py``.
 Names are collected from the syntax tree: names, attribute names,
 imported names, keyword-argument names, and string constants that are
 exactly an identifier, since ``perfbench/spans.py`` looks its hooks up by
-attribute name.  Names inside f-strings count too.  Exempt are click
+attribute name.  Names inside f-strings count too.  A bare name does not
+count inside a function that binds it as a parameter or an assignment
+target (anywhere in its body, nested functions included): such a local,
+like the ``matrices`` dict that once filled ``CubeComplex.matrices``,
+names no field.  Exempt are click
 commands, which the command line reaches through their decorators, and
 the members of classes with a base class from outside the package (such
 as the click overrides of ``cli._Cli``), which that base calls.
@@ -40,16 +44,39 @@ def _reaching_files():
     yield os.path.join(ROOT, "tests", "test_acceptance.py")
 
 
+def _package_files():
+    for name in sorted(os.listdir(PKG)):
+        if name.endswith(".py"):
+            yield os.path.join(PKG, name)
+
+
 def _parse(path):
     with open(path) as fh:
         return ast.parse(fh.read())
 
 
+def _local_names(tree):
+    """The Name nodes of a name that their enclosing function binds as a
+    parameter or an assignment target."""
+    local = set()
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = func.args
+            bound = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs
+                     + [a.vararg, a.kwarg] if arg}
+            names = [n for n in ast.walk(func) if isinstance(n, ast.Name)]
+            bound |= {n.id for n in names if isinstance(n.ctx, ast.Store)}
+            local |= {n for n in names if n.id in bound}
+    return local
+
+
 def _names(tree):
     """(identifier, line) for each name the tree uses."""
+    local = _local_names(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            if node not in local:
+                yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
         elif isinstance(node, ast.alias):
@@ -79,13 +106,9 @@ def _members(cls):
             yield node.target.id, node
 
 
-def _definitions():
-    """(path, name, node) for each definition the check covers."""
-    trees = {}
-    for name in sorted(os.listdir(PKG)):
-        if name.endswith(".py"):
-            path = os.path.join(PKG, name)
-            trees[path] = _parse(path)
+def _definitions(trees):
+    """(path, name, node) for each definition the check covers, in the
+    package modules `trees` (path -> syntax tree)."""
     own_classes = {node.name for tree in trees.values() for node in tree.body
                    if isinstance(node, ast.ClassDef)}
     for path, tree in trees.items():
@@ -107,18 +130,36 @@ def _span(node):
     return range(first, node.end_lineno + 1)
 
 
-def _unreached():
+def _unreached(package, reaching):
+    """The definitions of `package` that no tree of `reaching` names
+    outside their own span; both map path -> syntax tree."""
     uses = defaultdict(set)
-    for path in _reaching_files():
-        for name, line in _names(_parse(path)):
+    for path, tree in reaching.items():
+        for name, line in _names(tree):
             uses[name].add((path, line))
     return [
         f"{os.path.relpath(path, ROOT)}: {name}"
-        for path, name, node in _definitions()
+        for path, name, node in _definitions(package)
         if not uses[name] - {(path, line) for line in _span(node)}
     ]
 
 
 def test_every_library_name_is_reached_outside_the_unit_tests():
-    unreached = _unreached()
+    package = {path: _parse(path) for path in _package_files()}
+    reaching = {path: _parse(path) for path in _reaching_files()}
+    unreached = _unreached(package, reaching)
     assert not unreached, "reached only by unit tests: " + ", ".join(unreached)
+
+
+def test_a_same_named_local_does_not_reach_a_field():
+    # `size` is a local of `fill` and a parameter of `make`; only `read`
+    # names the field
+    lib = os.path.join(PKG, "box.py")
+    package = {lib: ast.parse("class Box:\n    size: int\n")}
+    user = os.path.join(ROOT, "demos", "user.py")
+    code = ("def fill(n):\n    size = n\n    return Box(size)\n\n"
+            "def make(size):\n    return Box(size)\n")
+    reaching = {**package, user: ast.parse(code)}
+    assert _unreached(package, reaching) == ["src/trigrad/box.py: size"]
+    reaching[user] = ast.parse(code + "\ndef read(box):\n    return box.size\n")
+    assert _unreached(package, reaching) == []

@@ -14,6 +14,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import vertex_reductions
 from trigrad.braid import BraidWord, parse_braid
 from trigrad.cube import braid_homology, build_cube
 from trigrad.factor_complex import ChainMap, realize
@@ -34,16 +35,20 @@ def _d(cx, x):
     [
         ("1 1 -2 1 -2", False, 1),
         ("1 1 -2 1 -2", True, 1),
+        ("1 1 -2 1 -2", "x4", 2),
         ("1 1 1", False, 2),
         ("1 -2 1 -2 1 -2", True, 1),
     ],
 )
 def test_iota_and_pi_are_chain_maps_with_pi_iota_identity(word, reduced, marks):
-    cube = build_cube(parse_braid(word), reduced=reduced, marks_per_segment=marks)
+    # a mark name for `reduced` is the basepoint of a reduced cube
+    basepoint = reduced if isinstance(reduced, str) else None
+    cube = build_cube(parse_braid(word), bool(reduced), basepoint, marks)
+    reds = vertex_reductions(cube)
     excluded = picked = 0
     for mask, small in cube.vertices.items():
-        red = cube.reductions[mask]
-        big = realize(cube.matrices[mask])
+        red = reds[mask]
+        big = realize(red.big)
         degrees = [f.degree_in(y) for y, f in red.matrix.relations]
         assert big.rank() * prod(degrees) == small.rank() << len(red.steps)
         excluded += any(step.drop for step in red.steps)
@@ -91,7 +96,8 @@ def _rank_modulo(boundaries, vecs):
 @pytest.mark.parametrize("word", ["1 1", "1 -1", "1 1 1", "1 -2 1 -2"])
 def test_squares_anticommute_on_homology(word):
     cube = build_cube(parse_braid(word))
-    assert any(red.matrix.relations for red in cube.reductions.values())
+    assert any(red.matrix.relations
+               for red in vertex_reductions(cube).values())
     out = defaultdict(list)
     for e in cube.edges:
         out[e.src].append(e)
@@ -140,7 +146,8 @@ def test_exclusion_with_mu_zero():
     cube = build_cube(b, reduced=True, basepoint="x3")
     assert any(
         len(step.f.terms) == 1
-        for red in cube.reductions.values() for step in red.steps if step.drop
+        for red in vertex_reductions(cube).values()
+        for step in red.steps if step.drop
     )
     expect = [((1, -2, 0), 1), ((1, -1, -3), 1), ((3, -2, -4), 1)]
     h = braid_homology(b, 8, reduced=True, basepoint="x3")
@@ -153,7 +160,7 @@ def test_drop_steps_come_before_the_first_relation():
     for word in ("1 1 -2 1 -2", "1 -2 1 -2 1 -2", "1 1 2 1 2 2"):
         for reduced in (False, True):
             cube = build_cube(parse_braid(word), reduced=reduced)
-            for mask, red in cube.reductions.items():
+            for mask, red in vertex_reductions(cube).items():
                 drops = [step.drop for step in red.steps]
                 assert drops == sorted(drops, reverse=True), (word, mask)
                 assert all(not step.relations for step in red.steps
@@ -166,8 +173,7 @@ def test_drop_steps_come_before_the_first_relation():
 @given(st.lists(st.sampled_from((1, 2, -1, -2)), min_size=1, max_size=4))
 def test_vertex_homology_over_the_quotient_matches_unreduced(word):
     cube = build_cube(BraidWord(3, tuple(word)))
-    for mask, km in cube.matrices.items():
-        quotient = cube.reductions[mask].matrix
-        assert matrix_homology(quotient, 8, reduce=False) == matrix_homology(
-            km, 8, reduce=False
+    for mask, red in vertex_reductions(cube).items():
+        assert matrix_homology(red.matrix, 8, reduce=False) == matrix_homology(
+            red.big, 8, reduce=False
         ), (word, mask)
