@@ -1,7 +1,8 @@
 """Assembling the full complex of a braid closure: resolve crossings, build
 per-vertex Koszul matrices in the modified (flip-friendly) form, reduce by
-the exclusions shared across all resolutions, reduce each vertex further,
-realize the vertex complexes, and attach signed flip edges.
+the exclusions shared across all resolutions, reduce each vertex further
+crossing by crossing, realize the vertex complexes, and attach signed flip
+edges.
 
 Per crossing p with marks x1 (top-left), x2 (top-right), x3 (bottom-right),
 x4 (bottom-left), every vertex carries the common row (a, x1+x2-x3-x4) and a
@@ -14,15 +15,28 @@ The reduced complex sets one mark x_b to zero: its shared rows begin with
 the row (0, x_b), which the shared `exclude_all` takes as its first linear
 pick (mu = 0) and removes together with x_b.
 
-After the shared reduction each vertex runs `exclude_all` once more.  Its
-linear picks remove the rows (0, x2-x3) of the 0-smoothings (and any other
-linear row) together with one variable each.  Its monic picks then move a
-triangular set of the rows left, each monic of degree m in its own
-variable y (a wide edge's row is, up to sign, monic of degree 2 in x2),
-into relations, and the vertex is realized over R/(relations): generators
-(row subset, standard monomial), over the variables that are neither
-excluded nor picked.  The steps of a vertex make its `Reduction`, which
-every edge at that vertex shares.
+After the shared reduction each vertex is reduced further, with the steps
+`exclude_all` would take on its whole matrix.  Its linear picks remove the
+rows (0, x2-x3) of the 0-smoothings (and any other linear row) together
+with one variable each.  Its monic picks then move a triangular set of the
+rows left, each monic of degree m in its own variable y (a wide edge's row
+is, up to sign, monic of degree 2 in x2), into relations, and the vertex is
+realized over R/(relations): generators (row subset, standard monomial),
+over the variables that are neither excluded nor picked.  The steps of a
+vertex make its `Reduction`, which every edge at that vertex shares.
+
+The vertices are the leaves of a binary trie over the crossings, walked
+depth first with an explicit stack (a recursive closure would be a
+reference cycle that keeps every finished cube alive until the cyclic
+collector runs).  A node at depth q holds its ring, the rows of crossings
+0..q-1 after the linear picks on its path, and the two candidate rows of
+each later crossing, reduced by those picks.  A child adds crossing q's row
+and takes its linear picks with `koszul.linear_picks`, by `exclude_all`'s
+own rule; each is taken once for all the vertices below.  At a leaf,
+`exclude_all` takes only the monic picks.  A path step records only the
+rows present at its node, so the leaf completes its `rights` with the
+later rows as the step saw them; the vertex's steps are then exactly those
+of one `exclude_all` call on its whole matrix.
 
 The edge maps are psi'(x4-x2) (positive crossings, 0 -> 1, the map chi_0) and
 psi(x4-x2) (negative crossings, 1 -> 0, the map chi_1).  Both are diagonal in
@@ -40,7 +54,7 @@ variable fewer at every vertex); the unreduced table is Hbar (x) Q[x].  Only
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import Bidegree, PolyRing, Polynomial
 from .braid import BraidWord, MarkedDiagram, build_marked_diagram
@@ -56,6 +70,7 @@ from .koszul import (
     ResolutionGraph,
     aggregate_a,
     exclude_all,
+    linear_picks,
     make_row,
     strip_a,
 )
@@ -144,16 +159,30 @@ def build_cube(
 
     nc = len(d.crossings)
     signs = [c.sign for c in d.crossings]
+    shifts = (Bidegree(-1, 1), Bidegree(-1, 3))
     vertices: dict[int, FactorComplex] = {}
     jdeg: dict[int, int] = {}
     reductions: dict[int, Reduction] = {}
-    for mask in range(1 << nc):
-        rows = list(leftover)
-        for p in range(nc):
-            if mask >> p & 1:
-                rows.append(KoszulRow(ring.zero(), quad[p], Bidegree(-1, 3)))
-            else:
-                rows.append(KoszulRow(ring.zero(), lin[p], Bidegree(-1, 1)))
+    # depth-first over the trie of masks: (depth q, mask bits 0..q-1, ring,
+    # rows, the later crossings' (lin, quad) rows, and the linear steps on
+    # the path, each with the later rows it saw)
+    pairs = list(zip(lin, quad))
+    stack = [(0, 0, ring, list(leftover), pairs, ())]
+    while stack:
+        q, mask, node_ring, rows, later, path = stack.pop()
+        if q < nc:
+            for bit in (1, 0):
+                row = KoszulRow(node_ring.zero(), later[0][bit], shifts[bit])
+                child_ring, child_rows, steps = linear_picks(
+                    node_ring, rows + [row], node_ring.zero(), len(rows))
+                child_later, child_path = later[1:], path
+                for st in steps:
+                    child_path += ((st, q + 1, child_later),)
+                    child_later = [(st.reduce(f), st.reduce(g))
+                                   for f, g in child_later]
+                stack.append((q + 1, mask | bit << q, child_ring, child_rows,
+                              child_later, child_path))
+            continue
         lshift = 0
         j = 0
         for p in range(nc):
@@ -165,13 +194,21 @@ def build_cube(
             else:
                 j += 1 - bit
                 lshift -= 2
-        km = KoszulMatrix(
-            ring, tuple(rows), (), shared.global_shift + Bidegree(0, lshift)
-        )
-        small, steps = exclude_all(km)
+        shift = shared.global_shift + Bidegree(0, lshift)
+        big = KoszulMatrix(ring, tuple(leftover) + tuple(
+            KoszulRow(ring.zero(), pair[mask >> p & 1], shifts[mask >> p & 1])
+            for p, pair in enumerate(pairs)), (), shift)
+        small, tail = exclude_all(
+            KoszulMatrix(node_ring, tuple(rows), (), shift))
+        # a path step saw the rows of crossings p >= first as they were then
+        steps = [replace(st, rights=st.rights + tuple(
+            pair[mask >> p & 1] for p, pair in enumerate(seen, first)))
+            for st, first, seen in path]
         vertices[mask] = realize(small)
-        reductions[mask] = Reduction(km, steps, small)
+        reductions[mask] = Reduction(big, steps + tail, small)
         jdeg[mask] = j
+    vertices = dict(sorted(vertices.items()))
+    jdeg = dict(sorted(jdeg.items()))
 
     noff = len(leftover)
     edges: list[CubeEdge] = []

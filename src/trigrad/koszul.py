@@ -409,42 +409,72 @@ def exclude_all(m: KoszulMatrix) -> tuple[KoszulMatrix, list[Exclusion]]:
     After a step, only the rows that contain y are put in normal form
     again (`Exclusion.reduce`): the earlier picks are free of y, so no
     other row changes, and a zero left entry becomes the zero of the new
-    ring."""
-    ring, w = m.ring, m.potential()
-    rows, relations = list(m.rows), list(m.relations)
+    ring.
+
+    At a cube vertex `cube.build_cube` takes the linear picks itself, once
+    per node of its crossing trie, with `linear_picks`: a row that is not
+    linear stays so under a linear step, as every row is homogeneous, so
+    taking each row's picks as it arrives gives the picks of this loop.
+    It then calls this routine on the leaf's matrix, which has only the
+    monic picks left."""
+    ring, rows, relations = m.ring, list(m.rows), list(m.relations)
+    steps: list[Exclusion] = []
+    if not relations:
+        ring, rows, steps = linear_picks(ring, rows, m.potential())
+    if any(not r.left.is_zero() for r in rows):
+        return replace(m, ring=ring, rows=tuple(rows)), steps
     used = {i for _, f in relations for e in f.terms
             for i, x in enumerate(e) if x}
-    steps: list[Exclusion] = []
-    while True:
-        pick = None if relations else _pick(rows, used, w)
-        drop = pick is not None
-        if not drop and all(r.left.is_zero() for r in rows):
-            pick = _pick(rows, used)
-        if pick is None:
-            return replace(m, ring=ring, rows=tuple(rows),
-                           relations=tuple(relations)), steps
+    while (pick := _pick(rows, used)) is not None:
         idx, i = pick
         st = Exclusion(idx, ring.names[i], rows[idx].right,
-                       tuple(r.right for r in rows), tuple(relations), drop)
+                       tuple(r.right for r in rows), tuple(relations), False)
         steps.append(st)
-        del rows[idx]
-        if drop:
-            ring, w = ring.without(st.var), w.drop_variable(st.var)
-        else:
-            relations.append((st.var, st.f))
-            used |= {j for e in st.f.terms for j, x in enumerate(e) if x}
-        zero = ring.zero()
-        rows = [KoszulRow(zero if r.left.is_zero() else st.reduce(r.left),
-                          st.reduce(r.right), r.shift) for r in rows]
+        relations.append((st.var, st.f))
+        used |= {j for e in st.f.terms for j, x in enumerate(e) if x}
+        rows = _apply(st, ring, rows)
+    return replace(m, ring=ring, rows=tuple(rows),
+                   relations=tuple(relations)), steps
+
+
+def linear_picks(ring: PolyRing, rows: list[KoszulRow], w: Polynomial,
+                 start: int = 0
+                 ) -> tuple[PolyRing, list[KoszulRow], list[Exclusion]]:
+    """The linear picks of `exclude_all` on `rows` over `ring`, with
+    potential w and no relation held: the ring and rows after them, and
+    their steps.  The first pick is looked for in rows[start:] only, for a
+    caller that knows the rows before `start` hold none; after a pick every
+    row is scanned again."""
+    steps = []
+    while (pick := _pick(rows, set(), w, start)) is not None:
+        idx, i = pick
+        st = Exclusion(idx, ring.names[i], rows[idx].right,
+                       tuple(r.right for r in rows), (), True)
+        steps.append(st)
+        ring, w = ring.without(st.var), w.drop_variable(st.var)
+        rows, start = _apply(st, ring, rows), 0
+    return ring, rows, steps
+
+
+def _apply(st: Exclusion, ring: PolyRing,
+           rows: list[KoszulRow]) -> list[KoszulRow]:
+    """The rows other than st.row after the step, over `ring`, the ring
+    after it; a zero left entry becomes the zero of `ring`."""
+    zero = ring.zero()
+    return [KoszulRow(zero if r.left.is_zero() else st.reduce(r.left),
+                      st.reduce(r.right), r.shift)
+            for k, r in enumerate(rows) if k != st.row]
 
 
 def _pick(rows: list[KoszulRow], used: set[int],
-          w: Polynomial | None = None) -> tuple[int, int] | None:
+          w: Polynomial | None = None, start: int = 0
+          ) -> tuple[int, int] | None:
     """(row index, variable position) of the next step of `exclude_all`:
-    given the potential w, the first linear pick; otherwise the best monic
-    pick.  Rows with a left entry are skipped."""
+    given the potential w, the first linear pick in rows[start:]; otherwise
+    the best monic pick.  Rows with a left entry are skipped."""
     best = None
-    for idx, r in enumerate(rows):
+    for idx in range(start, len(rows)):
+        r = rows[idx]
         if not r.left.is_zero():
             continue
         b = r.right

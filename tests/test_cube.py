@@ -1,8 +1,11 @@
+import gc
+import weakref
 from collections import defaultdict
 
 import pytest
 
 from conftest import vertex_reductions
+from cube_end_state import mismatches
 from trigrad.algebra import Bidegree
 from trigrad.braid import build_marked_diagram, parse_braid
 import trigrad.cube as cube_module
@@ -161,6 +164,34 @@ class TestBuildCube:
         # closures are always closed; the guard is on the shared potential
         cube = build_cube(parse_braid("2", strands=3))
         assert len(cube.vertices) == 2
+
+    @pytest.mark.parametrize("word, reduced, basepoint, marks", [
+        ("1 1 2 1 2 2 2", False, None, 1),
+        ("1 1 2 1 2 2 2", True, None, 1),
+        ("1 -2 1 -2 1 -2", False, None, 1),
+        ("1 -2 1 -2 1 -2", True, None, 1),
+        ("1 -2 -1 -3 -3 -2", True, None, 1),
+        ("1 -2 3 -2", False, None, 2),
+        ("1 -2 1 -2 1 -2", True, "x3", 1),
+    ])
+    def test_trie_walk_ends_where_exclude_all_ends(self, word, reduced,
+                                                   basepoint, marks):
+        # the walk takes the linear picks per trie node; every vertex must
+        # still end as one exclude_all call on its unreduced matrix ends
+        cube = build_cube(parse_braid(word), reduced, basepoint, marks)
+        assert mismatches(cube) == []
+
+    def test_cube_is_freed_by_reference_counting(self):
+        # a reference cycle would keep every finished cube alive until the
+        # cyclic collector runs
+        gc.disable()
+        try:
+            cube = build_cube(parse_braid("1 -2 1"), True)
+            ref = weakref.ref(vertex_reductions(cube)[0b101])
+            del cube
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestReduced:
