@@ -32,11 +32,13 @@ collector runs).  A node at depth q holds its ring, the rows of crossings
 0..q-1 after the linear picks on its path, and the two candidate rows of
 each later crossing, reduced by those picks.  A child adds crossing q's row
 and takes its linear picks with `koszul.linear_picks`, by `exclude_all`'s
-own rule; each is taken once for all the vertices below.  At a leaf,
-`exclude_all` takes only the monic picks.  A path step records only the
-rows present at its node, so the leaf completes its `rights` with the
-later rows as the step saw them; the vertex's steps are then exactly those
-of one `exclude_all` call on its whole matrix.
+own rule, once for all the vertices below: a row that is not linear stays
+so under a linear step, as every row is homogeneous, so taking each row's
+picks as it arrives gives the picks of one call.  A leaf has no linear
+pick left, so it takes only `koszul.monic_picks`.  A path step records
+only the rows present at its node, so the leaf completes its `rights` with
+the later rows as the step saw them; the vertex's steps are then exactly
+those of one `exclude_all` call on its whole matrix.
 
 The edge maps are psi'(x4-x2) (positive crossings, 0 -> 1, the map chi_0) and
 psi(x4-x2) (negative crossings, 1 -> 0, the map chi_1).  Both are diagonal in
@@ -72,6 +74,7 @@ from .koszul import (
     exclude_all,
     linear_picks,
     make_row,
+    monic_picks,
     strip_a,
 )
 
@@ -198,7 +201,7 @@ def build_cube(
         big = KoszulMatrix(ring, tuple(leftover) + tuple(
             KoszulRow(ring.zero(), pair[mask >> p & 1], shifts[mask >> p & 1])
             for p, pair in enumerate(pairs)), (), shift)
-        small, tail = exclude_all(
+        small, tail = monic_picks(
             KoszulMatrix(node_ring, tuple(rows), (), shift))
         # a path step saw the rows of crossings p >= first as they were then
         steps = [replace(st, rights=st.rights + tuple(

@@ -385,12 +385,14 @@ def euler_characteristic(h: TriGradedDims) -> QSeries:
     return QSeries(coeffs, h.qmax)
 
 
-def compare_up_to_shift(
-    h1: TriGradedDims, h2: TriGradedDims, min_window: int = 4
-) -> tuple[int, int, int] | None:
+MIN_WINDOW = 4  # the least q-width of a window that decides a shift
+
+
+def compare_up_to_shift(h1: TriGradedDims,
+                        h2: TriGradedDims) -> tuple[int, int, int] | None:
     """The unique (dj, dk, dl) with h2 = h1 shifted, decided on the window
     where both cutoffs are reliable; None if no shift works; raises
-    InconclusiveComparison if the overlap window is too small to decide."""
+    InconclusiveComparison if the window is narrower than MIN_WINDOW."""
     s1, s2 = h1.support(), h2.support()
     if not s1 and not s2:
         return (0, 0, 0)
@@ -403,7 +405,7 @@ def compare_up_to_shift(
     dj = low2[2] - low1[2]
     window_hi = min(h2.qmax, h1.qmax + dl)
     window_lo = max(low2[0], low1[0] + dl)
-    if window_hi - window_lo < min_window:
+    if window_hi - window_lo < MIN_WINDOW:
         raise InconclusiveComparison(
             f"overlap window [{window_lo}, {window_hi}] too small"
         )

@@ -372,81 +372,33 @@ class Exclusion:
 
 
 def exclude_all(m: KoszulMatrix) -> tuple[KoszulMatrix, list[Exclusion]]:
-    """Remove rows (0, f), f monic in one variable y, one step at a time.
-    Returns the reduced matrix and one record per step (`Exclusion`), over
-    the ring, rows and relations current at that step.  There are two kinds
-    of pick:
-
-    - Linear picks come first and are taken while no relation is held:
-      the first row (0, ±(y - mu)) with mu free of y, and the first such y
-      in ring order that is absent from the potential.  mu is substituted
-      for y and y leaves the ring: the paper's exclusion lemma.  The
-      potential is taken once, as a step only removes a variable absent
-      from it.  mu has the bidegree of y, so every row stays homogeneous.
-    - Monic picks follow once no linear pick is left, and only if every
-      row is (0, b); so a matrix with left entries gets linear exclusion
-      only.  A pair (row, y) qualifies when y is in no pick so far and the
-      only term of top y-degree m of the row, kept in normal form modulo
-      the picks, is ±y^m; take the pair whose row has the fewest
-      variables, then the lowest m, the first row and the first y in ring
-      order.  The row becomes a relation (y stays in the ring), and the
-      rows left are realized over R/(relations) by
-      `factor_complex.realize`.
-
-    Why the monic picks are sound: in lex order with later picks above
-    earlier ones and both above the other variables, pick i has leading
-    term ±y_i^m_i (it is free of later picks' variables, and its only top
-    y_i-term is ±y_i^m_i).  Pure powers of distinct variables are coprime,
-    so the picks are a Groebner basis over Z and a regular sequence, and
-    Z[x]/(picks) is free over the remaining variables on the monomials
-    prod y_i^e_i, e_i < m_i.  Each pick is its row minus a combination of
-    earlier picks, i.e. a row operation (`row_op`, left entries being 0).
-    The Koszul complex of a regular sequence resolves the quotient, so the
-    complex of all rows is quasi-isomorphic to the Koszul complex of the
-    other rows over R/(picks).  A linear pick is the case m = 1 with the
-    quotient R/(y - mu) read as the ring without y.
-
-    After a step, only the rows that contain y are put in normal form
-    again (`Exclusion.reduce`): the earlier picks are free of y, so no
-    other row changes, and a zero left entry becomes the zero of the new
-    ring.
-
-    At a cube vertex `cube.build_cube` takes the linear picks itself, once
-    per node of its crossing trie, with `linear_picks`: a row that is not
-    linear stays so under a linear step, as every row is homogeneous, so
-    taking each row's picks as it arrives gives the picks of this loop.
-    It then calls this routine on the leaf's matrix, which has only the
-    monic picks left."""
-    ring, rows, relations = m.ring, list(m.rows), list(m.relations)
+    """Remove rows (0, f), f monic in one variable y, one step at a time:
+    `linear_picks` while m holds no relation, then `monic_picks`.  Returns
+    the reduced matrix and one record per step (`Exclusion`), over the
+    ring, rows and relations current at that step.  `cube.build_cube`
+    takes the same steps crossing by crossing (its module docstring)."""
     steps: list[Exclusion] = []
-    if not relations:
-        ring, rows, steps = linear_picks(ring, rows, m.potential())
-    if any(not r.left.is_zero() for r in rows):
-        return replace(m, ring=ring, rows=tuple(rows)), steps
-    used = {i for _, f in relations for e in f.terms
-            for i, x in enumerate(e) if x}
-    while (pick := _pick(rows, used)) is not None:
-        idx, i = pick
-        st = Exclusion(idx, ring.names[i], rows[idx].right,
-                       tuple(r.right for r in rows), tuple(relations), False)
-        steps.append(st)
-        relations.append((st.var, st.f))
-        used |= {j for e in st.f.terms for j, x in enumerate(e) if x}
-        rows = _apply(st, ring, rows)
-    return replace(m, ring=ring, rows=tuple(rows),
-                   relations=tuple(relations)), steps
+    if not m.relations:
+        ring, rows, steps = linear_picks(m.ring, list(m.rows), m.potential())
+        m = replace(m, ring=ring, rows=tuple(rows))
+    m, tail = monic_picks(m)
+    return m, steps + tail
 
 
 def linear_picks(ring: PolyRing, rows: list[KoszulRow], w: Polynomial,
                  start: int = 0
                  ) -> tuple[PolyRing, list[KoszulRow], list[Exclusion]]:
     """The linear picks of `exclude_all` on `rows` over `ring`, with
-    potential w and no relation held: the ring and rows after them, and
-    their steps.  The first pick is looked for in rows[start:] only, for a
-    caller that knows the rows before `start` hold none; after a pick every
-    row is scanned again."""
+    potential w and no relation held: the first row (0, ±(y - mu)) with mu
+    free of y, and the first such y in ring order that is absent from w.
+    mu is substituted for y and y leaves the ring: the paper's exclusion
+    lemma.  w is taken once, as a step only removes a variable absent from
+    it; mu has the bidegree of y, so every row stays homogeneous.  Returns
+    the ring and rows after the picks, and their steps.  The first pick is
+    looked for in rows[start:] only, for a caller that knows the rows
+    before `start` hold none; after a pick every row is scanned again."""
     steps = []
-    while (pick := _pick(rows, set(), w, start)) is not None:
+    while (pick := _linear_pick(rows, w, start)) is not None:
         idx, i = pick
         st = Exclusion(idx, ring.names[i], rows[idx].right,
                        tuple(r.right for r in rows), (), True)
@@ -456,42 +408,85 @@ def linear_picks(ring: PolyRing, rows: list[KoszulRow], w: Polynomial,
     return ring, rows, steps
 
 
+def monic_picks(m: KoszulMatrix) -> tuple[KoszulMatrix, list[Exclusion]]:
+    """The monic picks of `exclude_all`, taken after its linear picks and
+    only if every row is (0, b); so a matrix with left entries gets linear
+    exclusion only.  A pair (row, y) qualifies when y occurs in no pick so
+    far, the relations of m included, and the only term of top y-degree d
+    of the row, kept in normal form modulo the picks, is ±y^d; take the
+    pair whose row has the fewest variables, then the lowest d, the first
+    row and the first y in ring order.  The row becomes a relation (y stays
+    in the ring), and the rows left are realized over R/(relations) by
+    `factor_complex.realize`.
+
+    Why the picks are sound: in lex order with later picks above earlier
+    ones and both above the other variables, pick i has leading term
+    ±y_i^d_i (it is free of later picks' variables, and its only top
+    y_i-term is ±y_i^d_i).  Pure powers of distinct variables are coprime,
+    so the picks are a Groebner basis over Z and a regular sequence, and
+    Z[x]/(picks) is free over the remaining variables on the monomials
+    prod y_i^e_i, e_i < d_i.  Each pick is its row minus a combination of
+    earlier picks, i.e. a row operation (`row_op`, left entries being 0).
+    The Koszul complex of a regular sequence resolves the quotient, so the
+    complex of all rows is quasi-isomorphic to the Koszul complex of the
+    other rows over R/(picks).  A linear pick is the case d = 1 with the
+    quotient R/(y - mu) read as the ring without y."""
+    if any(not r.left.is_zero() for r in m.rows):
+        return m, []
+    rows, relations = list(m.rows), list(m.relations)
+    used = set().union(*(_occurs(f) for _, f in relations))
+    steps = []
+    while (pick := _monic_pick(rows, used)) is not None:
+        idx, i = pick
+        st = Exclusion(idx, m.ring.names[i], rows[idx].right,
+                       tuple(r.right for r in rows), tuple(relations), False)
+        steps.append(st)
+        relations.append((st.var, st.f))
+        used |= _occurs(st.f)
+        rows = _apply(st, m.ring, rows)
+    return replace(m, rows=tuple(rows), relations=tuple(relations)), steps
+
+
 def _apply(st: Exclusion, ring: PolyRing,
            rows: list[KoszulRow]) -> list[KoszulRow]:
     """The rows other than st.row after the step, over `ring`, the ring
-    after it; a zero left entry becomes the zero of `ring`."""
+    after it; a zero left entry becomes the zero of `ring`.  Only the rows
+    that contain st.var change, as the earlier picks are free of it."""
     zero = ring.zero()
     return [KoszulRow(zero if r.left.is_zero() else st.reduce(r.left),
                       st.reduce(r.right), r.shift)
             for k, r in enumerate(rows) if k != st.row]
 
 
-def _pick(rows: list[KoszulRow], used: set[int],
-          w: Polynomial | None = None, start: int = 0
-          ) -> tuple[int, int] | None:
-    """(row index, variable position) of the next step of `exclude_all`:
-    given the potential w, the first linear pick in rows[start:]; otherwise
-    the best monic pick.  Rows with a left entry are skipped."""
-    best = None
-    for idx in range(start, len(rows)):
-        r = rows[idx]
-        if not r.left.is_zero():
-            continue
-        b = r.right
-        occurs = {i for e in b.terms for i, x in enumerate(e) if x}
-        for i in occurs - used:
-            deg = _monic_top(b, i)
-            if w is None:
-                key = (len(occurs), deg, idx, i)
-            elif deg == 1 and not any(e[i] for e in w.terms):
-                key = (idx, i)
-            else:
-                continue
-            if deg and (best is None or key < best):
-                best = key
-        if best and w is not None:
-            break
-    return None if best is None else best[-2:]
+def _linear_pick(rows: list[KoszulRow], w: Polynomial,
+                 start: int) -> tuple[int, int] | None:
+    """(row index, variable position) of the first linear pick in
+    rows[start:] (`linear_picks`).  Rows with a left entry are skipped."""
+    in_w = _occurs(w)
+    for idx, r in enumerate(rows[start:], start):
+        if r.left.is_zero():
+            ys = [i for i in _occurs(r.right) - in_w
+                  if _monic_top(r.right, i) == 1]
+            if ys:
+                return idx, min(ys)
+    return None
+
+
+def _monic_pick(rows: list[KoszulRow],
+                used: set[int]) -> tuple[int, int] | None:
+    """(row index, variable position) of the best monic pick, by the key
+    of `monic_picks`."""
+    keys = []
+    for idx, r in enumerate(rows):
+        occurs = _occurs(r.right)
+        keys += [(len(occurs), d, idx, i) for i in occurs - used
+                 if (d := _monic_top(r.right, i))]
+    return min(keys)[2:] if keys else None
+
+
+def _occurs(p: Polynomial) -> set[int]:
+    """The positions of the variables that occur in p."""
+    return {i for e in p.terms for i, x in enumerate(e) if x}
 
 
 def _monic_top(b: Polynomial, i: int) -> int:

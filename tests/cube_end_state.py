@@ -1,7 +1,7 @@
 """Every cube vertex ends where one `exclude_all` call on its matrix ends.
 
 `build_cube` takes each vertex's linear picks once per node of its
-crossing trie and leaves only the monic picks to `exclude_all`.  Its
+crossing trie and only the monic picks at the leaf (`monic_picks`).  Its
 `Reduction`s must still be what `exclude_all(red.big)` gives in one call:
 the same ring, rows and relations, and the same steps, field for field
 (row, var, f, rights, relations, drop).
@@ -12,7 +12,9 @@ checks this on the braid set below, reduced and unreduced, and exits 1
 naming each braid with a vertex that differs.  The set is every 7th word
 of the 2-strand words of length 3 and of the 3-strand words of length 4
 (letters in the order 1, -1, 2, -2), plus T(2,5), T(2,7), T(2,9), the
-mirror of T(2,5), T(3,4), the Borromean rings and four more braids.
+mirror of T(2,5), T(3,4), T(3,5), the Borromean rings and four more
+braids.  T(3,5) has 1 024 vertices per mode, whose leaves take the most
+varied monic picks of the set.
 """
 
 import sys
@@ -27,7 +29,7 @@ BRAIDS = (
     + [" ".join(map(str, w)) for w in product((1, -1, 2, -2), repeat=4)][::7]
     + ["1 1 1 1 1", "1 1 1 1 1 1 1", "1 1 1 1 1 1 1 1 1", "-1 -1 -1 -1 -1",
        "1 2 1 2 1 2 1 2", "1 -2 1 -2 1 -2", "1 1 2 1 2 2 2", "-1 2 1 2 -1",
-       "1 2 3 1 2 3", "1 -2 3 -2"]
+       "1 2 3 1 2 3", "1 -2 3 -2", "1 2 1 2 1 2 1 2 1 2"]
 )
 
 

@@ -17,6 +17,8 @@ from trigrad.homology import (
     link_homology,
     slice_homology_dim,
 )
+import trigrad.koszul as koszul_module
+from trigrad.koszul import linear_picks
 
 
 class TestResolve:
@@ -180,6 +182,24 @@ class TestBuildCube:
         # still end as one exclude_all call on its unreduced matrix ends
         cube = build_cube(parse_braid(word), reduced, basepoint, marks)
         assert mismatches(cube) == []
+
+    @pytest.mark.parametrize("word", ["1 -2 1", "1 1 2 1 2 2 2"])
+    def test_linear_picks_runs_once_per_trie_child(self, word, monkeypatch):
+        # one call per trie node but the root (2^(c+1) - 2 of them), one
+        # for the shared reduction, and no further one at a leaf
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return linear_picks(*args, **kwargs)
+
+        monkeypatch.setattr(cube_module, "linear_picks", spy)
+        monkeypatch.setattr(koszul_module, "linear_picks", spy)
+        b = parse_braid(word)
+        cube = build_cube(b, True)
+        c = len(b.letters)
+        assert len(cube.vertices) == 2 ** c
+        assert len(calls) == 2 ** (c + 1) - 1
 
     def test_cube_is_freed_by_reference_counting(self):
         # a reference cycle would keep every finished cube alive until the

@@ -5,7 +5,7 @@ import pytest
 from trigrad.algebra import Bidegree, PolyRing
 from trigrad.braid import BraidWord, build_marked_diagram, parse_braid
 from trigrad.cube import resolve
-from trigrad.homology import matrix_homology
+from trigrad.homology import matrix_homology, reduce_closed_matrix
 from trigrad.koszul import (
     GradingError,
     KoszulMatrix,
@@ -203,6 +203,14 @@ class TestExclude:
         out, steps = exclude_all(strip_a(m))
         assert [st.drop for st in steps] == [True, True, True, False]
         assert [y for y, _ in out.relations] == ["x4"]
+
+    def test_a_matrix_with_relations_is_left_as_it_is(self):
+        # a matrix that holds relations takes no linear pick, and its
+        # relations' variables are in no further monic pick
+        d = build_marked_diagram(parse_braid("1 1 2 1 2 2"))
+        m = reduce_closed_matrix(koszul_of_graph(resolve(d, 63)))
+        assert len(m.relations) == 3
+        assert exclude_all(m) == (m, [])
 
     def test_iia_exclusion_step(self):
         r = PolyRing(("a", "x1", "x2", "x3", "x4", "x5", "x6"))
