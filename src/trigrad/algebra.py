@@ -470,9 +470,6 @@ class QSeries:
     def coefficient(self, qe: int) -> dict[int, int]:
         return dict(self.coeffs.get(qe, {}))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented

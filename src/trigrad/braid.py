@@ -198,7 +198,6 @@ class MarkedDiagram:
     row (a, x_head - x_tail); tail == head is a circle with one mark.
     """
 
-    strands: int
     nvars: int
     crossings: tuple[Crossing, ...]
     arcs: tuple[tuple[int, int], ...]
@@ -241,6 +240,4 @@ def build_marked_diagram(b: BraidWord, marks_per_segment: int = 1) -> MarkedDiag
     for pos in range(b.strands):
         pad(pos, marks_per_segment - 1)
         arcs.append((cur[pos], bottom[pos]))
-    return MarkedDiagram(
-        b.strands, counter, tuple(crossings), tuple(arcs)
-    )
+    return MarkedDiagram(counter, tuple(crossings), tuple(arcs))

@@ -33,7 +33,6 @@ from .homology import (
     InconclusiveComparison,
     TriGradedDims,
     compare_up_to_shift,
-    default_workers,
     euler_characteristic,
     hom_space_dim,
     matrix_homology,
@@ -58,18 +57,8 @@ def _config_error(message: str) -> NoReturn:
     sys.exit(EXIT_CONFIG)
 
 
-def _workers(workers: int | None) -> int:
-    if workers is not None:
-        return workers
-    try:
-        return default_workers()
-    except ValueError as exc:
-        _config_error(str(exc))
-
-
-def _check_config(qmax: int, workers: int, marks: int = 1) -> None:
-    for flag, value in (("--qmax", qmax), ("--workers", workers),
-                        ("--marks", marks)):
+def _check_config(qmax: int, marks: int = 1) -> None:
+    for flag, value in (("--qmax", qmax), ("--marks", marks)):
         if value < 1:
             _config_error(f"{flag} {value} must be >= 1")
 
@@ -184,8 +173,6 @@ _common = [
                  help="marks per strand segment"),
     click.option("--json", "as_json", is_flag=True, default=False),
     click.option("--out", type=str, default=None),
-    click.option("--workers", type=int, default=None,
-                 help="worker processes (default: TRIGRAD_WORKERS or 1)"),
 ]
 
 
@@ -198,15 +185,14 @@ def common_options(fn):
 @main.command(context_settings={"ignore_unknown_options": True})
 @click.argument("braid")
 @common_options
-def homology(braid, strands, qmax, reduced, basepoint, marks, as_json, out, workers):
+def homology(braid, strands, qmax, reduced, basepoint, marks, as_json, out):
     """Trigraded homology dims of the closure of BRAID."""
-    workers = _workers(workers)
-    _check_config(qmax, workers, marks)
+    _check_config(qmax, marks)
     b = _parse(braid, strands)
     _check_basepoint(b, reduced, basepoint, marks)
     h = braid_homology(
         b, qmax, reduced=reduced, basepoint=basepoint,
-        marks_per_segment=marks, workers=workers,
+        marks_per_segment=marks,
     )
     if as_json:
         _emit(emit_result(b, reduced, h), out)
@@ -233,7 +219,7 @@ def homology(braid, strands, qmax, reduced, basepoint, marks, as_json, out, work
 @click.option("--out", type=str, default=None)
 def homfly(braid, strands, qmax, as_json, out):
     """The oracle values F and F-tilde of the closure of BRAID."""
-    _check_config(qmax, 1)
+    _check_config(qmax)
     b = _parse(braid, strands)
     f = homfly_F(b)
     ft = homfly_F_tilde(b)
@@ -256,20 +242,19 @@ def homfly(braid, strands, qmax, as_json, out):
 @main.command("euler-check", context_settings={"ignore_unknown_options": True})
 @click.argument("braid")
 @common_options
-def euler_check(braid, strands, qmax, reduced, basepoint, marks, as_json, out, workers):
+def euler_check(braid, strands, qmax, reduced, basepoint, marks, as_json, out):
     """Compare the homology Euler characteristic against the trace oracle.
 
     The homology comes from the reduced cube either way: without --reduced
     it is Hbar (x) Q[x] and the oracle side is F; with --reduced it is Hbar
     and the oracle side is F * (1 - q^2)."""
-    workers = _workers(workers)
-    _check_config(qmax, workers, marks)
+    _check_config(qmax, marks)
     _reject_json(as_json, "euler-check")
     b = _parse(braid, strands)
     _check_basepoint(b, reduced, basepoint, marks)
     h = braid_homology(
         b, qmax, reduced=reduced, basepoint=basepoint,
-        marks_per_segment=marks, workers=workers,
+        marks_per_segment=marks,
     )
     left = euler_characteristic(h)
     f, oracle = homfly_F(b), "F(D)"
@@ -337,10 +322,9 @@ def apply_move_text(b: BraidWord, text: str) -> BraidWord:
                    "braid:P | stab+ | stab- | destab")
 @common_options
 def invariance(braid, moves, strands, qmax, reduced, basepoint, marks,
-               as_json, out, workers):
+               as_json, out):
     """Compare homology before/after Markov moves, up to an overall shift."""
-    workers = _workers(workers)
-    _check_config(qmax, workers, marks)
+    _check_config(qmax, marks)
     _reject_json(as_json, "invariance")
     b = _parse(braid, strands)
     b2 = b
@@ -351,7 +335,7 @@ def invariance(braid, moves, strands, qmax, reduced, basepoint, marks,
     h1, h2 = (
         braid_homology(
             word, qmax, reduced=reduced, basepoint=basepoint,
-            marks_per_segment=marks, workers=workers,
+            marks_per_segment=marks,
         )
         for word in (b, b2)
     )
@@ -406,7 +390,7 @@ def graph_homology_cmd(name, qmax, as_json, out):
 
     Names: circle, theta, upsilon-closure, gamma1-closure..gamma4-closure.
     """
-    _check_config(qmax, 1)
+    _check_config(qmax)
     try:
         m = catalog.closed_matrix(name)
     except KeyError as exc:

@@ -237,7 +237,6 @@ def braid_homology(
     reduced: bool = False,
     basepoint: str | None = None,
     marks_per_segment: int = 1,
-    workers: int = 1,
 ) -> TriGradedDims:
     """Homology of the closure of b up to q-degree qmax, from the reduced
     cube (mark `basepoint`, default x1, set to zero).  The unreduced table
@@ -245,7 +244,7 @@ def braid_homology(
     H at l sums Hbar at l, l-2, ..., so it is exact up to qmax.  The direct
     unreduced cube is built only by `reduce_mode_check`."""
     cube = build_cube(b, True, basepoint, marks_per_segment)
-    red = link_homology(cube, qmax, workers=workers)
+    red = link_homology(cube, qmax)
     if reduced:
         return red
     dims: dict[tuple[int, int, int], int] = {}
@@ -256,34 +255,13 @@ def braid_homology(
 
 
 def reduce_mode_check(
-    b: BraidWord,
-    qmax: int,
-    basepoint: str | None = None,
-    margin: int = 0,
-    workers: int = 1,
+    b: BraidWord, qmax: int, basepoint: str | None = None
 ) -> bool:
-    """Does H = Hbar (x) Q[x] hold slice-by-slice up to qmax - margin, with
-    H from the direct unreduced cube?"""
-    unred = link_homology(build_cube(b), qmax, workers=workers)
-    red = braid_homology(b, qmax, reduced=True, basepoint=basepoint, workers=workers)
-    limit = qmax - margin
-    if not red.dims:
-        if any(l <= limit for (_, _, l) in unred.dims):
-            return False
-        raise InconclusiveComparison("reduced homology empty below the cutoff")
-    lmin = min(l for (_, _, l) in red.dims)
-    if limit < lmin:
-        raise InconclusiveComparison(
-            f"cutoff {qmax} (margin {margin}) below the lowest reduced degree {lmin}"
-        )
-    keys = {key for key in unred.dims if key[2] <= limit}
-    keys |= {(j, k, l) for (j, k, l) in red.dims if l <= limit}
-    for (j, k, l) in keys:
-        total = 0
-        ll = l
-        while ll >= lmin:
-            total += red.dims.get((j, k, ll), 0)
-            ll -= 2
-        if unred.dims.get((j, k, l), 0) != total:
-            return False
-    return True
+    """Does H = Hbar (x) Q[x] hold up to qmax, with H from the direct
+    unreduced cube?  Both tables are exact up to qmax, so they are compared
+    whole."""
+    unred = link_homology(build_cube(b), qmax)
+    via_reduced = braid_homology(b, qmax, basepoint=basepoint)
+    if not unred.dims and not via_reduced.dims:
+        raise InconclusiveComparison(f"both tables empty up to q^{qmax}")
+    return unred == via_reduced

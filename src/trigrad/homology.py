@@ -39,7 +39,6 @@ integer one.
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass
 from math import gcd
 
@@ -192,10 +191,8 @@ def kernel_and_rank(
 
 @dataclass
 class SliceBasis:
-    """Finite Q-basis of one (k, l) slice (optionally with a cube degree)."""
+    """Finite Q-basis of one (k, l) slice."""
 
-    k: int
-    l: int
     elems: list[tuple[int, tuple[int, ...]]]  # (generator index, exponents)
     index: dict[tuple[int, tuple[int, ...]], int]
 
@@ -227,7 +224,7 @@ def slice_basis(cx: FactorComplex, k: int, l: int) -> SliceBasis:
                 continue
             for mono in monomials_of_degree(nx, dl // 2):
                 elems.append((gi, mono))
-    return SliceBasis(k, l, elems, {e: i for i, e in enumerate(elems)})
+    return SliceBasis(elems, {e: i for i, e in enumerate(elems)})
 
 
 def _columns_of_map(
@@ -530,19 +527,6 @@ def hom_space_dim(
 # ---------------------------------------------------------------------------
 
 
-_WORK_CUBE = None
-
-
-def _slice_task(args):
-    k, l = args
-    return (k, l), _link_homology_slice(_WORK_CUBE, k, l)
-
-
-def _init_worker(cube):
-    global _WORK_CUBE
-    _WORK_CUBE = cube
-
-
 def _link_homology_slice(cube, k: int, l: int) -> dict[int, int]:
     """Cohomology dims over the cube degree j at one (k, l).
 
@@ -601,7 +585,7 @@ def _link_homology_slice(cube, k: int, l: int) -> dict[int, int]:
     return out
 
 
-def link_homology(cube, qmax: int, workers: int = 1) -> TriGradedDims:
+def link_homology(cube, qmax: int) -> TriGradedDims:
     ks = set()
     lmins = []
     lpar = set()
@@ -619,36 +603,10 @@ def link_homology(cube, qmax: int, workers: int = 1) -> TriGradedDims:
         for l in range(lmin, qmax + 1)
         if (l % 2) in lpar
     ]
-    results: dict[tuple[int, int], dict[int, int]] = {}
-    if workers > 1:
-        import multiprocessing as mp
-
-        ctx = mp.get_context("fork")
-        with ctx.Pool(
-            processes=workers, initializer=_init_worker, initargs=(cube,)
-        ) as pool:
-            for key, val in pool.map(_slice_task, tasks):
-                results[key] = val
-    else:
-        for k, l in tasks:
-            results[(k, l)] = _link_homology_slice(cube, k, l)
+    results = {(k, l): _link_homology_slice(cube, k, l) for k, l in tasks}
     dims: dict[tuple[int, int, int], int] = {}
     for (k, l) in sorted(results):
         for j, d in sorted(results[(k, l)].items()):
             dims[(j, k, l)] = d
     return TriGradedDims(dims, qmax)
 
-
-def default_workers() -> int:
-    """Worker count from TRIGRAD_WORKERS (1 when unset or empty); raises
-    ValueError naming the variable when it is not an integer >= 1."""
-    env = os.environ.get("TRIGRAD_WORKERS")
-    if not env:
-        return 1
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"TRIGRAD_WORKERS={env!r} must be an integer >= 1")
-    return workers

@@ -237,7 +237,7 @@ class TestReduced:
 
     def test_cutoff_too_small_is_reported(self):
         with pytest.raises(InconclusiveComparison):
-            reduce_mode_check(parse_braid("", strands=1), 2, margin=2)
+            reduce_mode_check(parse_braid("", strands=1), 0)
 
     @pytest.mark.parametrize("text, strands, qmax", [
         ("", 3, 10),
@@ -248,7 +248,7 @@ class TestReduced:
     ], ids=["unlink3", "hopf-on-3-strands", "T(2,4)", "negative-hopf",
             "1 1 -2 1 -2"])
     def test_links_match_exactly_up_to_qmax(self, text, strands, qmax):
-        assert reduce_mode_check(parse_braid(text, strands), qmax, margin=0)
+        assert reduce_mode_check(parse_braid(text, strands), qmax)
 
     def test_direct_side_builds_the_unreduced_cube(self, monkeypatch):
         real = cube_module.build_cube
@@ -283,6 +283,19 @@ class TestReduced:
         monkeypatch.setattr(cube_module, "link_homology", link)
         assert not reduce_mode_check(parse_braid("1 1"), 8)
         assert direct
+
+    def test_class_missing_from_the_direct_side_fails(self, monkeypatch):
+        # Hbar of the trefoil has no class at (0, -2, 8), so dropping it
+        # from every table removes it from the direct side alone
+        real_link = cube_module.link_homology
+
+        def link(cube, qmax):
+            h = real_link(cube, qmax)
+            h.dims.pop((0, -2, 8), None)
+            return h
+
+        monkeypatch.setattr(cube_module, "link_homology", link)
+        assert not reduce_mode_check(parse_braid("1 1 1"), 8)
 
 
 class TestMarks:

@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -316,7 +315,7 @@ class TestEuler:
         assert s == QSeries({1 + 2 * i: {-1: 1} for i in range(4)}, 7)
 
     def test_empty(self):
-        assert euler_characteristic(TriGradedDims({}, 5)).is_zero()
+        assert euler_characteristic(TriGradedDims({}, 5)).coeffs == {}
 
     def test_cone_relation_on_one_crossing(self):
         # <D sigma> = <De> - q^2 <D> for the 1-crossing 2-braid closure
@@ -354,14 +353,6 @@ class TestHomSpaces:
         _, n = hom_pair("gamma000", "gamma000")
         with pytest.raises(ValueError):
             hom_space_dim(m, n)
-
-
-class TestLinkHomologyParallel:
-    def test_workers_do_not_change_output(self):
-        cube = build_cube(parse_braid("1 1"))
-        h1 = link_homology(cube, 8, workers=1)
-        h2 = link_homology(cube, 8, workers=2)
-        assert json.dumps(h1.items_sorted()) == json.dumps(h2.items_sorted())
 
 
 class TestInducedIdentity:
