@@ -13,9 +13,10 @@ may carry a record, a sparse vector on which the same row operations act:
 reduces to zero leaves a kernel vector.
 
 Slice homology has one routine, `slice_homology_basis`: it takes the ranks
-first, sharing the columns and the boundary echelon, and runs the kernel
-pass only on slices that are not exact.  `slice_homology_dim` stops after
-the ranks.
+first and runs the kernel pass only on slices that are not exact;
+`slice_homology_dim` stops after the ranks.  Callers sweep each diagonal
+k - l = c with l rising, and the echelon of d out of (k, l) is kept as the
+boundary echelon of (k+1, l+1), so each block of d is eliminated once.
 
 Closed graphs (`matrix_homology`, `graph_homology`) and cube vertices
 alike: `koszul.exclude_all` removes the linear rows with their variables
@@ -41,6 +42,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from math import gcd
+from typing import TYPE_CHECKING
 
 from .algebra import (
     Bidegree,
@@ -60,6 +62,9 @@ from .koszul import (
     strip_a,
     tensor_matrices,
 )
+
+if TYPE_CHECKING:
+    from .cube import CubeComplex
 
 
 class InconclusiveComparison(ValueError):
@@ -154,6 +159,12 @@ class Echelon:
         if not vec:
             return False
         _content_reduce(vec, rec)
+        self._append(vec, rec)
+        return True
+
+    def _append(self, vec: dict[int, int], rec: dict | None) -> None:
+        """Store a reduced vector as the next pivot; appending the pivot
+        vectors of an echelon in order rebuilds it."""
         pivot_row = None
         best = None
         for r, v in vec.items():
@@ -163,17 +174,17 @@ class Echelon:
                 pivot_row = r
         self.pivots.append((pivot_row, vec, rec))
         self.pivot_of_row[pivot_row] = len(self.pivots) - 1
-        return True
 
 
 def kernel_and_rank(
     cols: list[dict[int, int]], want_kernel: bool = True
 ) -> tuple[int, list[dict[int, int]]]:
-    """Rank of the column span and (optionally) an integer kernel basis,
-    as combinations of the given columns.  Columns are consumed sparsest
-    first (a deterministic fill-reducing order; the span is unaffected and
-    any kernel basis is as good as any other).  Column ci carries the record
-    {ci: 1}; the record of a column that reduces to zero is a kernel vector."""
+    """Rank of the column span and an integer basis: of the kernel, as
+    combinations of the given columns, or without `want_kernel` of the span,
+    the echelon's pivot vectors.  Columns are consumed sparsest first (a
+    deterministic fill-reducing order; the span is unaffected and any kernel
+    basis is as good as any other).  Column ci carries the record {ci: 1};
+    the record of a column that reduces to zero is a kernel vector."""
     ech = Echelon()
     kernel: list[dict[int, int]] = []
     for ci in sorted(range(len(cols)), key=lambda ci: (len(cols[ci]), ci)):
@@ -181,7 +192,7 @@ def kernel_and_rank(
         if not ech.insert(cols[ci], rec=rec) and want_kernel:
             _content_reduce(rec)
             kernel.append(rec)
-    return ech.rank, kernel
+    return ech.rank, kernel if want_kernel else [p for _, p, _ in ech.pivots]
 
 
 # ---------------------------------------------------------------------------
@@ -266,32 +277,56 @@ class HomologyBasis:
         return len(self.reps)
 
 
+def _eliminate_block(
+    d: Matrix, src: SliceBasis, tgt: SliceBasis
+) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+    """The integer columns of d from slice `src` to slice `tgt` and the
+    echelon basis of their span; none if either slice is empty."""
+    if not (src.dim and tgt.dim):
+        return [{} for _ in src.elems], []
+    cols = _columns_of_map(d, src, tgt)
+    return cols, kernel_and_rank(cols, want_kernel=False)[1]
+
+
 def _slice_ranks(
     cx: FactorComplex, k: int, l: int
-) -> tuple[SliceBasis, list[dict[int, int]], int, Echelon]:
+) -> tuple[SliceBasis, list[dict[int, int]], int, list[dict[int, int]]]:
     """The (k, l) slice, the integer columns of d out of it, the rank of
-    those columns, and the echelon of the boundaries into the slice."""
-    here = slice_basis(cx, k, l)
+    those columns, and the echelon basis of the boundaries into the slice.
+
+    The echelon of the block out of (k, l) is the boundary echelon of
+    (k+1, l+1): the same columns, inserted in the same order.  `cx` keeps
+    the out-block of the slice it visited last, so a sweep up a diagonal
+    eliminates each block once; any other call starts afresh."""
+    here, bounds = cx._out_block.pop((k - 1, l - 1), (None, None))
+    cx._out_block.clear()
+    if here is None:
+        here = slice_basis(cx, k, l)
     if here.dim == 0:
-        return here, [], 0, Echelon()
+        return here, [], 0, []
+    if bounds is None:
+        _, bounds = _eliminate_block(cx.d, slice_basis(cx, k - 1, l - 1), here)
     above = slice_basis(cx, k + 1, l + 1)
-    below = slice_basis(cx, k - 1, l - 1)
-    out_cols = _columns_of_map(cx.d, here, above)
-    rank_out, _ = kernel_and_rank(out_cols, want_kernel=False)
-    bounds = Echelon()
-    for col in sorted(_columns_of_map(cx.d, below, here), key=len):
-        bounds.insert(col)
-    return here, out_cols, rank_out, bounds
+    out_cols, out = _eliminate_block(cx.d, here, above)
+    cx._out_block[(k, l)] = (above, out)
+    return here, out_cols, len(out), bounds
+
+
+def _along_diagonals(slices) -> list[tuple[int, int]]:
+    """Diagonal by diagonal (k - l), l rising: the order that reuses blocks."""
+    return sorted(slices, key=lambda kl: (kl[0] - kl[1], kl[1]))
 
 
 def slice_homology_basis(cx: FactorComplex, k: int, l: int) -> HomologyBasis:
     """Cycle representatives of the (k, l) homology slice and the boundary
     vectors they are taken modulo.  Ranks come first; the kernel pass runs
     only on a slice that is not exact."""
-    here, out_cols, rank_out, bounds = _slice_ranks(cx, k, l)
-    boundaries = [pvec for _, pvec, _ in bounds.pivots]
+    here, out_cols, rank_out, boundaries = _slice_ranks(cx, k, l)
     reps: list[dict[int, int]] = []
-    if here.dim - rank_out - bounds.rank:
+    if here.dim - rank_out - len(boundaries):
+        bounds = Echelon()
+        for vec in boundaries:
+            bounds._append(vec, None)
         _, kernel_recs = kernel_and_rank(out_cols, want_kernel=True)
         for vec in kernel_recs:
             if bounds.insert(vec):
@@ -305,8 +340,8 @@ _gated_homology_basis = slice_homology_basis
 
 def slice_homology_dim(cx: FactorComplex, k: int, l: int) -> int:
     """dim of the (k, l) homology slice, from the ranks alone."""
-    here, _, rank_out, bounds = _slice_ranks(cx, k, l)
-    return here.dim - rank_out - bounds.rank
+    here, _, rank_out, boundaries = _slice_ranks(cx, k, l)
+    return here.dim - rank_out - len(boundaries)
 
 
 def induced_map(
@@ -453,12 +488,12 @@ def matrix_homology(
         ks = range(krange[0], krange[1] + 1)
     lmin = min((g.bidegree.l for g in cx.gens), default=0)
     dims: dict[tuple[int, int, int], int] = {}
-    for k in ks:
-        for l in range(lmin, qmax + 1):
-            d = slice_homology_dim(cx, k, l)
-            if d:
-                dims[(0, k, l)] = d
-    return TriGradedDims(dims, qmax)
+    slices = _along_diagonals((k, l) for k in ks for l in range(lmin, qmax + 1))
+    for k, l in slices:
+        d = slice_homology_dim(cx, k, l)
+        if d:
+            dims[(0, k, l)] = d
+    return TriGradedDims(dict(sorted(dims.items())), qmax)
 
 
 def graph_homology(g: ResolutionGraph, qmax: int) -> TriGradedDims:
@@ -527,7 +562,7 @@ def hom_space_dim(
 # ---------------------------------------------------------------------------
 
 
-def _link_homology_slice(cube, k: int, l: int) -> dict[int, int]:
+def _link_homology_slice(cube: CubeComplex, k: int, l: int) -> dict[int, int]:
     """Cohomology dims over the cube degree j at one (k, l).
 
     Edge maps are chain maps, so the rank of the cube differential on
@@ -536,7 +571,7 @@ def _link_homology_slice(cube, k: int, l: int) -> dict[int, int]:
     out-edges, and B holds the boundary vectors of each target slice, in
     that target's own coordinate range.  An edge into a zero homology slice
     is skipped: its images are boundaries there."""
-    bases = {
+    bases: dict[int, HomologyBasis] = {
         mask: slice_homology_basis(cx, k, l)
         for mask, cx in cube.vertices.items()
     }
@@ -585,24 +620,16 @@ def _link_homology_slice(cube, k: int, l: int) -> dict[int, int]:
     return out
 
 
-def link_homology(cube, qmax: int) -> TriGradedDims:
-    ks = set()
-    lmins = []
-    lpar = set()
-    for cx in cube.vertices.values():
-        for g in cx.gens:
-            ks.add(g.bidegree.k)
-            lmins.append(g.bidegree.l)
-            lpar.add(g.bidegree.l % 2)
-    if not ks:
+def link_homology(cube: CubeComplex, qmax: int) -> TriGradedDims:
+    degs = {g.bidegree for cx in cube.vertices.values() for g in cx.gens}
+    if not degs:
         return TriGradedDims({}, qmax)
-    lmin = min(lmins)
-    tasks = [
-        (k, l)
-        for k in sorted(ks)
-        for l in range(lmin, qmax + 1)
-        if (l % 2) in lpar
-    ]
+    lmin = min(b.l for b in degs)
+    lpar = {b.l % 2 for b in degs}
+    tasks = _along_diagonals(
+        (k, l) for k in {b.k for b in degs}
+        for l in range(lmin, qmax + 1) if l % 2 in lpar
+    )
     results = {(k, l): _link_homology_slice(cube, k, l) for k, l in tasks}
     dims: dict[tuple[int, int, int], int] = {}
     for (k, l) in sorted(results):

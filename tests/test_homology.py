@@ -430,3 +430,102 @@ class TestCubeLevelInvariants:
         from trigrad.algebra import QSeries
 
         assert s == QSeries(expect, qmax)
+
+
+def _graph_complex(word, mask):
+    g = resolve(build_marked_diagram(BraidWord(3, tuple(word))), mask)
+    return g, realize(reduce_closed_matrix(koszul_of_graph(g)))
+
+
+def _slices(cx, qmax):
+    lmin = min(g.bidegree.l for g in cx.gens)
+    ks = sorted({g.bidegree.k for g in cx.gens})
+    return [(k, l) for k in ks for l in range(lmin, qmax + 1)]
+
+
+class TestDiagonalSweep:
+    """A complex keeps the block of d out of the slice it visited last and
+    reuses its echelon as the boundaries of the next slice up the diagonal;
+    any other order must recompute them."""
+
+    def test_sweep_equals_cold_on_a_cube_vertex(self):
+        cube = build_cube(parse_braid("1 -2 1 -2 1 -2"), reduced=True)
+        cx = max(cube.vertices.values(), key=lambda c: c.rank())
+        sweep = sorted(_slices(cx, 8), key=lambda kl: (kl[0] - kl[1], kl[1]))
+        warm = {(k, l): slice_homology_basis(cx, k, l) for k, l in sweep}
+        shuffled = list(sweep)
+        random.Random(7).shuffle(shuffled)
+        cold = {(k, l): slice_homology_basis(cx, k, l) for k, l in shuffled}
+        assert warm == cold
+        assert any(b.boundaries for b in warm.values())
+        assert any(b.reps for b in warm.values())
+
+    @pytest.mark.parametrize(
+        "word, mask",
+        [((1, 2, 1, 2, 1, 2), 63), ((1, 1, 2, 1, 2, 2), 31),
+         ((1, 2, 2, 1, 1, 2), 62)],
+    )
+    def test_matrix_homology_equals_cold_slices(self, word, mask):
+        g, cx = _graph_complex(word, mask)
+        shuffled = _slices(cx, 14)
+        random.Random(11).shuffle(shuffled)
+        cold = {(0, k, l): slice_homology_dim(cx, k, l) for k, l in shuffled}
+        assert graph_homology(g, 14).dims == {
+            key: d for key, d in sorted(cold.items()) if d
+        }
+
+
+class TestEachBlockOnce:
+    """Each nonempty block of d between two slices of one complex has its
+    columns built once, although it is the out-block of one visited slice
+    and the boundary block of the next."""
+
+    def _spy(self, monkeypatch, hom):
+        built, visited = [], []
+        real_columns = hom._columns_of_map
+
+        def columns(mat, src, tgt):
+            built.append((id(mat), tuple(src.elems), tuple(tgt.elems)))
+            return real_columns(mat, src, tgt)
+
+        def visiting(real):
+            def visit(cx, k, l):
+                visited.append((cx, k, l))
+                return real(cx, k, l)
+            return visit
+
+        monkeypatch.setattr(hom, "_columns_of_map", columns)
+        for name in ("slice_homology_basis", "slice_homology_dim"):
+            monkeypatch.setattr(hom, name, visiting(getattr(hom, name)))
+        return built, visited
+
+    @staticmethod
+    def _blocks(visited):
+        """The blocks (k, l) -> (k+1, l+1) with both slices nonempty that
+        have a visited slice at one end."""
+        out = set()
+        for cx, k, l in visited:
+            for s in ((k - 1, l - 1), (k, l)):
+                src = slice_basis(cx, *s)
+                tgt = slice_basis(cx, s[0] + 1, s[1] + 1)
+                if src.dim and tgt.dim:
+                    out.add((id(cx.d), tuple(src.elems), tuple(tgt.elems)))
+        return out
+
+    def test_graph_homology(self, monkeypatch):
+        import trigrad.homology as hom
+
+        g, _ = _graph_complex((1, 2, 1, 2, 1, 2), 63)
+        built, visited = self._spy(monkeypatch, hom)
+        assert hom.graph_homology(g, 14).dims
+        assert len(built) == len(set(built)) == len(self._blocks(visited))
+        assert set(built) == self._blocks(visited)
+
+    def test_link_homology(self, monkeypatch):
+        import trigrad.homology as hom
+
+        cube = build_cube(parse_braid("1 1 2 1 2"))
+        built, visited = self._spy(monkeypatch, hom)
+        assert hom.link_homology(cube, 6).dims
+        assert len(built) == len(set(built))
+        assert set(built) == self._blocks(visited)
