@@ -37,12 +37,13 @@ class BraidWord:
 
 
 def parse_braid(text: str, strands: int | None = None) -> BraidWord:
-    """Parse whitespace-separated signed integers; an optional leading
-    ``n=<count>`` token (or the `strands` argument) fixes the strand count."""
+    """Parse whitespace-separated signed integers; a leading ``n=<count>``
+    token or the `strands` argument (equal if both) fixes the strand count."""
     tokens = text.split()
     if tokens and tokens[0].startswith("n="):
-        strands = int(tokens[0][2:])
-        tokens = tokens[1:]
+        if strands not in (None, int(tokens[0][2:])):
+            raise ValueError(f"{tokens[0]} prefix disagrees with strands={strands}")
+        strands, tokens = int(tokens[0][2:]), tokens[1:]
     letters = []
     for tok in tokens:
         s = int(tok)

@@ -47,7 +47,7 @@ class FactorComplex:
     gens: tuple[Generator, ...]
     d: Matrix
     w: Polynomial  # d^2 = w * Id
-    # cache: {(k, l): (slice (k+1, l+1), echelon basis of d from (k, l))}
+    # cache: {(k, l): (slice (k+1, l+1), echelon of d out of (k, l))}
     _out_block: dict = field(default_factory=dict, init=False, compare=False)
 
     def rank(self) -> int:

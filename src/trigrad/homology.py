@@ -12,10 +12,10 @@ may carry a record, a sparse vector on which the same row operations act:
 `kernel_and_rank` gives column ci the record {ci: 1}, so a column that
 reduces to zero leaves a kernel vector.
 
-Slice homology has one routine, `slice_homology_basis`: it takes the ranks
-first and runs the kernel pass only on slices that are not exact;
-`slice_homology_dim` stops after the ranks.  Callers sweep each diagonal
-k - l = c with l rising, and the echelon of d out of (k, l) is kept as the
+Slice homology has one routine, `_slice_ranks`: one pass over the block of
+d out of (k, l) gives its rank and, for `slice_homology_basis`, the kernel
+vectors that represent homology modulo the boundaries.  Callers sweep each
+diagonal k - l = c with l rising, and the echelon of d out of (k, l) is the
 boundary echelon of (k+1, l+1), so each block of d is eliminated once.
 
 Closed graphs (`matrix_homology`, `graph_homology`) and cube vertices
@@ -159,12 +159,6 @@ class Echelon:
         if not vec:
             return False
         _content_reduce(vec, rec)
-        self._append(vec, rec)
-        return True
-
-    def _append(self, vec: dict[int, int], rec: dict | None) -> None:
-        """Store a reduced vector as the next pivot; appending the pivot
-        vectors of an echelon in order rebuilds it."""
         pivot_row = None
         best = None
         for r, v in vec.items():
@@ -174,25 +168,26 @@ class Echelon:
                 pivot_row = r
         self.pivots.append((pivot_row, vec, rec))
         self.pivot_of_row[pivot_row] = len(self.pivots) - 1
+        return True
 
 
 def kernel_and_rank(
-    cols: list[dict[int, int]], want_kernel: bool = True
+    cols: list[dict[int, int]], want_kernel: bool = True, ech: Echelon | None = None
 ) -> tuple[int, list[dict[int, int]]]:
-    """Rank of the column span and an integer basis: of the kernel, as
-    combinations of the given columns, or without `want_kernel` of the span,
-    the echelon's pivot vectors.  Columns are consumed sparsest first (a
-    deterministic fill-reducing order; the span is unaffected and any kernel
-    basis is as good as any other).  Column ci carries the record {ci: 1};
-    the record of a column that reduces to zero is a kernel vector."""
-    ech = Echelon()
+    """Rank of the column span and an integer basis of the kernel, as
+    combinations of the given columns ([] without `want_kernel`); the pivots
+    go into `ech`, a fresh `Echelon` by default.  Columns are consumed
+    sparsest first (a deterministic fill-reducing order; the span is
+    unaffected and any kernel basis is as good as any other).  Column ci
+    carries the record {ci: 1}; one that reduces to zero leaves its record."""
+    ech = Echelon() if ech is None else ech
     kernel: list[dict[int, int]] = []
     for ci in sorted(range(len(cols)), key=lambda ci: (len(cols[ci]), ci)):
         rec = {ci: 1} if want_kernel else None
         if not ech.insert(cols[ci], rec=rec) and want_kernel:
             _content_reduce(rec)
             kernel.append(rec)
-    return ech.rank, kernel if want_kernel else [p for _, p, _ in ech.pivots]
+    return ech.rank, kernel
 
 
 # ---------------------------------------------------------------------------
@@ -278,21 +273,23 @@ class HomologyBasis:
 
 
 def _eliminate_block(
-    d: Matrix, src: SliceBasis, tgt: SliceBasis
-) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
-    """The integer columns of d from slice `src` to slice `tgt` and the
-    echelon basis of their span; none if either slice is empty."""
+    d: Matrix, src: SliceBasis, tgt: SliceBasis, want_kernel: bool = False
+) -> tuple[list[dict[int, int]], Echelon]:
+    """The kernel of d from slice `src` to slice `tgt` ([] without
+    `want_kernel`) and the echelon of its image.  A block with an empty side
+    builds no columns: its kernel is the unit vectors of `src`."""
+    ech = Echelon()
     if not (src.dim and tgt.dim):
-        return [{} for _ in src.elems], []
-    cols = _columns_of_map(d, src, tgt)
-    return cols, kernel_and_rank(cols, want_kernel=False)[1]
+        return [{i: 1} for i in range(src.dim)] if want_kernel else [], ech
+    return kernel_and_rank(_columns_of_map(d, src, tgt), want_kernel, ech)[1], ech
 
 
 def _slice_ranks(
-    cx: FactorComplex, k: int, l: int
-) -> tuple[SliceBasis, list[dict[int, int]], int, list[dict[int, int]]]:
-    """The (k, l) slice, the integer columns of d out of it, the rank of
-    those columns, and the echelon basis of the boundaries into the slice.
+    cx: FactorComplex, k: int, l: int, want_kernel: bool
+) -> tuple[SliceBasis, list[dict[int, int]], int, Echelon | None]:
+    """The (k, l) slice, the kernel of d out of it ([] without
+    `want_kernel`), the dimension of its homology, and the echelon of the
+    boundaries into it (None for an empty slice or without `want_kernel`).
 
     The echelon of the block out of (k, l) is the boundary echelon of
     (k+1, l+1): the same columns, inserted in the same order.  `cx` keeps
@@ -303,13 +300,15 @@ def _slice_ranks(
     if here is None:
         here = slice_basis(cx, k, l)
     if here.dim == 0:
-        return here, [], 0, []
+        return here, [], 0, None
     if bounds is None:
-        _, bounds = _eliminate_block(cx.d, slice_basis(cx, k - 1, l - 1), here)
+        bounds = _eliminate_block(cx.d, slice_basis(cx, k - 1, l - 1), here)[1]
+    # the ranks alone need only the number of boundaries: free them first
+    dim, bounds = here.dim - bounds.rank, (bounds if want_kernel else None)
     above = slice_basis(cx, k + 1, l + 1)
-    out_cols, out = _eliminate_block(cx.d, here, above)
+    kernel, out = _eliminate_block(cx.d, here, above, want_kernel)
     cx._out_block[(k, l)] = (above, out)
-    return here, out_cols, len(out), bounds
+    return here, kernel, dim - out.rank, bounds
 
 
 def _along_diagonals(slices) -> list[tuple[int, int]]:
@@ -319,18 +318,18 @@ def _along_diagonals(slices) -> list[tuple[int, int]]:
 
 def slice_homology_basis(cx: FactorComplex, k: int, l: int) -> HomologyBasis:
     """Cycle representatives of the (k, l) homology slice and the boundary
-    vectors they are taken modulo.  Ranks come first; the kernel pass runs
-    only on a slice that is not exact."""
-    here, out_cols, rank_out, boundaries = _slice_ranks(cx, k, l)
-    reps: list[dict[int, int]] = []
-    if here.dim - rank_out - len(boundaries):
-        bounds = Echelon()
-        for vec in boundaries:
-            bounds._append(vec, None)
-        _, kernel_recs = kernel_and_rank(out_cols, want_kernel=True)
-        for vec in kernel_recs:
-            if bounds.insert(vec):
-                reps.append(bounds.pivots[-1][1])
+    vectors they are taken modulo: the kernel vectors of d out of the slice
+    that stay independent of the boundary echelon."""
+    here, kernel, dim, bounds = _slice_ranks(cx, k, l, True)
+    if bounds is None:
+        return HomologyBasis(here, [], [])
+    boundaries = [vec for _, vec, _ in bounds.pivots]
+    for vec in boundaries:  # a pass with records may leave a multiple
+        _content_reduce(vec)
+    if dim:
+        for vec in kernel:
+            bounds.insert(vec)
+    reps = [vec for _, vec, _ in bounds.pivots[len(boundaries):]]
     return HomologyBasis(here, reps, boundaries)
 
 
@@ -340,8 +339,7 @@ _gated_homology_basis = slice_homology_basis
 
 def slice_homology_dim(cx: FactorComplex, k: int, l: int) -> int:
     """dim of the (k, l) homology slice, from the ranks alone."""
-    here, _, rank_out, boundaries = _slice_ranks(cx, k, l)
-    return here.dim - rank_out - len(boundaries)
+    return _slice_ranks(cx, k, l, False)[2]
 
 
 def induced_map(

@@ -2,6 +2,7 @@
 
     python tests/golden_dims.py            # write tests/data/golden_dims.json
     python tests/golden_dims.py --check    # recompute and compare, exit 1 on a mismatch
+    python tests/golden_dims.py --frontier [--check]   # the same for frontier_dims.json
 
 The table pins results that the Euler identity cannot see (generators that
 cancel in pairs).  It was written once from a trusted revision; a change that
@@ -16,6 +17,9 @@ q14, where monic elimination picks the fewest rows);
 the Borromean rings reduced at q4, three words of the `positive` benchmark
 family at q6, and two `mixed` words at q8.  The qmax values keep the whole
 table to about 20 seconds.
+
+Frontier inputs, too slow for the unit tests (about 9 seconds): the
+Borromean rings at q8 in both modes and T(3,4) reduced at q14.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from trigrad.cube import braid_homology, resolve  # noqa: E402
 from trigrad.homology import graph_homology  # noqa: E402
 
 PATH = os.path.join(os.path.dirname(__file__), "data", "golden_dims.json")
+FRONTIER_PATH = os.path.join(os.path.dirname(__file__), "data",
+                             "frontier_dims.json")
 
 MIXED_WORDS = [
     "1 1 1 -2 -2", "-2 2 -2 2 1", "-2 1 1 -1 1", "-2 -1 1 1 1",
@@ -67,6 +73,9 @@ CASES = (
     + [_braid(word, 8) for word in ("-1 2 1 2 -1", "1 1 1 -2 -2")]
 )
 
+FRONTIER = [_braid("1 -2 1 -2 1 -2", 8, True), _braid("1 -2 1 -2 1 -2", 8),
+            _braid("1 2 1 2 1 2 1 2", 14, True)]
+
 
 def case_id(case: dict) -> str:
     if case["kind"] == "graph":
@@ -86,34 +95,42 @@ def compute(case: dict) -> dict[tuple[int, int, int], int]:
     ).dims
 
 
-def load() -> dict[str, dict[tuple[int, int, int], int]]:
-    with open(PATH) as fh:
+def load(path: str = PATH) -> dict[str, dict[tuple[int, int, int], int]]:
+    with open(path) as fh:
         rows = json.load(fh)
     return {
         row["id"]: {(j, k, l): d for j, k, l, d in row["dims"]} for row in rows
     }
 
 
-def write() -> None:
+def write(cases: list[dict], path: str) -> None:
     rows = [
         {"id": case_id(c), **c,
          "dims": [[j, k, l, d] for (j, k, l), d in sorted(compute(c).items())]}
-        for c in CASES
+        for c in cases
     ]
-    os.makedirs(os.path.dirname(PATH), exist_ok=True)
-    with open(PATH, "w") as fh:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
         fh.write("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n")
 
 
-def check() -> int:
-    golden = load()
-    bad = [case_id(c) for c in CASES if compute(c) != golden[case_id(c)]]
+def check(cases: list[dict], path: str) -> int:
+    golden = load(path)
+    bad = [case_id(c) for c in cases if compute(c) != golden[case_id(c)]]
     for name in bad:
         print(f"mismatch: {name}")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--check"]:
-        sys.exit(check())
-    write()
+    args = sys.argv[1:]
+    if "--frontier" in args:
+        args.remove("--frontier")
+        cases, path = FRONTIER, FRONTIER_PATH
+    else:
+        cases, path = CASES, PATH
+    if args == ["--check"]:
+        sys.exit(check(cases, path))
+    if args:
+        sys.exit(f"usage: {sys.argv[0]} [--frontier] [--check]")
+    write(cases, path)

@@ -32,6 +32,11 @@ class TestParse:
     def test_prefix_strand_count(self):
         assert parse_braid("n=4 1 2") == BraidWord(4, (1, 2))
 
+    def test_prefix_and_argument_must_agree(self):
+        assert parse_braid("n=3 1", strands=3) == BraidWord(3, (1,))
+        with pytest.raises(ValueError, match=r"n=3.*strands=5"):
+            parse_braid("n=3 1", strands=5)
+
     def test_zero_letter_rejected(self):
         with pytest.raises(ValueError):
             parse_braid("1 0 2")

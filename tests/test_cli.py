@@ -42,6 +42,12 @@ class TestHomologyCommand:
         res = runner.invoke(cli.main, ["homology", "1 0"])
         assert res.exit_code == cli.EXIT_PARSE
 
+    def test_strands_disagreeing_with_the_prefix_is_a_parse_error(self, runner):
+        res = runner.invoke(cli.main, ["homology", "n=3 1", "--strands", "5"])
+        assert res.exit_code == cli.EXIT_PARSE
+        errors = [ln for ln in res.output.splitlines() if ln]
+        assert errors == ["braid parse error: n=3 prefix disagrees with strands=5"]
+
     def test_config_violation_exit_code(self, runner):
         res = runner.invoke(cli.main, ["homology", "1", "--qmax", "0"])
         assert res.exit_code == cli.EXIT_CONFIG

@@ -2,13 +2,19 @@
 
 import pytest
 
-from golden_dims import CASES, case_id, compute, load
+from golden_dims import CASES, FRONTIER, FRONTIER_PATH, case_id, compute, load
 
 GOLDEN = load()
 
 
 def test_table_covers_every_case():
     assert sorted(GOLDEN) == sorted(case_id(c) for c in CASES)
+
+
+def test_frontier_table_covers_every_case():
+    # the frontier tables are recomputed by `golden_dims.py --frontier
+    # --check` in CI, not here
+    assert sorted(load(FRONTIER_PATH)) == sorted(case_id(c) for c in FRONTIER)
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)

@@ -529,3 +529,36 @@ class TestEachBlockOnce:
         assert hom.link_homology(cube, 6).dims
         assert len(built) == len(set(built))
         assert set(built) == self._blocks(visited)
+
+    def test_each_block_is_eliminated_once(self, monkeypatch):
+        # one kernel_and_rank pass per block whose columns a vertex slice
+        # built: the kernel comes from the pass that gives the rank
+        import trigrad.homology as hom
+
+        calls = {"in_vertex": 0, "columns": 0, "eliminations": 0}
+        real_columns, real_rank = hom._columns_of_map, hom.kernel_and_rank
+
+        def columns(*args):
+            calls["columns"] += 1
+            return real_columns(*args)
+
+        def rank(*args, **kwargs):
+            calls["eliminations"] += calls["in_vertex"] > 0
+            return real_rank(*args, **kwargs)
+
+        def visiting(real):
+            def visit(*args):
+                calls["in_vertex"] += 1
+                try:
+                    return real(*args)
+                finally:
+                    calls["in_vertex"] -= 1
+            return visit
+
+        monkeypatch.setattr(hom, "_columns_of_map", columns)
+        monkeypatch.setattr(hom, "kernel_and_rank", rank)
+        for name in ("slice_homology_basis", "slice_homology_dim"):
+            monkeypatch.setattr(hom, name, visiting(getattr(hom, name)))
+        cube = build_cube(parse_braid("1 1 -2 1 -2"), reduced=True)
+        assert hom.link_homology(cube, 6).dims
+        assert calls["columns"] and calls["eliminations"] == calls["columns"]

@@ -2,9 +2,9 @@
 
 Every module-level function and class in ``src/trigrad``, every
 non-dunder method of its classes and every annotated field in a class
-body must be named somewhere outside its own definition: in
-``src/trigrad`` itself, in ``demos/``, in ``perfbench/`` or in the
-acceptance suite ``tests/test_acceptance.py``.
+body must be named somewhere outside its own definition: in ``demos/``,
+in ``perfbench/``, in the acceptance suite ``tests/test_acceptance.py``,
+or in ``src/trigrad`` itself by code that is reached in turn.
 
 Names are collected from the syntax tree: names, attribute names,
 imported names, keyword-argument names, and string constants that are
@@ -27,10 +27,13 @@ constant, the name counts only if one package class alone defines it.
 So ``CubeComplex.dump`` no longer passes because the demos call
 ``KoszulMatrix.dump``.
 
-A name check sees only direct references, so it cannot see code that is
-dead only transitively: a function whose only callers are themselves
-unreached passes, as ``shift_complex`` did while only ``cone``, reached
-by nothing but unit tests, called it.
+Reach is transitive.  The roots are ``demos/``, ``perfbench/``, the
+acceptance suite and the package's module-level code, imports and
+``__all__`` aside.  A use inside a package definition reaches only once
+that definition is reached, so a function whose only callers are
+themselves unreached is flagged with them, as ``shift_complex`` would
+have been while only ``cone``, reached by nothing but unit tests, called
+it.
 """
 
 import ast
@@ -337,22 +340,58 @@ def _member_uses(reaching, types):
     return uses
 
 
+def _imports(tree):
+    """(name, line) of each name that an import or `__all__` binds or
+    lists: in the package they reach nothing by themselves."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            out.add((node.name.rpartition(".")[2], node.lineno))
+        elif isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            out |= {(c.value, c.lineno) for c in ast.walk(node.value)
+                    if isinstance(c, ast.Constant)}
+    return out
+
+
 def _unreached(package, reaching):
-    """The definitions of `package` that no tree of `reaching` names
-    outside their own span; both map path -> syntax tree.  A member counts
-    as named only where its own class is (`_member_uses`)."""
+    """The definitions of `package` that no root reaches; both map path ->
+    syntax tree.  A use reaches a definition when it lies outside the
+    definition's own span and its user is reached: the innermost package
+    definition that encloses the use, or a root for a use in a file outside
+    `package` or at module level.  A member counts as named only where its
+    own class is (`_member_uses`)."""
     uses = defaultdict(set)
     for path, tree in reaching.items():
+        skip = _imports(tree) if path in package else set()
         for name, line in _names(tree):
-            uses[name].add((path, line))
+            if (name, line) not in skip:
+                uses[name].add((path, line))
     member_uses = _member_uses(reaching, _Classes(package))
-    out = []
-    for path, name, node, cls in _definitions(package):
-        used = member_uses[(cls, name)] if cls else uses[name]
-        if not used - {(path, line) for line in _span(node)}:
-            out.append(f"{os.path.relpath(path, ROOT)}: "
-                       + (f"{cls}.{name}" if cls else name))
-    return out
+    defs = list(_definitions(package))
+    spans = {(path, name, cls): _span(node) for path, name, node, cls in defs}
+
+    def user(path, line):
+        inside = [key for key, span in spans.items()
+                  if key[0] == path and line in span]
+        return min(inside, key=lambda key: len(spans[key]), default=None)
+
+    users = {
+        key: {user(path, line)
+              for path, line in (member_uses[(key[2], key[1])] if key[2]
+                                 else uses[key[1]])
+              if not (path == key[0] and line in spans[key])}
+        for key in spans
+    }
+    reached = {None}  # None stands for the roots
+    while True:
+        more = {key for key, who in users.items()
+                if key not in reached and who & reached}
+        if not more:
+            break
+        reached |= more
+    return [f"{os.path.relpath(path, ROOT)}: " + (f"{cls}.{name}" if cls else name)
+            for path, name, _, cls in defs if (path, name, cls) not in reached]
 
 
 def test_every_library_name_is_reached_outside_the_unit_tests():
@@ -397,4 +436,21 @@ def test_a_member_is_reached_only_through_its_own_class():
     assert _unreached(package, reaching) == []
     reaching[user] = ast.parse(
         code + "def show(c: Cube | None):\n    c.dump()\n")
+    assert _unreached(package, reaching) == []
+
+
+def test_code_reached_only_from_unreached_code_is_unreached():
+    # `helper` is named only by `unused` and `twin`, which name each other;
+    # once the demo calls `twin`, all three are reached
+    lib = os.path.join(PKG, "lib.py")
+    package = {lib: ast.parse(
+        "def helper(): ...\n\n"
+        "def unused():\n    return helper() + twin()\n\n"
+        "def twin():\n    return unused()\n")}
+    user = os.path.join(ROOT, "demos", "user.py")
+    reaching = {**package, user: ast.parse("import trigrad.lib\n")}
+    assert _unreached(package, reaching) == [
+        "src/trigrad/lib.py: helper", "src/trigrad/lib.py: unused",
+        "src/trigrad/lib.py: twin"]
+    reaching[user] = ast.parse("import trigrad.lib\ntrigrad.lib.twin()\n")
     assert _unreached(package, reaching) == []
