@@ -34,6 +34,7 @@ from .koszul import Exclusion, KoszulMatrix, KoszulRow, normal_form, row_op
 
 Matrix = dict[int, dict[int, Polynomial]]  # source index -> {target index: entry}
 Element = dict[int, Polynomial]  # generator index -> coefficient
+Index = dict[tuple[int, tuple[int, ...]], int]  # (generator, exponents) -> position
 
 
 @dataclass(frozen=True)
@@ -200,12 +201,11 @@ class ChainMap:
                         f"entry {s}->{t} has bidegree {got}, declared {self.bidegree}"
                     )
 
-    def apply(self, x: Element) -> Element:
-        out: Element = {}
-        for s, p in x.items():
-            for t, q in self.mat.get(s, {}).items():
-                _add_to(out, t, q * p)
-        return out
+    def column(self, s: int, e: tuple[int, ...], index: Index) -> dict[int, int]:
+        """The image of x^e e_s, in the slice coordinates `index` gives."""
+        return _column(index, [(e, 1, [
+            (t, te, c) for t, p in self.mat.get(s, {}).items()
+            for te, c in p.terms.items()])])
 
     def compose(self, first: "ChainMap") -> "ChainMap":
         """self o first (apply `first`, then `self`)."""
@@ -256,8 +256,12 @@ def flip_map(
     m2 = replace(m, rows=tuple(rows))
     src, tgt = realize(m), realize(m2)
     f = FlipMap(Reduction(m, (), m), Reduction(m2, (), m2), row_index, odd, even)
-    one = m.ring.one()
-    mat = {s: r for s in range(src.rank()) if (r := f.apply({s: one}))}
+    mat: Matrix = {}
+    for s in range(src.rank()):
+        for t, e, c in f.image(s):
+            mat.setdefault(s, {}).setdefault(t, {})[e] = c
+    mat = {s: {t: Polynomial(m.ring, terms) for t, terms in row.items()}
+           for s, row in mat.items()}
     return ChainMap(src, tgt, mat, ydeg if kind == "psi'" else BIDEG_ZERO), m2
 
 
@@ -397,19 +401,23 @@ class Reduction:
             image = self._lifts[s] = self.include({s: self.ring.one()})
         return image
 
+    def sigma(self, ring: PolyRing, e: tuple[int, ...]) -> list[tuple[int, Polynomial]]:
+        """sigma(x^e) for x^e over `ring` (big.ring or a ring of some of its
+        variables), split over u; cached by (ring names, e)."""
+        cache = self._sigma.setdefault(ring.names, {})
+        image = cache.get(e)
+        if image is None:
+            mono = Polynomial(ring, {e: 1}).map_to_ring(self.big.ring)
+            for st in self.steps:
+                mono = st.reduce(mono)
+            image = cache[e] = self.quo.split(mono)
+        return image
+
     def substitute(self, p: Polynomial) -> dict[int, dict[tuple[int, ...], int]]:
-        """sigma(p), split over u as {index of u: terms over `ring`}, for p
-        over big.ring or over a ring of some of its variables."""
-        cache = self._sigma.setdefault(p.ring.names, {})
+        """sigma(p), split over u as {index of u: terms over `ring`}."""
         parts: dict[int, dict[tuple[int, ...], int]] = {}
         for e, c in p.terms.items():
-            image = cache.get(e)
-            if image is None:
-                mono = Polynomial(p.ring, {e: 1}).map_to_ring(self.big.ring)
-                for st in self.steps:
-                    mono = st.reduce(mono)
-                image = cache[e] = self.quo.split(mono)
-            for ui, q in image:
+            for ui, q in self.sigma(p.ring, e):
                 acc = parts.setdefault(ui, {})
                 for qe, qc in q.terms.items():
                     acc[qe] = acc.get(qe, 0) + c * qc
@@ -429,54 +437,58 @@ class FlipMap:
     """A flip map between two reduced vertex complexes.  Before reduction
     it is diagonal in the subset basis over one shared ring: `odd` on the
     subsets holding row `row`, `even` on the others.  It acts as
-    pi_tgt o flip o iota_src, a chain map (semilinear over the ring
-    homomorphism sigma of pi_tgt)."""
+    pi_tgt o flip o iota_src, a chain map, semilinear over the ring
+    homomorphism sigma of pi_tgt: x^e e_s goes to sigma(x^e) image(e_s)."""
 
     src: Reduction
     tgt: Reduction
     row: int
     odd: Polynomial
     even: Polynomial
-    # cache: generator -> pi_tgt(flip(iota_src(e_(S,u))))
+    # cache: generator -> pi_tgt(flip(iota_src(e_(S,u)))) as terms
     _images: dict = field(default_factory=dict, init=False, compare=False)
 
-    def apply(self, x: Element) -> Element:
-        """pi_tgt(flip(iota_src(x))): p e_(S,u) goes to sigma(p) times the
-        image of e_(S,u), a product over the target's quotient ring.  That
-        product is already in normal form when sigma(p) is free of the
-        target's relation variables (u = 1 only)."""
-        tgt = self.tgt
-        nb = len(tgt.quo.monos)
-        acc: dict[int, dict[tuple[int, ...], int]] = {}
-        for s, p in x.items():
-            image = self._images.get(s)
-            if image is None:
-                flipped: Element = {}
-                for t, q in self.src.lift(s).items():
-                    _add_to(flipped, t, q * (self.odd if t >> self.row & 1
-                                             else self.even))
-                image = self._images[s] = tgt.project(flipped)
-            for ui, c in tgt.substitute(p).items():
-                if not ui:
-                    for t, r in image.items():
-                        _mul_into(acc.setdefault(t, {}), c, r.terms)
-                    continue
-                table = tgt.product(ui)
-                for t, r in image.items():
-                    base = t - t % nb
-                    for uk, v in table[t % nb]:
-                        _mul_into(acc.setdefault(base + uk, {}), c,
-                                  (r * v).terms)
-        out = {t: Polynomial(tgt.ring, terms) for t, terms in acc.items()}
-        return {t: p for t, p in out.items() if not p.is_zero()}
+    def image(self, s: int) -> list[tuple[int, tuple[int, ...], int]]:
+        """pi_tgt(flip(iota_src(e_s))) as (target generator, exponents,
+        coefficient) terms, cached."""
+        image = self._images.get(s)
+        if image is None:
+            flipped: Element = {}
+            for t, q in self.src.lift(s).items():
+                _add_to(flipped, t, q * (self.odd if t >> self.row & 1
+                                         else self.even))
+            image = self._images[s] = [
+                (t, e, c) for t, p in self.tgt.project(flipped).items()
+                for e, c in p.terms.items()]
+        return image
+
+    def column(self, s: int, e: tuple[int, ...], index: Index) -> dict[int, int]:
+        """The image of x^e e_s, sigma(x^e) image(e_s), in the slice
+        coordinates `index` gives.  A term of sigma(x^e) on u = 1 shifts
+        exponents; on another standard monomial u the image is first
+        multiplied by u over the target's quotient."""
+        tgt, nb = self.tgt, len(self.tgt.quo.monos)
+        shifted = []
+        for ui, q in tgt.sigma(self.src.ring, e):
+            terms = self.image(s) if not ui else [
+                (t - t % nb + uk, tuple(map(int.__add__, te, ve)), c * vc)
+                for t, te, c in self.image(s)
+                for uk, v in tgt.product(ui)[t % nb]
+                for ve, vc in v.terms.items()]
+            shifted.extend((qe, qc, terms) for qe, qc in q.terms.items())
+        return _column(index, shifted)
 
 
-def _mul_into(acc: dict, a: dict, b: dict) -> None:
-    """acc += a * b, on term dicts."""
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(map(int.__add__, ea, eb))
-            acc[e] = acc.get(e, 0) + ca * cb
+def _column(index: Index, shifted) -> dict[int, int]:
+    """Sum of qc c at index[(t, qe + te)] over (qe, qc, terms) in `shifted`
+    and (t, te, c) in terms; a term that `index` lacks is dropped."""
+    col: dict[int, int] = {}
+    for qe, qc, terms in shifted:
+        for t, te, c in terms:
+            pos = index.get((t, tuple(map(int.__add__, qe, te))))
+            if pos is not None:
+                col[pos] = col.get(pos, 0) + qc * c
+    return {p: v for p, v in col.items() if v}
 
 
 # ---------------------------------------------------------------------------

@@ -26,15 +26,15 @@ the remaining variables on (row subset, standard monomial) pairs.  The slices
 are then taken over those few variables, with the same slice code.
 
 Cube ranks: cube vertices are realized after their own reductions, and an
-edge is a `FlipMap`.  `induced_map` sends each slice basis element that a
-source representative uses through iota_src (back into the unreduced
-source complex), the flip psi or psi', and pi_tgt (into the target's
-reduced complex), and returns the integer chain image.  iota and pi are
-homotopy inverse, so this is H(psi) up to vertex isomorphisms, and squares
-anticommute on homology, which is all the cube needs.
+edge is a `FlipMap`: iota_src (back into the unreduced source complex),
+the flip psi or psi', then pi_tgt (into the target's reduced complex).
+`induced_map` reads the integer image of each slice element a source
+representative uses straight into target slice coordinates.  iota and pi
+are homotopy inverse, so this is H(psi) up to vertex isomorphisms, and
+squares anticommute on homology, which is all the cube needs.
 `_link_homology_slice` ranks each cube block at chain level modulo the
 target boundaries, so every vector from the Koszul rows to the ranks is an
-integer one.
+integer one; it builds no basis for a slice `_least_l` proves empty.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from typing import TYPE_CHECKING
 from .algebra import (
     Bidegree,
     PolyRing,
-    Polynomial,
     QSeries,
     monomials_of_degree,
 )
@@ -349,12 +348,10 @@ def induced_map(
     vecs: list[dict[int, int]],
 ) -> list[dict[int, int]]:
     """Integer images under `f` of vectors of the `src` slice, in `tgt`
-    slice coordinates.  Each slice basis element that a vector uses goes
-    through `f.apply` once (for a cube edge: iota_src, the flip, pi_tgt).
+    slice coordinates.  Each slice basis element x^e e_s that a vector uses
+    is one column, `f.column(s, e, tgt.index)`, computed once.
     A chain map sends cycles to cycles and boundaries to boundaries, so the
     images of cycle representatives give the induced map on homology."""
-    ring = f.src.ring
-    index = tgt.index
     columns: dict[int, dict[int, int]] = {}  # slice position -> its image
     out = []
     for vec in vecs:
@@ -362,14 +359,7 @@ def induced_map(
         for pos, c in vec.items():
             col = columns.get(pos)
             if col is None:
-                gi, mono = src.elems[pos]
-                col = columns[pos] = {}
-                moved = f.apply({gi: Polynomial(ring, {mono: 1})})
-                for tgt_gen, poly in moved.items():
-                    for e, v in poly.terms.items():
-                        tpos = index.get((tgt_gen, e))
-                        if tpos is not None:
-                            col[tpos] = col.get(tpos, 0) + v
+                col = columns[pos] = f.column(*src.elems[pos], tgt.index)
             for tpos, v in col.items():
                 image[tpos] = image.get(tpos, 0) + c * v
         out.append({p: v for p, v in image.items() if v})
@@ -560,7 +550,19 @@ def hom_space_dim(
 # ---------------------------------------------------------------------------
 
 
-def _link_homology_slice(cube: CubeComplex, k: int, l: int) -> dict[int, int]:
+def _least_l(cx: FactorComplex) -> dict[int, int]:
+    """k -> the least l of a generator in degree k.  At a cube vertex (no
+    `a`) the (k, l) slice holds only generators g with g.k = k, g.l <= l
+    (`slice_basis`): below this bound, or at a k absent here, it is empty."""
+    least: dict[int, int] = {}
+    for g in cx.gens:
+        k, l = g.bidegree.k, g.bidegree.l
+        least[k] = min(l, least.get(k, l))
+    return least
+
+
+def _link_homology_slice(cube: CubeComplex, k: int, l: int,
+                         least: dict[int, dict[int, int]]) -> dict[int, int]:
     """Cohomology dims over the cube degree j at one (k, l).
 
     Edge maps are chain maps, so the rank of the cube differential on
@@ -568,9 +570,12 @@ def _link_homology_slice(cube: CubeComplex, k: int, l: int) -> dict[int, int]:
     D.rep is the signed sum of a representative's images along its
     out-edges, and B holds the boundary vectors of each target slice, in
     that target's own coordinate range.  An edge into a zero homology slice
-    is skipped: its images are boundaries there."""
+    is skipped: its images are boundaries there.  A vertex slice that
+    `least` (mask -> `_least_l`) proves empty gets no basis built."""
+    empty = HomologyBasis(SliceBasis([], {}), [], [])
     bases: dict[int, HomologyBasis] = {
         mask: slice_homology_basis(cx, k, l)
+        if l >= least[mask].get(k, l + 1) else empty
         for mask, cx in cube.vertices.items()
     }
     sizes: dict[int, int] = {}
@@ -628,7 +633,8 @@ def link_homology(cube: CubeComplex, qmax: int) -> TriGradedDims:
         (k, l) for k in {b.k for b in degs}
         for l in range(lmin, qmax + 1) if l % 2 in lpar
     )
-    results = {(k, l): _link_homology_slice(cube, k, l) for k, l in tasks}
+    least = {mask: _least_l(cx) for mask, cx in cube.vertices.items()}
+    results = {(k, l): _link_homology_slice(cube, k, l, least) for k, l in tasks}
     dims: dict[tuple[int, int, int], int] = {}
     for (k, l) in sorted(results):
         for j, d in sorted(results[(k, l)].items()):

@@ -18,8 +18,9 @@ the Borromean rings reduced at q4, three words of the `positive` benchmark
 family at q6, and two `mixed` words at q8.  The qmax values keep the whole
 table to about 20 seconds.
 
-Frontier inputs, too slow for the unit tests (about 9 seconds): the
-Borromean rings at q8 in both modes and T(3,4) reduced at q14.
+Frontier inputs, too slow for the unit tests (about 17 seconds): the
+Borromean rings at q8 in both modes, T(3,4) reduced at q14 and T(2,9)
+reduced at q17.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ CASES = (
 )
 
 FRONTIER = [_braid("1 -2 1 -2 1 -2", 8, True), _braid("1 -2 1 -2 1 -2", 8),
-            _braid("1 2 1 2 1 2 1 2", 14, True)]
+            _braid("1 2 1 2 1 2 1 2", 14, True),
+            _braid("1 1 1 1 1 1 1 1 1", 17, True)]
 
 
 def case_id(case: dict) -> str:

@@ -562,3 +562,43 @@ class TestEachBlockOnce:
         cube = build_cube(parse_braid("1 1 -2 1 -2"), reduced=True)
         assert hom.link_homology(cube, 6).dims
         assert calls["columns"] and calls["eliminations"] == calls["columns"]
+
+
+class TestEmptySliceSkip:
+    """`link_homology` builds no basis for a vertex slice that the least l
+    of each k at that vertex proves empty."""
+
+    class _NoBound(dict):
+        def get(self, k, default=None):
+            return float("-inf")
+
+    @pytest.mark.parametrize("word, reduced, qmax", [
+        ("1 1 2 1 2 2 2", True, 6),
+        ("1 1 2 1 2 2 2", False, 6),
+        ("-1 2 1 2 -1", False, 8),
+    ])
+    def test_skipped_slices_are_empty(self, monkeypatch, word, reduced, qmax):
+        import trigrad.homology as hom
+
+        cube = build_cube(parse_braid(word), reduced=reduced)
+        mask_of = {id(cx): mask for mask, cx in cube.vertices.items()}
+        real = hom.slice_homology_basis
+
+        def run():
+            visited = set()
+
+            def visit(cx, k, l):
+                visited.add((mask_of[id(cx)], k, l))
+                return real(cx, k, l)
+
+            monkeypatch.setattr(hom, "slice_homology_basis", visit)
+            return hom.link_homology(cube, qmax), visited
+
+        skipping, kept = run()
+        monkeypatch.setattr(hom, "_least_l", lambda cx: self._NoBound())
+        full, visited = run()
+        skipped = visited - kept
+        assert skipped and kept <= visited
+        assert skipping.dims == full.dims
+        for mask, k, l in skipped:
+            assert slice_basis(cube.vertices[mask], k, l).dim == 0, (mask, k, l)

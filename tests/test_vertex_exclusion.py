@@ -15,19 +15,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import vertex_reductions
+from trigrad.algebra import Polynomial
 from trigrad.braid import BraidWord, parse_braid
 from trigrad.cube import braid_homology, build_cube
-from trigrad.factor_complex import ChainMap, realize
+from trigrad.factor_complex import Reduction, realize
 from trigrad.homology import (
     induced_map,
     kernel_and_rank,
     matrix_homology,
+    slice_basis,
     slice_homology_basis,
 )
 
 
 def _d(cx, x):
-    return ChainMap(cx, cx, cx.d).apply(x)
+    """d of an element {generator: coefficient} of `cx`."""
+    out = {}
+    for s, p in x.items():
+        for t, q in cx.d.get(s, {}).items():
+            out[t] = out[t] + q * p if t in out else q * p
+    return {t: p for t, p in out.items() if not p.is_zero()}
 
 
 @pytest.mark.parametrize(
@@ -177,3 +184,50 @@ def test_vertex_homology_over_the_quotient_matches_unreduced(word):
         assert matrix_homology(red.matrix, 8, reduce=False) == matrix_homology(
             red.big, 8, reduce=False
         ), (word, mask)
+
+
+def _column_by_definition(f, s, e, index):
+    """pi_tgt(flip(iota_src(x^e e_s))) in the slice coordinates `index`."""
+    flipped = {}
+    for t, q in f.src.include({s: Polynomial(f.src.ring, {e: 1})}).items():
+        flipped[t] = q * (f.odd if t >> f.row & 1 else f.even)
+    col = {}
+    for t, p in f.tgt.project(flipped).items():
+        for te, c in p.terms.items():
+            pos = index.get((t, te))
+            if pos is not None:
+                col[pos] = col.get(pos, 0) + c
+    return {pos: v for pos, v in col.items() if v}
+
+
+def test_flip_columns_match_their_definition(monkeypatch):
+    # every cube edge, on every element of each source vertex's two lowest
+    # slices at each k; sigma(x^e) off u = 1 must occur (a product over the
+    # target's quotient ring)
+    products = []
+    real_product = Reduction.product
+
+    def product(self, ui):
+        products.append(ui)
+        return real_product(self, ui)
+
+    monkeypatch.setattr(Reduction, "product", product)
+    checked = 0
+    for word in ("1 1 -2 1 -2", "1 -2 1 -2 1 -2"):
+        cube = build_cube(parse_braid(word), reduced=True)
+        for edge in cube.edges:
+            src, tgt = cube.vertices[edge.src], cube.vertices[edge.tgt]
+            least = {}
+            for g in src.gens:
+                k, l = g.bidegree.k, g.bidegree.l
+                least[k] = min(least.get(k, l), l)
+            for k, l in least.items():
+                for q in (l, l + 2):
+                    elems = slice_basis(src, k, q).elems
+                    index = slice_basis(tgt, k, q).index
+                    for s, e in elems:
+                        assert edge.cmap.column(s, e, index) == (
+                            _column_by_definition(edge.cmap, s, e, index)
+                        ), (word, edge.src, edge.tgt, s, e)
+                        checked += 1
+    assert checked and products
