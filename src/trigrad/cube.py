@@ -23,7 +23,9 @@ rows left, each monic of degree m in its own variable y (a wide edge's row
 is, up to sign, monic of degree 2 in x2), into relations, and the vertex is
 realized over R/(relations): generators (row subset, standard monomial),
 over the variables that are neither excluded nor picked.  The steps of a
-vertex make its `Reduction`, which every edge at that vertex shares.
+vertex make its `Reduction`, which every edge at that vertex shares.  The
+vertices with the same ring and relations share one `Quotient`, and with
+it the normal forms that `realize` and the `Reduction`s compute over it.
 
 The vertices are the leaves of a binary trie over the crossings, walked
 depth first with an explicit stack (a recursive closure would be a
@@ -61,7 +63,7 @@ from dataclasses import dataclass, replace
 from .algebra import Bidegree, PolyRing, Polynomial
 from .braid import BraidWord, MarkedDiagram, build_marked_diagram
 from .factor_complex import (
-    FactorComplex, FlipMap, Reduction, flip_factors, realize,
+    FactorComplex, FlipMap, Quotient, Reduction, flip_factors, realize,
 )
 # perfbench/spans.py HOOKS wraps trigrad.cube.simplify; nothing here calls it
 from .factor_complex import simplify  # noqa: F401
@@ -166,6 +168,8 @@ def build_cube(
     vertices: dict[int, FactorComplex] = {}
     jdeg: dict[int, int] = {}
     reductions: dict[int, Reduction] = {}
+    # one Quotient per distinct (ring, relations): many vertices share one
+    quotients: dict[tuple, Quotient] = {}
     # depth-first over the trie of masks: (depth q, mask bits 0..q-1, ring,
     # rows, the later crossings' (lin, quad) rows, and the linear steps on
     # the path, each with the later rows it saw)
@@ -207,8 +211,11 @@ def build_cube(
         steps = [replace(st, rights=st.rights + tuple(
             pair[mask >> p & 1] for p, pair in enumerate(seen, first)))
             for st, first, seen in path]
-        vertices[mask] = realize(small)
-        reductions[mask] = Reduction(big, steps + tail, small)
+        key = (small.ring.names, small.relations)
+        if key not in quotients:
+            quotients[key] = Quotient(small)
+        vertices[mask] = realize(small, quotients[key])
+        reductions[mask] = Reduction(big, steps + tail, small, quotients[key])
         jdeg[mask] = j
     vertices = dict(sorted(vertices.items()))
     jdeg = dict(sorted(jdeg.items()))

@@ -74,15 +74,17 @@ def _popcount_below(mask: int, k: int) -> int:
     return bin(mask & ((1 << k) - 1)).count("1")
 
 
-def realize(m: KoszulMatrix) -> FactorComplex:
+def realize(m: KoszulMatrix, quo: Quotient | None = None) -> FactorComplex:
     """Tensor product of the rows over R/(m.relations): generators (S, u)
     for row subsets S and standard monomials u (degree below m_i in each
     relation's variable y_i), in bidegree shift(S) + bidegree(u), over R
     without the y_i.  The d entry from (S, u) to (S ± k, u') is the
     coefficient of u' in the normal form of a_k u or b_k u.  Without
-    relations u = 1 only: 2^n generators indexed by row subsets."""
+    relations u = 1 only: 2^n generators indexed by row subsets.  `quo`,
+    if given, is the `Quotient` of m's ring and relations."""
     n = len(m.rows)
-    quo = Quotient(m)
+    if quo is None:
+        quo = Quotient(m)
     monos = quo.monos
     nb = len(monos)
     ubid = [Bidegree(0, 2 * sum(u)) for u in monos]
@@ -115,7 +117,10 @@ def realize(m: KoszulMatrix) -> FactorComplex:
 class Quotient:
     """R/(m.relations) as a free module over `ring`, R without the
     relations' variables, on the standard monomials u (`monos`, exponents of
-    those variables, u = 1 first)."""
+    those variables, u = 1 first).  It depends on m's ring and relations
+    only, so `cube.build_cube` builds one per distinct pair and shares it
+    between the vertices' `realize` and `Reduction`s; `times` is memoized
+    on it, for as long as the cube lives."""
 
     def __init__(self, m: KoszulMatrix):
         self.full, self.relations = m.ring, m.relations
@@ -127,6 +132,7 @@ class Quotient:
         self.monos = list(product(*(range(f.degree_in(y))
                                     for y, f in m.relations)))
         self._where = {u: ui for ui, u in enumerate(self.monos)}
+        self._times: dict[Polynomial, list] = {}
 
     def split(self, p: Polynomial) -> list[tuple[int, Polynomial]]:
         """p, in normal form, as [(index of u, coefficient over `ring`)]."""
@@ -151,12 +157,21 @@ class Quotient:
         return Polynomial(self.full, terms)
 
     def times(self, p: Polynomial) -> list[list[tuple[int, Polynomial]]]:
-        """For each u, the normal form of p u, split."""
-        if not self.relations or p.is_zero():
-            return [self.split(p)] * len(self.monos)
-        return [self.split(normal_form(self.join(ui, self.ring.one()) * p,
-                                       self.relations))
-                for ui in range(len(self.monos))]
+        """For each u, the normal form of p u, split; memoized."""
+        table = self._times.get(p)
+        if table is None:
+            if not self.relations or p.is_zero():
+                table = [self.split(p)] * len(self.monos)
+            else:
+                table = [self.split(normal_form(self.join(ui, self.ring.one())
+                                                * p, self.relations))
+                         for ui in range(len(self.monos))]
+            self._times[p] = table
+        return table
+
+    def product(self, ui: int) -> list[list[tuple[int, Polynomial]]]:
+        """For each u', the normal form of u u', split (u the ui-th)."""
+        return self.times(self.join(ui, self.ring.one()))
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +215,6 @@ class ChainMap:
                     raise AssertionError(
                         f"entry {s}->{t} has bidegree {got}, declared {self.bidegree}"
                     )
-
-    def column(self, s: int, e: tuple[int, ...], index: Index) -> dict[int, int]:
-        """The image of x^e e_s, in the slice coordinates `index` gives."""
-        return _column(index, [(e, 1, [
-            (t, te, c) for t, p in self.mat.get(s, {}).items()
-            for te, c in p.terms.items()])])
 
     def compose(self, first: "ChainMap") -> "ChainMap":
         """self o first (apply `first`, then `self`)."""
@@ -255,7 +264,8 @@ def flip_map(
     rows[row_index] = new_row
     m2 = replace(m, rows=tuple(rows))
     src, tgt = realize(m), realize(m2)
-    f = FlipMap(Reduction(m, (), m), Reduction(m2, (), m2), row_index, odd, even)
+    f = FlipMap(Reduction(m, (), m, Quotient(m)),
+                Reduction(m2, (), m2, Quotient(m2)), row_index, odd, even)
     mat: Matrix = {}
     for s in range(src.rank()):
         for t, e, c in f.image(s):
@@ -342,16 +352,16 @@ class Reduction:
     ring homomorphism sigma (every step's NF) to the coefficient; it is
     linear over sigma, and iota over `ring`, the ring of realize(matrix).
     The lifts iota(e_(S,u)) and sigma of each monomial are cached here, so
-    every cube edge at this vertex shares them."""
+    every cube edge at this vertex shares them.  `quo` is the `Quotient` of
+    matrix's ring and relations."""
 
     def __init__(self, big: KoszulMatrix, steps: Sequence[Exclusion],
-                 matrix: KoszulMatrix):
+                 matrix: KoszulMatrix, quo: Quotient):
         self.big, self.steps, self.matrix = big, tuple(steps), matrix
-        self.quo = Quotient(matrix)
+        self.quo = quo
         self.ring = self.quo.ring
         self._lifts: dict[int, Element] = {}
         self._sigma: dict[tuple[str, ...], dict] = {}
-        self._products: dict[int, list] = {}
 
     def include(self, x: Element) -> Element:
         """iota: realize(matrix) -> realize(big), the steps undone last
@@ -423,14 +433,6 @@ class Reduction:
                     acc[qe] = acc.get(qe, 0) + c * qc
         return parts
 
-    def product(self, ui: int) -> list[list[tuple[int, Polynomial]]]:
-        """For each u', the normal form of u u', split (u the ui-th)."""
-        table = self._products.get(ui)
-        if table is None:
-            table = self._products[ui] = self.quo.times(
-                self.quo.join(ui, self.ring.one()))
-        return table
-
 
 @dataclass(frozen=True)
 class FlipMap:
@@ -466,29 +468,22 @@ class FlipMap:
         """The image of x^e e_s, sigma(x^e) image(e_s), in the slice
         coordinates `index` gives.  A term of sigma(x^e) on u = 1 shifts
         exponents; on another standard monomial u the image is first
-        multiplied by u over the target's quotient."""
+        multiplied by u over the target's quotient.  A term that `index`
+        lacks is dropped."""
         tgt, nb = self.tgt, len(self.tgt.quo.monos)
-        shifted = []
+        col: dict[int, int] = {}
         for ui, q in tgt.sigma(self.src.ring, e):
             terms = self.image(s) if not ui else [
                 (t - t % nb + uk, tuple(map(int.__add__, te, ve)), c * vc)
                 for t, te, c in self.image(s)
-                for uk, v in tgt.product(ui)[t % nb]
+                for uk, v in tgt.quo.product(ui)[t % nb]
                 for ve, vc in v.terms.items()]
-            shifted.extend((qe, qc, terms) for qe, qc in q.terms.items())
-        return _column(index, shifted)
-
-
-def _column(index: Index, shifted) -> dict[int, int]:
-    """Sum of qc c at index[(t, qe + te)] over (qe, qc, terms) in `shifted`
-    and (t, te, c) in terms; a term that `index` lacks is dropped."""
-    col: dict[int, int] = {}
-    for qe, qc, terms in shifted:
-        for t, te, c in terms:
-            pos = index.get((t, tuple(map(int.__add__, qe, te))))
-            if pos is not None:
-                col[pos] = col.get(pos, 0) + qc * c
-    return {p: v for p, v in col.items() if v}
+            for qe, qc in q.terms.items():
+                for t, te, c in terms:
+                    pos = index.get((t, tuple(map(int.__add__, qe, te))))
+                    if pos is not None:
+                        col[pos] = col.get(pos, 0) + qc * c
+        return {p: v for p, v in col.items() if v}
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from .algebra import (
     QSeries,
     monomials_of_degree,
 )
-from .factor_complex import ChainMap, FactorComplex, FlipMap, Matrix, realize
+from .factor_complex import FactorComplex, FlipMap, Matrix, realize
 from .koszul import (
     KoszulMatrix,
     ResolutionGraph,
@@ -342,7 +342,7 @@ def slice_homology_dim(cx: FactorComplex, k: int, l: int) -> int:
 
 
 def induced_map(
-    f: ChainMap | FlipMap,
+    f: FlipMap,
     src: SliceBasis,
     tgt: SliceBasis,
     vecs: list[dict[int, int]],

@@ -413,11 +413,18 @@ def monic_picks(m: KoszulMatrix) -> tuple[KoszulMatrix, list[Exclusion]]:
     only if every row is (0, b); so a matrix with left entries gets linear
     exclusion only.  A pair (row, y) qualifies when y occurs in no pick so
     far, the relations of m included, and the only term of top y-degree d
-    of the row, kept in normal form modulo the picks, is ±y^d; take the
-    pair whose row has the fewest variables, then the lowest d, the first
-    row and the first y in ring order.  The row becomes a relation (y stays
-    in the ring), and the rows left are realized over R/(relations) by
-    `factor_complex.realize`.
+    of the row, kept in normal form modulo the picks, is ±y^d.  The
+    candidates are the variables of the qualifying pairs.  A pick uses up
+    every variable of its row, so the pair whose row holds the fewest other
+    candidates goes first: it takes the fewest variables that other rows
+    could be picked by.  Ties go to the row with the fewest variables, then
+    the lowest d, the first row and the first y in ring order.  Then every
+    vertex of the cubes of T(3,4), T(3,5) and the Borromean rings ends over
+    n variables for n strands, n - 1 reduced; a vertex of
+    `1 -2 -1 -3 -3 -2` still ends over one more.  The row becomes a
+    relation (y stays in the ring), and the rows left are realized over
+    R/(relations) by `factor_complex.realize`.  The key orders the picks
+    only: which pairs qualify does not change, nor does the argument below.
 
     Why the picks are sound: in lex order with later picks above earlier
     ones and both above the other variables, pick i has leading term
@@ -475,13 +482,18 @@ def _linear_pick(rows: list[KoszulRow], w: Polynomial,
 def _monic_pick(rows: list[KoszulRow],
                 used: set[int]) -> tuple[int, int] | None:
     """(row index, variable position) of the best monic pick, by the key
-    of `monic_picks`."""
-    keys = []
+    of `monic_picks`: (other candidates in the row, variables in the row,
+    d, row, y), the candidates being the unused variables that are
+    monic-top in some row."""
+    tops = []
     for idx, r in enumerate(rows):
         occurs = _occurs(r.right)
-        keys += [(len(occurs), d, idx, i) for i in occurs - used
+        tops += [(idx, i, d, occurs) for i in occurs - used
                  if (d := _monic_top(r.right, i))]
-    return min(keys)[2:] if keys else None
+    cand = {i for _, i, _, _ in tops}
+    keys = [(len(occurs & cand) - 1, len(occurs), d, idx, i)
+            for idx, i, d, occurs in tops]
+    return min(keys)[3:] if keys else None
 
 
 def _occurs(p: Polynomial) -> set[int]:
@@ -518,11 +530,14 @@ def monic_divide(
     y-degree, y the variable at position i: `terms` becomes the remainder,
     of y-degree below m, in place; the quotient's terms are returned."""
     m = max(e[i] for e in f.terms)
+    top = max((e[i] for e in terms), default=0)
+    if top < m:  # nothing to divide: most relations of a normal form
+        return {}
     lead = next(c for e, c in f.terms.items() if e[i] == m)
     # y^m = lead * (f - tail), since lead = ±1
     tail = [(e, -lead * c) for e, c in f.terms.items() if e[i] < m]
     quot: dict[tuple[int, ...], int] = {}
-    for deg in range(max((e[i] for e in terms), default=0), m - 1, -1):
+    for deg in range(top, m - 1, -1):
         for e in [e for e in terms if e[i] == deg]:
             c = terms.pop(e)
             base = e[:i] + (deg - m,) + e[i + 1:]

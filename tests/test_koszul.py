@@ -17,8 +17,10 @@ from trigrad.koszul import (
     exclude_all,
     koszul_of_graph,
     make_row,
+    monic_picks,
     row_op,
     strip_a,
+    _monic_pick,
 )
 
 
@@ -209,8 +211,21 @@ class TestExclude:
         # relations' variables are in no further monic pick
         d = build_marked_diagram(parse_braid("1 1 2 1 2 2"))
         m = reduce_closed_matrix(koszul_of_graph(resolve(d, 63)))
-        assert len(m.relations) == 3
+        assert [y for y, _ in m.relations] == ["x5", "x13", "x11", "x8"]
+        assert len(m.rows) == 2
         assert exclude_all(m) == (m, [])
+
+    def test_a_monic_pick_leaves_other_rows_their_variables(self):
+        # y^2 - xy has the fewest variables, but taking it by y uses up x,
+        # the only monic-top variable of x^2 - wz; that row holds no other
+        # candidate, so it goes first and both rows become relations
+        r = PolyRing(("w", "x", "y", "z"))
+        w, x, y, z = (r.var(n) for n in r.names)
+        rows = (make_row(r.zero(), y * y - x * y),
+                make_row(r.zero(), x * x - w * z))
+        assert _monic_pick(list(rows), set()) == (1, 1)
+        m, steps = monic_picks(KoszulMatrix(r, rows))
+        assert [st.var for st in steps] == ["x", "y"] and m.rows == ()
 
     def test_iia_exclusion_step(self):
         r = PolyRing(("a", "x1", "x2", "x3", "x4", "x5", "x6"))

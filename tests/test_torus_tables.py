@@ -5,9 +5,17 @@ generator in each (j, k, l) = (-2i, -1, 4i + 1) for 0 <= i <= (n - 1)/2 and
 one in each (-2i, -2, 4i + 4) for 0 <= i <= (n - 3)/2.  Its top entry sits
 at l = 2n - 1, so a run at qmax 2n - 1 sees the whole table; a table is
 complete only when its rank reaches n.
+
+T(3, 4) at q14 is checked whole against its entry in
+`data/frontier_dims.json`: rank 11, no theorem yet.
 """
 
+import json
+from pathlib import Path
+
 import pytest
+
+FRONTIER = Path(__file__).parent / "data" / "frontier_dims.json"
 
 
 def _theorem(n: int) -> dict[tuple[int, int, int], int]:
@@ -51,3 +59,12 @@ def test_mirror_table_is_the_dual_table(reduced_table, n):
     assert mirror == {
         (1 - j, -3 - k, 1 - l): d for (j, k, l), d in table.items()
     }
+
+
+def test_t34_table_matches_its_frontier_entry(reduced_table):
+    word = "1 2 1 2 1 2 1 2"
+    entry, = [e for e in json.loads(FRONTIER.read_text())
+              if e["braid"] == word and e["qmax"] == 14 and e["reduced"]]
+    table = reduced_table(word, 14)
+    assert sum(table.values()) == 11
+    assert table == {(j, k, l): d for j, k, l, d in entry["dims"]}

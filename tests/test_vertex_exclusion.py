@@ -18,7 +18,7 @@ from conftest import vertex_reductions
 from trigrad.algebra import Polynomial
 from trigrad.braid import BraidWord, parse_braid
 from trigrad.cube import braid_homology, build_cube
-from trigrad.factor_complex import Reduction, realize
+from trigrad.factor_complex import Quotient, realize
 from trigrad.homology import (
     induced_map,
     kernel_and_rank,
@@ -161,6 +161,17 @@ def test_exclusion_with_mu_zero():
     assert h.items_sorted() == expect
 
 
+@pytest.mark.parametrize("word", ["1 2 1 2 1 2 1 2", "1 -2 1 -2 1 -2"])
+@pytest.mark.parametrize("reduced", [True, False])
+def test_every_vertex_ends_over_one_variable_per_strand(word, reduced):
+    # no monic pick blocks another row: every vertex keeps n - 1 variables
+    # reduced and n unreduced, n the number of strands
+    b = parse_braid(word)
+    cube = build_cube(b, reduced=reduced)
+    assert {cx.ring.nvars for cx in cube.vertices.values()} == {
+        b.strands - reduced}
+
+
 def test_drop_steps_come_before_the_first_relation():
     # linear picks are taken only while no relation is held
     seen = 0
@@ -203,17 +214,18 @@ def _column_by_definition(f, s, e, index):
 def test_flip_columns_match_their_definition(monkeypatch):
     # every cube edge, on every element of each source vertex's two lowest
     # slices at each k; sigma(x^e) off u = 1 must occur (a product over the
-    # target's quotient ring)
+    # target's quotient ring).  Only the last word has it: one of its
+    # vertices keeps a variable that a monic pick could not take
     products = []
-    real_product = Reduction.product
+    real_product = Quotient.product
 
     def product(self, ui):
         products.append(ui)
         return real_product(self, ui)
 
-    monkeypatch.setattr(Reduction, "product", product)
+    monkeypatch.setattr(Quotient, "product", product)
     checked = 0
-    for word in ("1 1 -2 1 -2", "1 -2 1 -2 1 -2"):
+    for word in ("1 1 -2 1 -2", "1 -2 1 -2 1 -2", "1 -2 -1 -3 -3 -2"):
         cube = build_cube(parse_braid(word), reduced=True)
         for edge in cube.edges:
             src, tgt = cube.vertices[edge.src], cube.vertices[edge.tgt]
