@@ -42,6 +42,17 @@ only the rows present at its node, so the leaf completes its `rights` with
 the later rows as the step saw them; the vertex's steps are then exactly
 those of one `exclude_all` call on its whole matrix.
 
+With `lmax`, the walk builds only the vertices with a generator at
+l <= lmax.  A generator (S, u) sits at l = global l + sum of the l-shifts of
+the rows in S + 2 deg u.  A crossing row shifts l by 1 or 3, so the least l
+of a vertex is exact: the global l, plus its l-shift (+2 for each positive
+crossing smoothed to 0, -2 for each negative crossing), plus the negative
+l-shifts of the leftover rows.  A node knows this for the bits on its path,
+later bits can only raise it, and a node above lmax is skipped with all
+its vertices and their edges.  At l <= lmax every slice of a skipped
+vertex is empty, and `link_homology` builds no basis and crosses no edge
+at an empty slice, so the table up to lmax does not change.
+
 The edge maps are psi'(x4-x2) (positive crossings, 0 -> 1, the map chi_0) and
 psi(x4-x2) (negative crossings, 1 -> 0, the map chi_1).  Both are diagonal in
 the subset basis of the unreduced vertex matrices over the shared ring, so
@@ -52,12 +63,14 @@ so the induced maps on vertex homology are those of psi up to vertex
 isomorphisms, and cube squares anticommute on homology.
 
 `braid_homology` always builds the reduced cube (one mark set to zero, one
-variable fewer at every vertex); the unreduced table is Hbar (x) Q[x].  Only
-`reduce_mode_check` builds the unreduced cube, to test that identity.
+variable fewer at every vertex) with lmax = qmax; the unreduced table is
+Hbar (x) Q[x].  Only `reduce_mode_check` builds the unreduced cube, to test
+that identity.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .algebra import Bidegree, PolyRing, Polynomial
@@ -112,6 +125,7 @@ class CubeComplex:
     vertices: dict[int, FactorComplex]  # realized after the reduction
     jdeg: dict[int, int]
     edges: list[CubeEdge]
+    lmax: int | None = None  # else only vertices with a gen at l <= lmax
 
 
 def build_cube(
@@ -119,7 +133,11 @@ def build_cube(
     reduced: bool = False,
     basepoint: str | None = None,
     marks_per_segment: int = 1,
+    lmax: int | None = None,
 ) -> CubeComplex:
+    """The cube of the closure of b.  With `lmax`, only the vertices with a
+    generator at l <= lmax are built, and the edges between them: the
+    others have an empty slice at every l <= lmax."""
     d = build_marked_diagram(b, marks_per_segment)
     names = d.var_names()
     full = PolyRing(("a",) + names)
@@ -170,15 +188,24 @@ def build_cube(
     reductions: dict[int, Reduction] = {}
     # one Quotient per distinct (ring, relations): many vertices share one
     quotients: dict[tuple, Quotient] = {}
-    # depth-first over the trie of masks: (depth q, mask bits 0..q-1, ring,
-    # rows, the later crossings' (lin, quad) rows, and the linear steps on
-    # the path, each with the later rows it saw)
+    # depth-first over the trie of masks: (depth q, mask bits 0..q-1, the
+    # least l-shift below the node, ring, rows, the later crossings' (lin,
+    # quad) rows, and the linear steps on the path, each with the later rows
+    # it saw); a vertex's least l is floor + its l-shift
     pairs = list(zip(lin, quad))
-    stack = [(0, 0, ring, list(leftover), pairs, ())]
+    floor = shared.global_shift.l + sum(min(0, r.shift.l) for r in leftover)
+    top = math.inf if lmax is None else lmax
+    lshift = -2 * signs.count(-1)
+    stack = [(0, 0, lshift, ring, list(leftover), pairs, ())]
+    if floor + lshift > top:
+        stack = []
     while stack:
-        q, mask, node_ring, rows, later, path = stack.pop()
+        q, mask, lshift, node_ring, rows, later, path = stack.pop()
         if q < nc:
             for bit in (1, 0):
+                child_lshift = lshift + 2 * (signs[q] > 0 and not bit)
+                if floor + child_lshift > top:
+                    continue
                 row = KoszulRow(node_ring.zero(), later[0][bit], shifts[bit])
                 child_ring, child_rows, steps = linear_picks(
                     node_ring, rows + [row], node_ring.zero(), len(rows))
@@ -187,20 +214,13 @@ def build_cube(
                     child_path += ((st, q + 1, child_later),)
                     child_later = [(st.reduce(f), st.reduce(g))
                                    for f, g in child_later]
-                stack.append((q + 1, mask | bit << q, child_ring, child_rows,
-                              child_later, child_path))
+                stack.append((q + 1, mask | bit << q, child_lshift,
+                              child_ring, child_rows, child_later, child_path))
             continue
-        lshift = 0
         j = 0
         for p in range(nc):
             bit = mask >> p & 1
-            if signs[p] > 0:
-                j += bit - 1
-                if not bit:
-                    lshift += 2
-            else:
-                j += 1 - bit
-                lshift -= 2
+            j += bit - 1 if signs[p] > 0 else 1 - bit
         shift = shared.global_shift + Bidegree(0, lshift)
         big = KoszulMatrix(ring, tuple(leftover) + tuple(
             KoszulRow(ring.zero(), pair[mask >> p & 1], shifts[mask >> p & 1])
@@ -222,7 +242,7 @@ def build_cube(
 
     noff = len(leftover)
     edges: list[CubeEdge] = []
-    for mask in range(1 << nc):
+    for mask in vertices:
         for p in range(nc):
             bit = mask >> p & 1
             if signs[p] > 0 and bit == 0:
@@ -231,11 +251,13 @@ def build_cube(
                 src, tgt, kind = mask, mask & ~(1 << p), "psi"
             else:
                 continue
+            if tgt not in reductions:
+                continue
             sign = -1 if bin(mask & ((1 << p) - 1)).count("1") % 2 else 1
             cmap = FlipMap(reductions[src], reductions[tgt], noff + p,
                            *flip_factors(kind, flip[p]))
             edges.append(CubeEdge(src, tgt, sign, cmap))
-    return CubeComplex(ring, vertices, jdeg, edges)
+    return CubeComplex(ring, vertices, jdeg, edges, lmax)
 
 
 def braid_homology(
@@ -246,11 +268,13 @@ def braid_homology(
     marks_per_segment: int = 1,
 ) -> TriGradedDims:
     """Homology of the closure of b up to q-degree qmax, from the reduced
-    cube (mark `basepoint`, default x1, set to zero).  The unreduced table
+    cube (mark `basepoint`, default x1, set to zero) built with
+    lmax = qmax, so without the vertices that are empty up to qmax.  The
+    unreduced table
     is H = Hbar (x) Q[x] with x in (0, 0, 2) (Rasmussen, math/0607544):
     H at l sums Hbar at l, l-2, ..., so it is exact up to qmax.  The direct
     unreduced cube is built only by `reduce_mode_check`."""
-    cube = build_cube(b, True, basepoint, marks_per_segment)
+    cube = build_cube(b, True, basepoint, marks_per_segment, lmax=qmax)
     red = link_homology(cube, qmax)
     if reduced:
         return red
@@ -265,9 +289,9 @@ def reduce_mode_check(
     b: BraidWord, qmax: int, basepoint: str | None = None
 ) -> bool:
     """Does H = Hbar (x) Q[x] hold up to qmax, with H from the direct
-    unreduced cube?  Both tables are exact up to qmax, so they are compared
-    whole."""
-    unred = link_homology(build_cube(b), qmax)
+    unreduced cube?  Both cubes are built with lmax = qmax, so both tables
+    are exact up to qmax, and they are compared whole."""
+    unred = link_homology(build_cube(b, lmax=qmax), qmax)
     via_reduced = braid_homology(b, qmax, basepoint=basepoint)
     if not unred.dims and not via_reduced.dims:
         raise InconclusiveComparison(f"both tables empty up to q^{qmax}")

@@ -624,6 +624,11 @@ def _link_homology_slice(cube: CubeComplex, k: int, l: int,
 
 
 def link_homology(cube: CubeComplex, qmax: int) -> TriGradedDims:
+    """The table of the cube up to q-degree qmax.  A cube built with `lmax`
+    lacks vertices whose slices are empty up to lmax only, so it needs
+    qmax <= lmax."""
+    if cube.lmax is not None and qmax > cube.lmax:
+        raise ValueError(f"qmax {qmax} is above the cube's lmax {cube.lmax}")
     degs = {g.bidegree for cx in cube.vertices.values() for g in cx.gens}
     if not degs:
         return TriGradedDims({}, qmax)

@@ -9,7 +9,9 @@ the same ring, rows and relations, and the same steps, field for field
     PYTHONPATH=src python tests/cube_end_state.py
 
 checks this on the braid set below, reduced and unreduced, and exits 1
-naming each braid with a vertex that differs.  The set is every 7th word
+naming each braid with a vertex that differs.  Each cube is checked twice:
+whole, and pruned to the vertices with a generator at most two above the
+least l of the cube (`build_cube(..., lmax=...)`).  The set is every 7th word
 of the 2-strand words of length 3 and of the 3-strand words of length 4
 (letters in the order 1, -1, 2, -2), plus T(2,5), T(2,7), T(2,9), the
 mirror of T(2,5), T(3,4), T(3,5), the Borromean rings and four more
@@ -35,27 +37,41 @@ BRAIDS = (
 
 def mismatches(cube) -> list[int]:
     """The masks of the vertices whose `Reduction` is not what
-    `exclude_all` makes of its unreduced matrix; with a crossing, every
-    vertex ends an edge, so the edges reach every `Reduction`."""
+    `exclude_all` makes of its unreduced matrix.  In a whole cube with a
+    crossing every vertex ends an edge, so the edges reach every
+    `Reduction`; in a pruned one, a vertex ends no edge only if every
+    neighbour of it is pruned."""
     reds = {}
     for e in cube.edges:
         reds[e.src], reds[e.tgt] = e.cmap.src, e.cmap.tgt
-    assert len(reds) == len(cube.vertices)
+    if cube.lmax is None:
+        assert len(reds) == len(cube.vertices)
+    for mask in cube.vertices.keys() - reds.keys():
+        assert not any(bin(mask ^ other).count("1") == 1
+                       for other in cube.vertices), mask
     return sorted(mask for mask, red in reds.items()
                   if exclude_all(red.big) != (red.matrix, list(red.steps)))
 
 
 def main() -> int:
-    failed = vertices = 0
+    failed = vertices = kept = 0
     for word in BRAIDS:
         for reduced in (False, True):
-            cube = build_cube(parse_braid(word), reduced)
+            b = parse_braid(word)
+            cube = build_cube(b, reduced)
+            low = min(g.bidegree.l for cx in cube.vertices.values()
+                      for g in cx.gens)
+            pruned = build_cube(b, reduced, lmax=low + 2)
             vertices += len(cube.vertices)
-            bad = mismatches(cube)
-            if bad:
-                failed += 1
-                print(f"FAIL {word!r} reduced={reduced}: masks {bad}")
-    print(f"{len(BRAIDS)} braids, {vertices} vertices: "
+            kept += len(pruned.vertices)
+            for name, c in (("whole", cube), ("pruned", pruned)):
+                bad = mismatches(c)
+                if bad:
+                    failed += 1
+                    print(f"FAIL {word!r} reduced={reduced} {name}: "
+                          f"masks {bad}")
+    print(f"{len(BRAIDS)} braids, {vertices} vertices, {kept} kept at "
+          "lmax = least l + 2: "
           + ("PASS" if not failed else f"{failed} cubes differ"))
     return 1 if failed else 0
 

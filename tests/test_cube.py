@@ -3,11 +3,12 @@ import weakref
 from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import vertex_reductions
 from cube_end_state import mismatches
 from trigrad.algebra import Bidegree
-from trigrad.braid import build_marked_diagram, parse_braid
+from trigrad.braid import BraidWord, build_marked_diagram, parse_braid
 import trigrad.cube as cube_module
 from trigrad.cube import braid_homology, build_cube, reduce_mode_check, resolve
 from trigrad.factor_complex import ChainMap, realize
@@ -212,6 +213,52 @@ class TestBuildCube:
             assert ref() is None
         finally:
             gc.enable()
+
+
+@st.composite
+def _braids(draw):
+    strands = draw(st.integers(2, 4))
+    letters = [s for s in range(1 - strands, strands) if s]
+    return BraidWord(strands, tuple(
+        draw(st.lists(st.sampled_from(letters), max_size=6))))
+
+
+class TestPrunedCube:
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(_braids())
+    def test_lmax_keeps_exactly_the_vertices_below_it(self, b):
+        # the bound is tight: a vertex is built iff its full-cube complex
+        # has a generator at l <= lmax, and the table up to lmax holds
+        for reduced in (False, True):
+            full = build_cube(b, reduced)
+            least = {mask: min(g.bidegree.l for g in cx.gens)
+                     for mask, cx in full.vertices.items()}
+            low = min(least.values())
+            # each slice is computed on its own, so a table cut at lmax is
+            # the top table's entries at l <= lmax
+            top = link_homology(full, low + 4).dims
+            for lmax in (low - 1, low + 2, low + 4):
+                cube = build_cube(b, reduced, lmax=lmax)
+                assert set(cube.vertices) == {
+                    mask for mask, l in least.items() if l <= lmax}
+                assert cube.lmax == lmax
+                assert link_homology(cube, lmax).dims == {
+                    key: d for key, d in top.items() if key[2] <= lmax}
+
+    def test_a_vertex_with_every_neighbour_pruned_ends_no_edge(self):
+        # at l <= 1 the reduced trefoil keeps only its all-ones vertex
+        cube = build_cube(parse_braid("1 1 1"), True, lmax=1)
+        assert (list(cube.vertices), cube.edges) == ([0b111], [])
+        assert mismatches(cube) == []
+
+    def test_qmax_above_lmax_is_refused(self):
+        b = parse_braid("1 1 1")
+        with pytest.raises(ValueError, match="qmax 9 .* lmax 8"):
+            link_homology(build_cube(b, True, lmax=8), 9)
+        full = build_cube(b, True)
+        assert full.lmax is None
+        assert link_homology(full, 99).dims
 
 
 class TestReduced:
