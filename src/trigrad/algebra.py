@@ -107,9 +107,9 @@ def _integer(c) -> int:
 
 class Polynomial:
     """Sparse multivariate polynomial over Z; terms map exponent tuples to
-    nonzero ints.  Instances are treated as immutable."""
+    nonzero ints.  Instances are treated as immutable; the hash is cached."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring: PolyRing, terms: dict[tuple[int, ...], int]):
         self.ring = ring
@@ -160,7 +160,11 @@ class Polynomial:
         return self.ring.names == other.ring.names and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring.names, tuple(sorted(self.terms.items()))))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.ring.names, tuple(sorted(self.terms.items()))))
+            return self._hash
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -27,7 +27,7 @@ from .braid import (
     parse_braid,
     render_braid,
 )
-from .cube import braid_homology
+from .cube import WorkLimitExceeded, braid_homology
 from .homfly import homfly_F, homfly_F_tilde
 from .homology import (
     InconclusiveComparison,
@@ -42,6 +42,8 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_CONFIG = 3
 EXIT_INCONCLUSIVE = 4
+# predicted slice elements: 20x T(2,9) reduced at q17 (`predicted_work`)
+MAX_WORK = 10**6
 
 
 def _parse(text: str, strands: int | None) -> BraidWord:
@@ -57,10 +59,23 @@ def _config_error(message: str) -> NoReturn:
     sys.exit(EXIT_CONFIG)
 
 
-def _check_config(qmax: int, marks: int = 1) -> None:
-    for flag, value in (("--qmax", qmax), ("--marks", marks)):
+def _check_config(qmax: int, marks: int = 1, max_work: int = 1) -> None:
+    for flag, value in (("--qmax", qmax), ("--marks", marks),
+                        ("--max-work", max_work)):
         if value < 1:
             _config_error(f"{flag} {value} must be >= 1")
+
+
+def _homology(b: BraidWord, qmax: int, reduced: bool, basepoint: str | None,
+              marks: int, max_work: int) -> TriGradedDims:
+    """`braid_homology`; exit 3 when its predicted work is above max_work."""
+    try:
+        return braid_homology(b, qmax, reduced=reduced, basepoint=basepoint,
+                              marks_per_segment=marks, max_work=max_work)
+    except WorkLimitExceeded as exc:
+        _config_error(f"{render_braid(b)!r} up to --qmax {qmax} predicts "
+                      f"{exc.args[0]} slice elements, above --max-work "
+                      f"{max_work}")
 
 
 def _check_basepoint(
@@ -173,6 +188,8 @@ _common = [
                  help="marks per strand segment"),
     click.option("--json", "as_json", is_flag=True, default=False),
     click.option("--out", type=str, default=None),
+    click.option("--max-work", type=int, default=MAX_WORK, show_default=True,
+                 help="refuse a table predicted to need more slice elements"),
 ]
 
 
@@ -185,15 +202,13 @@ def common_options(fn):
 @main.command(context_settings={"ignore_unknown_options": True})
 @click.argument("braid")
 @common_options
-def homology(braid, strands, qmax, reduced, basepoint, marks, as_json, out):
+def homology(braid, strands, qmax, reduced, basepoint, marks, as_json, out,
+             max_work):
     """Trigraded homology dims of the closure of BRAID."""
-    _check_config(qmax, marks)
+    _check_config(qmax, marks, max_work)
     b = _parse(braid, strands)
     _check_basepoint(b, reduced, basepoint, marks)
-    h = braid_homology(
-        b, qmax, reduced=reduced, basepoint=basepoint,
-        marks_per_segment=marks,
-    )
+    h = _homology(b, qmax, reduced, basepoint, marks, max_work)
     if as_json:
         _emit(emit_result(b, reduced, h), out)
         return
@@ -242,20 +257,18 @@ def homfly(braid, strands, qmax, as_json, out):
 @main.command("euler-check", context_settings={"ignore_unknown_options": True})
 @click.argument("braid")
 @common_options
-def euler_check(braid, strands, qmax, reduced, basepoint, marks, as_json, out):
+def euler_check(braid, strands, qmax, reduced, basepoint, marks, as_json, out,
+                max_work):
     """Compare the homology Euler characteristic against the trace oracle.
 
     The homology comes from the reduced cube either way: without --reduced
     it is Hbar (x) Q[x] and the oracle side is F; with --reduced it is Hbar
     and the oracle side is F * (1 - q^2)."""
-    _check_config(qmax, marks)
+    _check_config(qmax, marks, max_work)
     _reject_json(as_json, "euler-check")
     b = _parse(braid, strands)
     _check_basepoint(b, reduced, basepoint, marks)
-    h = braid_homology(
-        b, qmax, reduced=reduced, basepoint=basepoint,
-        marks_per_segment=marks,
-    )
+    h = _homology(b, qmax, reduced, basepoint, marks, max_work)
     left = euler_characteristic(h)
     f, oracle = homfly_F(b), "F(D)"
     if reduced:
@@ -322,9 +335,9 @@ def apply_move_text(b: BraidWord, text: str) -> BraidWord:
                    "braid:P | stab+ | stab- | destab")
 @common_options
 def invariance(braid, moves, strands, qmax, reduced, basepoint, marks,
-               as_json, out):
+               as_json, out, max_work):
     """Compare homology before/after Markov moves, up to an overall shift."""
-    _check_config(qmax, marks)
+    _check_config(qmax, marks, max_work)
     _reject_json(as_json, "invariance")
     b = _parse(braid, strands)
     b2 = b
@@ -332,13 +345,8 @@ def invariance(braid, moves, strands, qmax, reduced, basepoint, marks,
         b2 = apply_move_text(b2, mv)
     for word in (b, b2):
         _check_basepoint(word, reduced, basepoint, marks)
-    h1, h2 = (
-        braid_homology(
-            word, qmax, reduced=reduced, basepoint=basepoint,
-            marks_per_segment=marks,
-        )
-        for word in (b, b2)
-    )
+    h1, h2 = (_homology(word, qmax, reduced, basepoint, marks, max_work)
+              for word in (b, b2))
     try:
         shift = compare_up_to_shift(h1, h2)
     except InconclusiveComparison as exc:

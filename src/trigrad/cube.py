@@ -60,7 +60,10 @@ an edge keeps just the two diagonal factors; it acts on the realized vertex
 complexes as pi_tgt o psi o iota_src (`FlipMap`), through the inclusion and
 projection of the two ends' reductions.  These are homotopy equivalences,
 so the induced maps on vertex homology are those of psi up to vertex
-isomorphisms, and cube squares anticommute on homology.
+isomorphisms, and cube squares anticommute on homology.  Lifts are carried
+on integer terms; the quotient H(b x^e) of each step is Z-linear in x^e, so
+the `Reduction`s share one exact table per distinct step and row (`memo`,
+like `quotients`), and it dies with the cube.
 
 `braid_homology` always builds the reduced cube (one mark set to zero, one
 variable fewer at every vertex) with lmax = qmax; the unreduced table is
@@ -186,8 +189,9 @@ def build_cube(
     vertices: dict[int, FactorComplex] = {}
     jdeg: dict[int, int] = {}
     reductions: dict[int, Reduction] = {}
-    # one Quotient per distinct (ring, relations): many vertices share one
+    # one Quotient per (ring, relations), one H table per step and row
     quotients: dict[tuple, Quotient] = {}
+    memo: dict[tuple, dict] = {}
     # depth-first over the trie of masks: (depth q, mask bits 0..q-1, the
     # least l-shift below the node, ring, rows, the later crossings' (lin,
     # quad) rows, and the linear steps on the path, each with the later rows
@@ -235,7 +239,8 @@ def build_cube(
         if key not in quotients:
             quotients[key] = Quotient(small)
         vertices[mask] = realize(small, quotients[key])
-        reductions[mask] = Reduction(big, steps + tail, small, quotients[key])
+        reductions[mask] = Reduction(big, steps + tail, small, quotients[key],
+                                    memo)
         jdeg[mask] = j
     vertices = dict(sorted(vertices.items()))
     jdeg = dict(sorted(jdeg.items()))
@@ -260,21 +265,38 @@ def build_cube(
     return CubeComplex(ring, vertices, jdeg, edges, lmax)
 
 
+class WorkLimitExceeded(ValueError):
+    """A table's `predicted_work` is above the budget."""
+
+
+def predicted_work(cube: CubeComplex, qmax: int) -> int:
+    """The slice elements `link_homology` can meet up to qmax, in closed
+    form: over a vertex ring in n variables, a generator at l times the
+    C((qmax - l) // 2 + n, n) monomials of degree up to (qmax - l) / 2."""
+    return sum(math.comb((qmax - g.bidegree.l) // 2 + cx.ring.nvars, cx.ring.nvars)
+               for cx in cube.vertices.values()
+               for g in cx.gens if g.bidegree.l <= qmax)
+
+
 def braid_homology(
     b: BraidWord,
     qmax: int,
     reduced: bool = False,
     basepoint: str | None = None,
     marks_per_segment: int = 1,
+    max_work: int | None = None,
 ) -> TriGradedDims:
     """Homology of the closure of b up to q-degree qmax, from the reduced
     cube (mark `basepoint`, default x1, set to zero) built with
     lmax = qmax, so without the vertices that are empty up to qmax.  The
-    unreduced table
-    is H = Hbar (x) Q[x] with x in (0, 0, 2) (Rasmussen, math/0607544):
-    H at l sums Hbar at l, l-2, ..., so it is exact up to qmax.  The direct
-    unreduced cube is built only by `reduce_mode_check`."""
+    unreduced table is H = Hbar (x) Q[x] with x in (0, 0, 2) (Rasmussen,
+    math/0607544): H at l sums Hbar at l, l-2, ..., so it is exact up to
+    qmax.  The direct unreduced cube is built only by `reduce_mode_check`.
+    With `max_work`, a cube whose `predicted_work` is above it raises
+    `WorkLimitExceeded` before any slice is built."""
     cube = build_cube(b, True, basepoint, marks_per_segment, lmax=qmax)
+    if max_work is not None and (work := predicted_work(cube, qmax)) > max_work:
+        raise WorkLimitExceeded(work)
     red = link_homology(cube, qmax)
     if reduced:
         return red

@@ -33,8 +33,7 @@ from .algebra import BIDEG_ZERO, Bidegree, PolyRing, Polynomial, exact_divide
 from .koszul import Exclusion, KoszulMatrix, KoszulRow, normal_form, row_op
 
 Matrix = dict[int, dict[int, Polynomial]]  # source index -> {target index: entry}
-Element = dict[int, Polynomial]  # generator index -> coefficient
-Index = dict[tuple[int, tuple[int, ...]], int]  # (generator, exponents) -> position
+Terms = dict[tuple[int, tuple[int, ...]], int]  # (generator or subset, e) -> c
 
 
 @dataclass(frozen=True)
@@ -70,10 +69,6 @@ class FactorComplex:
                     )
 
 
-def _popcount_below(mask: int, k: int) -> int:
-    return bin(mask & ((1 << k) - 1)).count("1")
-
-
 def realize(m: KoszulMatrix, quo: Quotient | None = None) -> FactorComplex:
     """Tensor product of the rows over R/(m.relations): generators (S, u)
     for row subsets S and standard monomials u (degree below m_i in each
@@ -96,16 +91,17 @@ def realize(m: KoszulMatrix, quo: Quotient | None = None) -> FactorComplex:
                 bid = bid + m.rows[r].shift
         for ub in ubid:
             gens.append(Generator(bid + ub))
-    table = [(quo.times(r.left), quo.times(r.right)) for r in m.rows]
+    # per row, sign and side, NF(a_k u) or NF(b_k u): each negated once
+    table = [{1: pair, -1: [[[(uj, -p) for uj, p in ps] for ps in s] for s in pair]}
+             for pair in ((quo.times(r.left), quo.times(r.right)) for r in m.rows)]
     d: Matrix = {}
     for mask in range(1 << n):
         rows: list[dict[int, Polynomial]] = [{} for _ in monos]
         for r in range(n):
-            sign = _sign(mask, r)
             base = (mask ^ (1 << r)) * nb
-            for row, products in zip(rows, table[r][mask >> r & 1]):
+            for row, products in zip(rows, table[r][_sign(mask, r)][mask >> r & 1]):
                 for uj, p in products:
-                    row[base + uj] = p * sign
+                    row[base + uj] = p
         for ui, row in enumerate(rows):
             d[mask * nb + ui] = row
     w = quo.times(m.potential())[0]
@@ -144,17 +140,12 @@ class Quotient:
             parts.setdefault(ui, {})[tuple(e[i] for i in self.rest)] = c
         return [(ui, Polynomial(self.ring, t)) for ui, t in sorted(parts.items())]
 
-    def join(self, ui: int, q: Polynomial) -> Polynomial:
-        """q u over R, for q over `ring`."""
-        u, out = self.monos[ui], [0] * self.full.nvars
-        for pos, x in zip(self.ypos, u):
-            out[pos] = x
-        terms = {}
-        for e, c in q.terms.items():
-            for pos, x in zip(self.rest, e):
-                out[pos] = x
-            terms[tuple(out)] = c
-        return Polynomial(self.full, terms)
+    def join(self, ui: int) -> Polynomial:
+        """u over R, u the ui-th standard monomial."""
+        e = [0] * self.full.nvars
+        for pos, x in zip(self.ypos, self.monos[ui]):
+            e[pos] = x
+        return Polynomial(self.full, {tuple(e): 1})
 
     def times(self, p: Polynomial) -> list[list[tuple[int, Polynomial]]]:
         """For each u, the normal form of p u, split; memoized."""
@@ -163,15 +154,15 @@ class Quotient:
             if not self.relations or p.is_zero():
                 table = [self.split(p)] * len(self.monos)
             else:
-                table = [self.split(normal_form(self.join(ui, self.ring.one())
-                                                * p, self.relations))
+                table = [self.split(normal_form(self.join(ui) * p,
+                                                self.relations))
                          for ui in range(len(self.monos))]
             self._times[p] = table
         return table
 
     def product(self, ui: int) -> list[list[tuple[int, Polynomial]]]:
         """For each u', the normal form of u u', split (u the ui-th)."""
-        return self.times(self.join(ui, self.ring.one()))
+        return self.times(self.join(ui))
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +301,8 @@ def row_op_transport(
 # Carrying elements across a vertex's reduction
 # ---------------------------------------------------------------------------
 
-def _add_to(x: Element, s: int, p: Polynomial) -> None:
-    q = x[s] + p if s in x else p
-    if q.is_zero():
-        x.pop(s, None)
-    else:
-        x[s] = q
-
-
 def _sign(mask: int, k: int) -> int:
-    return -1 if _popcount_below(mask, k) % 2 else 1
+    return -1 if bin(mask & ((1 << k) - 1)).count("1") % 2 else 1
 
 
 class Reduction:
@@ -348,6 +331,15 @@ class Reduction:
     linear step is m = 1, f = c (y - mu): NF(p) = p|_{y=mu}, and
     H(b_k p) = c g_k p with g_k = (b_k - b_k|_{y=mu}) / (y - mu).
 
+    Elements are carried as `Terms`, with no `Polynomial` per term.  H is
+    Z-linear (division by the monic f, then a normal form, each unique), so
+    H(b_k p) = sum_e c_e H(b_k x^e), tabulated per monomial x^e.  An entry
+    is fixed by the step's var, f (with its ring) and relations, the row
+    b_k and e, so the tables are keyed by those in `memo`, which
+    `cube.build_cube` keeps for the life of the cube: vertices below one
+    trie node share their path steps and so their entries.  For a linear
+    step, where p is free of y, it reduces to H(b_k p) = H(b_k) p.
+
     pi of all steps kills e_S when S holds a removed row and applies the
     ring homomorphism sigma (every step's NF) to the coefficient; it is
     linear over sigma, and iota over `ring`, the ring of realize(matrix).
@@ -356,82 +348,80 @@ class Reduction:
     matrix's ring and relations."""
 
     def __init__(self, big: KoszulMatrix, steps: Sequence[Exclusion],
-                 matrix: KoszulMatrix, quo: Quotient):
+                 matrix: KoszulMatrix, quo: Quotient, memo: dict | None = None):
         self.big, self.steps, self.matrix = big, tuple(steps), matrix
-        self.quo = quo
-        self.ring = self.quo.ring
-        self._lifts: dict[int, Element] = {}
+        self.quo, self.ring = quo, quo.ring
+        self._memo = {} if memo is None else memo
+        self._tables: list[tuple[dict, dict]] | None = None
+        self._lifts: dict[int, Terms] = {}
         self._sigma: dict[tuple[str, ...], dict] = {}
 
-    def include(self, x: Element) -> Element:
-        """iota: realize(matrix) -> realize(big), the steps undone last
-        first."""
+    def lift(self, s: int) -> Terms:
+        """iota(e_s) over big.ring, keyed by row subsets of big, the steps
+        undone last first; cached."""
+        if s in self._lifts:
+            return self._lifts[s]
+        if self._tables is None:  # per step: its memo, and k -> e -> H(b_k x^e)
+            self._tables = [(self._memo.setdefault((st.var, st.f, st.relations), {}),
+                             {}) for st in self.steps]
         nb = len(self.quo.monos)
-        out: Element = {}
-        for s, p in x.items():
-            _add_to(out, s // nb, self.quo.join(s % nb, p))
-        x = out
-        for st in reversed(self.steps):
+        (u,) = self.quo.join(s % nb).terms
+        terms = {(s // nb, u): 1}
+        for st, (memo, tables) in zip(reversed(self.steps), reversed(self._tables)):
             i, ring = st.row, st.f.ring
-            low = (1 << i) - 1
-            out = {}
-            for s, p in x.items():
+            low, yi = (1 << i) - 1, ring.index(st.var)
+            out: Terms = {}
+            for (sub, e), c in terms.items():
                 if st.drop:
-                    p = p.map_to_ring(ring)
-                full = (s & low) | (s >> i << (i + 1))
-                _add_to(out, full, p)
+                    e = e[:yi] + (0,) + e[yi:]
+                full = (sub & low) | (sub >> i << (i + 1))
+                out[full, e] = out.get((full, e), 0) + c
                 for k, b in enumerate(st.rights):
-                    if k == i or not full >> k & 1 or b.is_zero():
+                    if k == i or not full >> k & 1:
                         continue
-                    h = st.quotient(b * p)
-                    if not h.is_zero():
+                    table = tables.get(k)
+                    if table is None:
+                        table = tables[k] = memo.setdefault(b, {})
+                    h = table.get(e)
+                    if h is None:
+                        h = table[e] = list(st.quotient(
+                            b * Polynomial(ring, {e: 1})).terms.items())
+                    if h:
                         t = full ^ (1 << k) | (1 << i)
-                        _add_to(out, t, h * (-_sign(full, k) * _sign(t, i)))
-            x = out
-        return x
+                        ct = -c * _sign(full, k) * _sign(t, i)
+                        for he, hc in h:
+                            out[t, he] = out.get((t, he), 0) + ct * hc
+            terms = {key: c for key, c in out.items() if c}
+        self._lifts[s] = terms
+        return terms
 
-    def project(self, x: Element) -> Element:
-        """pi: realize(big) -> realize(matrix)."""
-        nb = len(self.quo.monos)
-        out: Element = {}
-        for s, p in x.items():
+    def project(self, x: Terms) -> Terms:
+        """pi of x over big.ring, keyed by row subsets of big, as terms
+        over `ring` keyed by generators."""
+        nb, out = len(self.quo.monos), {}
+        for (s, e), c in x.items():
             for st in self.steps:
                 if s >> st.row & 1:
                     break
                 s = (s & ((1 << st.row) - 1)) | (s >> (st.row + 1) << st.row)
             else:
-                for ui, q in self.substitute(p).items():
-                    _add_to(out, s * nb + ui, Polynomial(self.ring, q))
-        return out
+                for ui, q in self.sigma(self.big.ring, e):
+                    for qe, qc in q:
+                        out[s * nb + ui, qe] = out.get((s * nb + ui, qe), 0) + c * qc
+        return {key: c for key, c in out.items() if c}
 
-    def lift(self, s: int) -> Element:
-        """iota(e_s), cached."""
-        image = self._lifts.get(s)
-        if image is None:
-            image = self._lifts[s] = self.include({s: self.ring.one()})
-        return image
-
-    def sigma(self, ring: PolyRing, e: tuple[int, ...]) -> list[tuple[int, Polynomial]]:
+    def sigma(self, ring: PolyRing, e: tuple[int, ...]) -> list:
         """sigma(x^e) for x^e over `ring` (big.ring or a ring of some of its
-        variables), split over u; cached by (ring names, e)."""
+        variables), as [(index of u, terms over `ring`)]; cached."""
         cache = self._sigma.setdefault(ring.names, {})
         image = cache.get(e)
         if image is None:
             mono = Polynomial(ring, {e: 1}).map_to_ring(self.big.ring)
             for st in self.steps:
                 mono = st.reduce(mono)
-            image = cache[e] = self.quo.split(mono)
+            image = cache[e] = [(ui, list(q.terms.items()))
+                                for ui, q in self.quo.split(mono)]
         return image
-
-    def substitute(self, p: Polynomial) -> dict[int, dict[tuple[int, ...], int]]:
-        """sigma(p), split over u as {index of u: terms over `ring`}."""
-        parts: dict[int, dict[tuple[int, ...], int]] = {}
-        for e, c in p.terms.items():
-            for ui, q in self.sigma(p.ring, e):
-                acc = parts.setdefault(ui, {})
-                for qe, qc in q.terms.items():
-                    acc[qe] = acc.get(qe, 0) + c * qc
-        return parts
 
 
 @dataclass(frozen=True)
@@ -447,43 +437,38 @@ class FlipMap:
     row: int
     odd: Polynomial
     even: Polynomial
-    # cache: generator -> pi_tgt(flip(iota_src(e_(S,u)))) as terms
+    # cache: (generator, index of u) -> u image(e_s) as terms
     _images: dict = field(default_factory=dict, init=False, compare=False)
 
-    def image(self, s: int) -> list[tuple[int, tuple[int, ...], int]]:
-        """pi_tgt(flip(iota_src(e_s))) as (target generator, exponents,
-        coefficient) terms, cached."""
-        image = self._images.get(s)
-        if image is None:
-            flipped: Element = {}
-            for t, q in self.src.lift(s).items():
-                _add_to(flipped, t, q * (self.odd if t >> self.row & 1
-                                         else self.even))
-            image = self._images[s] = [
-                (t, e, c) for t, p in self.tgt.project(flipped).items()
-                for e, c in p.terms.items()]
+    def image(self, s: int, ui: int = 0) -> list[tuple[int, tuple[int, ...], int]]:
+        """u pi_tgt(flip(iota_src(e_s))), u the ui-th standard monomial of
+        the target, as (target generator, exponents, coefficient) terms;
+        cached.  A factor (`odd` or `even`) that is the constant 1 is
+        skipped; u multiplies over the target's quotient (`Quotient.product`)."""
+        if (s, ui) in self._images:
+            return self._images[s, ui]
+        out: Terms = {}
+        if ui:
+            nb = len(self.tgt.quo.monos)
+            for t, te, c in self.image(s):
+                for uk, v in self.tgt.quo.product(ui)[t % nb]:
+                    for ve, vc in v.terms.items():
+                        k = (t - t % nb + uk, tuple(map(int.__add__, te, ve)))
+                        out[k] = out.get(k, 0) + c * vc
+        else:
+            factors = [None if p == p.ring.one() else p.terms.items()
+                       for p in (self.even, self.odd)]
+            for (t, e), c in self.src.lift(s).items():
+                factor = factors[t >> self.row & 1]
+                if factor is None:
+                    out[t, e] = c
+                    continue
+                for fe, fc in factor:
+                    k = (t, tuple(map(int.__add__, e, fe)))
+                    out[k] = out.get(k, 0) + c * fc
+            out = self.tgt.project(out)
+        image = self._images[s, ui] = [(t, e, c) for (t, e), c in out.items() if c]
         return image
-
-    def column(self, s: int, e: tuple[int, ...], index: Index) -> dict[int, int]:
-        """The image of x^e e_s, sigma(x^e) image(e_s), in the slice
-        coordinates `index` gives.  A term of sigma(x^e) on u = 1 shifts
-        exponents; on another standard monomial u the image is first
-        multiplied by u over the target's quotient.  A term that `index`
-        lacks is dropped."""
-        tgt, nb = self.tgt, len(self.tgt.quo.monos)
-        col: dict[int, int] = {}
-        for ui, q in tgt.sigma(self.src.ring, e):
-            terms = self.image(s) if not ui else [
-                (t - t % nb + uk, tuple(map(int.__add__, te, ve)), c * vc)
-                for t, te, c in self.image(s)
-                for uk, v in tgt.quo.product(ui)[t % nb]
-                for ve, vc in v.terms.items()]
-            for qe, qc in q.terms.items():
-                for t, te, c in terms:
-                    pos = index.get((t, tuple(map(int.__add__, qe, te))))
-                    if pos is not None:
-                        col[pos] = col.get(pos, 0) + qc * c
-        return {p: v for p, v in col.items() if v}
 
 
 # ---------------------------------------------------------------------------

@@ -349,9 +349,11 @@ def induced_map(
 ) -> list[dict[int, int]]:
     """Integer images under `f` of vectors of the `src` slice, in `tgt`
     slice coordinates.  Each slice basis element x^e e_s that a vector uses
-    is one column, `f.column(s, e, tgt.index)`, computed once.
-    A chain map sends cycles to cycles and boundaries to boundaries, so the
-    images of cycle representatives give the induced map on homology."""
+    is one column, sigma(x^e) image(e_s) read off the memos of the target
+    vertex and the edge, computed once.  A chain map sends cycles to cycles
+    and boundaries to boundaries, so the images of cycle representatives
+    give the induced map on homology."""
+    ring, index_get = f.src.ring, tgt.index.get
     columns: dict[int, dict[int, int]] = {}  # slice position -> its image
     out = []
     for vec in vecs:
@@ -359,7 +361,15 @@ def induced_map(
         for pos, c in vec.items():
             col = columns.get(pos)
             if col is None:
-                col = columns[pos] = f.column(*src.elems[pos], tgt.index)
+                s, e = src.elems[pos]
+                col = columns[pos] = {}
+                for ui, q in f.tgt.sigma(ring, e):
+                    terms = f.image(s, ui)
+                    for qe, qc in q:
+                        for t, te, tc in terms:
+                            tpos = index_get((t, tuple(map(int.__add__, qe, te))))
+                            if tpos is not None:
+                                col[tpos] = col.get(tpos, 0) + qc * tc
             for tpos, v in col.items():
                 image[tpos] = image.get(tpos, 0) + c * v
         out.append({p: v for p, v in image.items() if v})

@@ -442,15 +442,20 @@ def monic_picks(m: KoszulMatrix) -> tuple[KoszulMatrix, list[Exclusion]]:
         return m, []
     rows, relations = list(m.rows), list(m.relations)
     used = set().union(*(_occurs(f) for _, f in relations))
+    tops = [_tops(r.right, used) for r in rows]
     steps = []
-    while (pick := _monic_pick(rows, used)) is not None:
+    while (pick := _monic_pick(tops, used)) is not None:
         idx, i = pick
         st = Exclusion(idx, m.ring.names[i], rows[idx].right,
                        tuple(r.right for r in rows), tuple(relations), False)
         steps.append(st)
         relations.append((st.var, st.f))
-        used |= _occurs(st.f)
+        used |= tops[idx][0]
         rows = _apply(st, m.ring, rows)
+        # only the rows that held the picked variable change
+        del tops[idx]
+        tops = [_tops(r.right, used) if i in top[0] else top
+                for r, top in zip(rows, tops)]
     return replace(m, rows=tuple(rows), relations=tuple(relations)), steps
 
 
@@ -479,21 +484,25 @@ def _linear_pick(rows: list[KoszulRow], w: Polynomial,
     return None
 
 
-def _monic_pick(rows: list[KoszulRow],
+def _monic_pick(tops: list[tuple[set[int], dict[int, int]]],
                 used: set[int]) -> tuple[int, int] | None:
     """(row index, variable position) of the best monic pick, by the key
     of `monic_picks`: (other candidates in the row, variables in the row,
     d, row, y), the candidates being the unused variables that are
-    monic-top in some row."""
-    tops = []
-    for idx, r in enumerate(rows):
-        occurs = _occurs(r.right)
-        tops += [(idx, i, d, occurs) for i in occurs - used
-                 if (d := _monic_top(r.right, i))]
-    cand = {i for _, i, _, _ in tops}
+    monic-top in some row.  `tops` holds `_tops` of each row."""
+    pairs = [(idx, i, d, occurs) for idx, (occurs, top) in enumerate(tops)
+             for i, d in top.items() if i not in used]
+    cand = {i for _, i, _, _ in pairs}
     keys = [(len(occurs & cand) - 1, len(occurs), d, idx, i)
-            for idx, i, d, occurs in tops]
+            for idx, i, d, occurs in pairs]
     return min(keys)[3:] if keys else None
+
+
+def _tops(b: Polynomial, used: set[int]) -> tuple[set[int], dict[int, int]]:
+    """The variables of b, and {i: m} for the unused ones where
+    `_monic_top` is m."""
+    occurs = _occurs(b)
+    return occurs, {i: d for i in occurs - used if (d := _monic_top(b, i))}
 
 
 def _occurs(p: Polynomial) -> set[int]:

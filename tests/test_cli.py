@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -104,6 +108,48 @@ class TestHomologyCommand:
         assert res.output == (
             f"config violation: --out {path}: No such file or directory\n"
         )
+
+    def test_work_guard_refuses_a_huge_qmax(self):
+        # the whole (k, l) task list of this table once exhausted memory;
+        # the guard refuses it before any slice is built.  The child is
+        # bounded in time and address space in case the guard is lost
+        def bound():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        res = subprocess.run(
+            [sys.executable, "-m", "trigrad.cli", "homology", "1 1 1",
+             "--reduced", "--qmax", "99999999999999999999"],
+            capture_output=True, text=True, timeout=60, preexec_fn=bound,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert res.returncode == cli.EXIT_CONFIG
+        assert res.stdout == ""
+        line, = res.stderr.splitlines()
+        assert line.startswith("config violation: '1 1 1' up to --qmax "
+                               "99999999999999999999 predicts ")
+        assert line.endswith(" slice elements, above --max-work 1000000")
+
+    @pytest.mark.parametrize("command", ["homology", "euler-check"])
+    def test_max_work_sets_the_budget(self, runner, command):
+        # the reduced trefoil at q14 predicts 139 slice elements
+        args = [command, "1 1 1", "--qmax", "14", "--reduced", "--max-work"]
+        res = runner.invoke(cli.main, args + ["138"])
+        assert res.exit_code == cli.EXIT_CONFIG
+        assert res.output == (
+            "config violation: '1 1 1' up to --qmax 14 predicts 139 slice "
+            "elements, above --max-work 138\n")
+        assert runner.invoke(cli.main, args + ["139"]).exit_code == 0
+        res = runner.invoke(cli.main, args + ["0"])
+        assert res.output == "config violation: --max-work 0 must be >= 1\n"
+
+    def test_invariance_guards_both_words(self, runner):
+        # 1 1 1 alone predicts 139 at q14; stab- adds a strand and a crossing
+        res = runner.invoke(cli.main, ["invariance", "1 1 1", "--move",
+                                       "stab-", "--qmax", "14",
+                                       "--max-work", "139"])
+        assert res.exit_code == cli.EXIT_CONFIG
+        assert res.output.startswith("config violation: '1 1 1 -2' up to")
 
     def test_workers_env_var_is_ignored(self, runner, monkeypatch):
         args = ["homology", "1 1", "--qmax", "6", "--json"]

@@ -30,6 +30,7 @@ def test_cube_coefficients_are_ints(word, reduced, marks):
     cube = build_cube(parse_braid(word), reduced=reduced, marks_per_segment=marks)
     mats = [cx.d for cx in cube.vertices.values()]
     polys = [p for edge in cube.edges for p in (edge.cmap.odd, edge.cmap.even)]
+    lifted = []
     for mask, red in vertex_reductions(cube).items():
         for step in red.steps:
             m = step.f.degree_in(step.var)
@@ -37,10 +38,11 @@ def test_cube_coefficients_are_ints(word, reduced, marks):
             assert [c for e, c in step.f.terms.items() if e[i] == m] in ([1], [-1])
             polys += [step.f, *step.rights]
         # the lifts carry the quotients H(b_k p) of every step
-        polys += [p for s in range(cube.vertices[mask].rank())
-                  for p in red.lift(s).values()]
+        lifted += [c for s in range(cube.vertices[mask].rank())
+                   for c in red.lift(s).values()]
     kinds = {type(c) for mat in mats for c in _coefficients(mat)}
     kinds |= {type(c) for p in polys for c in p.terms.values()}
+    assert lifted and {type(c) for c in lifted} == {int}
     assert kinds == {int}
 
 

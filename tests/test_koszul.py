@@ -21,6 +21,7 @@ from trigrad.koszul import (
     row_op,
     strip_a,
     _monic_pick,
+    _tops,
 )
 
 
@@ -223,7 +224,7 @@ class TestExclude:
         w, x, y, z = (r.var(n) for n in r.names)
         rows = (make_row(r.zero(), y * y - x * y),
                 make_row(r.zero(), x * x - w * z))
-        assert _monic_pick(list(rows), set()) == (1, 1)
+        assert _monic_pick([_tops(r.right, set()) for r in rows], set()) == (1, 1)
         m, steps = monic_picks(KoszulMatrix(r, rows))
         assert [st.var for st in steps] == ["x", "y"] and m.rows == ()
 

@@ -6,6 +6,11 @@ iota and pi must be chain maps with pi o iota = id, checked here generator
 by generator against complexes realized from each vertex's unreduced
 Koszul matrix; cube squares must anticommute on homology; and the quotient
 must not change any vertex's homology.
+
+The library carries elements on integer terms, with memoized quotients.
+`_include` and `_project` below are a reference: the iota and pi of the
+`Reduction` docstring written out in `Polynomial` arithmetic, step by step,
+with no memo.  The edge images are checked against them.
 """
 
 from collections import defaultdict
@@ -33,8 +38,75 @@ def _d(cx, x):
     out = {}
     for s, p in x.items():
         for t, q in cx.d.get(s, {}).items():
-            out[t] = out[t] + q * p if t in out else q * p
-    return {t: p for t, p in out.items() if not p.is_zero()}
+            _add(out, t, q * p)
+    return out
+
+
+def _add(x, s, p):
+    q = x[s] + p if s in x else p
+    if q.is_zero():
+        x.pop(s, None)
+    else:
+        x[s] = q
+
+
+def _sign(mask, k):
+    return -1 if bin(mask & ((1 << k) - 1)).count("1") % 2 else 1
+
+
+def _include(red, x):
+    """iota of {generator: coefficient over red.ring} into realize(red.big),
+    the steps undone last first: p e_S -> p e_S - sum_{k in S} sign(S, k)
+    sign(S-k+i, i) H(b_k p) e_{S-k+i}, H the step's `Exclusion.quotient`."""
+    nb = len(red.quo.monos)
+    out = {}
+    for s, p in x.items():
+        _add(out, s // nb, red.quo.join(s % nb) * p.map_to_ring(red.quo.full))
+    for st in reversed(red.steps):
+        i, ring = st.row, st.f.ring
+        x, out = out, {}
+        for s, p in x.items():
+            p = p.map_to_ring(ring)
+            full = (s & ((1 << i) - 1)) | (s >> i << (i + 1))
+            _add(out, full, p)
+            for k, b in enumerate(st.rights):
+                if k != i and full >> k & 1 and not b.is_zero():
+                    t = full ^ (1 << k) | (1 << i)
+                    h = st.quotient(b * p)
+                    _add(out, t, h * (-_sign(full, k) * _sign(t, i)))
+    return out
+
+
+def _project(red, x):
+    """pi of {generator: coefficient over red.big.ring}: e_S dies when S
+    holds a removed row, and every step's normal form acts on the
+    coefficient."""
+    nb = len(red.quo.monos)
+    out = {}
+    for s, p in x.items():
+        for st in red.steps:
+            if s >> st.row & 1:
+                break
+            s = (s & ((1 << st.row) - 1)) | (s >> (st.row + 1) << st.row)
+        else:
+            for st in red.steps:
+                p = st.reduce(p)
+            for ui, q in red.quo.split(p):
+                _add(out, s * nb + ui, q)
+    return out
+
+
+def _element(ring, terms):
+    """{(generator, exponents): c} as {generator: coefficient over ring}."""
+    out = {}
+    for (s, e), c in terms.items():
+        _add(out, s, Polynomial(ring, {e: c}))
+    return out
+
+
+def _terms(x):
+    """{generator: coefficient} as {(generator, exponents): c}."""
+    return {(s, e): c for s, p in x.items() for e, c in p.terms.items()}
 
 
 @pytest.mark.parametrize(
@@ -48,7 +120,9 @@ def _d(cx, x):
     ],
 )
 def test_iota_and_pi_are_chain_maps_with_pi_iota_identity(word, reduced, marks):
-    # a mark name for `reduced` is the basepoint of a reduced cube
+    # a mark name for `reduced` is the basepoint of a reduced cube.  The
+    # flat lift of each generator equals the reference iota, commutes with
+    # d (iota is linear over the vertex ring) and projects back to itself
     basepoint = reduced if isinstance(reduced, str) else None
     cube = build_cube(parse_braid(word), bool(reduced), basepoint, marks)
     reds = vertex_reductions(cube)
@@ -60,29 +134,32 @@ def test_iota_and_pi_are_chain_maps_with_pi_iota_identity(word, reduced, marks):
         assert big.rank() * prod(degrees) == small.rank() << len(red.steps)
         excluded += any(step.drop for step in red.steps)
         picked += bool(degrees)
-        # nonconstant coefficients check the (semi)linearity too; on the
-        # unreduced side, y^m of a relation's variable checks the normal form
-        names = small.ring.names
-        p_small = small.ring.var(names[-1]) if names else None
+        one = small.ring.one()
+        zero = (0,) * small.ring.nvars
+        for s in range(small.rank()):
+            up = _element(big.ring, red.lift(s))
+            assert up == _include(red, {s: one}), (mask, s)
+            down = {}
+            for t, p in small.d.get(s, {}).items():
+                for u, q in _element(big.ring, red.lift(t)).items():
+                    _add(down, u, q * p.map_to_ring(big.ring))
+            assert _d(big, up) == down, (mask, s)
+            assert red.project(red.lift(s)) == {(s, zero): 1}, (mask, s)
+        # on the unreduced side, y^m of a relation's variable checks the
+        # normal form
         p_big = [
             prod([big.ring.var(step.var)] * step.f.degree_in(step.var),
                  start=big.ring.one())
             for step in red.steps[-1:]
         ]
-        for s in range(small.rank()):
-            for p in (small.ring.one(), p_small):
-                if p is None:
-                    continue
-                x = {s: p}
-                up = red.include(x)
-                assert _d(big, up) == red.include(_d(small, x)), (mask, s)
-                assert red.project(up) == x, (mask, s)
         for s in range(big.rank()):
             for p in [big.ring.one()] + p_big:
                 x = {s: p}
-                assert red.project(_d(big, x)) == _d(
-                    small, red.project(x)
+                got = _element(small.ring, red.project(_terms(_d(big, x))))
+                assert got == _d(
+                    small, _element(small.ring, red.project(_terms(x)))
                 ), (mask, s)
+                assert got == _project(red, _d(big, x)), (mask, s)
     assert excluded and picked
 
 
@@ -198,12 +275,13 @@ def test_vertex_homology_over_the_quotient_matches_unreduced(word):
 
 
 def _column_by_definition(f, s, e, index):
-    """pi_tgt(flip(iota_src(x^e e_s))) in the slice coordinates `index`."""
+    """pi_tgt(flip(iota_src(x^e e_s))) in the slice coordinates `index`,
+    by the reference iota and pi."""
     flipped = {}
-    for t, q in f.src.include({s: Polynomial(f.src.ring, {e: 1})}).items():
+    for t, q in _include(f.src, {s: Polynomial(f.src.ring, {e: 1})}).items():
         flipped[t] = q * (f.odd if t >> f.row & 1 else f.even)
     col = {}
-    for t, p in f.tgt.project(flipped).items():
+    for t, p in _project(f.tgt, flipped).items():
         for te, c in p.terms.items():
             pos = index.get((t, te))
             if pos is not None:
@@ -212,10 +290,12 @@ def _column_by_definition(f, s, e, index):
 
 
 def test_flip_columns_match_their_definition(monkeypatch):
-    # every cube edge, on every element of each source vertex's two lowest
-    # slices at each k; sigma(x^e) off u = 1 must occur (a product over the
-    # target's quotient ring).  Only the last word has it: one of its
-    # vertices keeps a variable that a monic pick could not take
+    # every cube edge of each reduced cube, on every element of each source
+    # vertex's two lowest slices at each k: the columns of `induced_map`
+    # (and the images of the generators) equal the reference.  sigma(x^e)
+    # off u = 1 must occur, a product over the target's quotient ring: only
+    # the last word has it, as one of its vertices keeps a variable that a
+    # monic pick could not take
     products = []
     real_product = Quotient.product
 
@@ -226,20 +306,38 @@ def test_flip_columns_match_their_definition(monkeypatch):
     monkeypatch.setattr(Quotient, "product", product)
     checked = 0
     for word in ("1 1 -2 1 -2", "1 -2 1 -2 1 -2", "1 -2 -1 -3 -3 -2"):
+        products.clear()
         cube = build_cube(parse_braid(word), reduced=True)
         for edge in cube.edges:
-            src, tgt = cube.vertices[edge.src], cube.vertices[edge.tgt]
-            least = {}
-            for g in src.gens:
-                k, l = g.bidegree.k, g.bidegree.l
-                least[k] = min(least.get(k, l), l)
-            for k, l in least.items():
-                for q in (l, l + 2):
-                    elems = slice_basis(src, k, q).elems
-                    index = slice_basis(tgt, k, q).index
-                    for s, e in elems:
-                        assert edge.cmap.column(s, e, index) == (
-                            _column_by_definition(edge.cmap, s, e, index)
-                        ), (word, edge.src, edge.tgt, s, e)
-                        checked += 1
-    assert checked and products
+            checked += _check_edge(word, edge, cube)
+        assert bool(products) == (word == "1 -2 -1 -3 -3 -2"), word
+    assert checked
+
+
+def _check_edge(word, edge, cube):
+    """Check one edge's generator images and slice columns against the
+    reference; returns the number of columns checked."""
+    f, checked = edge.cmap, 0
+    src, tgt = cube.vertices[edge.src], cube.vertices[edge.tgt]
+    for s in range(src.rank()):
+        image = {}
+        for t, e, c in f.image(s):
+            image[t, e] = image.get((t, e), 0) + c
+        flipped = {}
+        for t, q in _include(f.src, {s: src.ring.one()}).items():
+            flipped[t] = q * (f.odd if t >> f.row & 1 else f.even)
+        assert image == _terms(_project(f.tgt, flipped)), (word, edge, s)
+    least = {}
+    for g in src.gens:
+        k, l = g.bidegree.k, g.bidegree.l
+        least[k] = min(least.get(k, l), l)
+    for k, l in least.items():
+        for q in (l, l + 2):
+            sb, tb = slice_basis(src, k, q), slice_basis(tgt, k, q)
+            units = [{pos: 1} for pos in range(sb.dim)]
+            cols = induced_map(f, sb, tb, units)
+            for (s, e), col in zip(sb.elems, cols):
+                assert col == _column_by_definition(f, s, e, tb.index), (
+                    word, edge.src, edge.tgt, s, e)
+                checked += 1
+    return checked
