@@ -19,7 +19,9 @@ from .braid import (
     parse_braid,
     render_braid,
 )
-from .cube import braid_homology, build_cube, reduce_mode_check, resolve
+from .cube import (
+    braid_homology, build_cube, reduce_mode_check, resolve, word_homology,
+)
 from .homfly import homfly_F, homfly_F_tilde, ocneanu_trace, solve_trace_params
 from .homology import (
     TriGradedDims,
@@ -83,4 +85,5 @@ __all__ = [
     "row_op",
     "solve_trace_params",
     "strip_a",
+    "word_homology",
 ]

@@ -177,6 +177,60 @@ def apply_markov(b: BraidWord, mv: MarkovMove) -> BraidWord:
     raise InvalidMoveError(f"unknown move kind {k!r}")
 
 
+# the words `cheapest_word` visits at most
+SEARCH_CAP = 200
+
+
+def _shift_free_moves(b: BraidWord) -> list[MarkovMove]:
+    """The moves of `cheapest_word` that apply to b.  Each leaves the table
+    unchanged, with shift (0, 0, 0), and none lengthens the word."""
+    w, n = b.letters, b.strands
+    moves = [MarkovMove("cancel-pair", p)
+             for p in range(len(w) - 1) if w[p] == -w[p + 1]]
+    if w and w[-1] == n - 1 and all(abs(s) != n - 1 for s in w[:-1]):
+        moves.append(MarkovMove("destabilize"))
+    moves += [MarkovMove("braid-relation", p) for p in range(len(w) - 2)
+              if w[p] == w[p + 2] > 0 and w[p + 1] > 0
+              and abs(w[p] - w[p + 1]) == 1]
+    moves += [MarkovMove("far-commute", p) for p in range(len(w) - 1)
+              if abs(abs(w[p]) - abs(w[p + 1])) > 1]
+    moves += [MarkovMove("conjugate", p) for p in range(1, len(w))]
+    return moves
+
+
+def _cost(b: BraidWord) -> tuple[int, int, int]:
+    """(letters, cyclic runs of equal letters, strands): fewer letters make
+    a smaller cube, and fewer runs make longer twist regions."""
+    w = b.letters
+    runs = sum(w[p] != w[p - 1] for p in range(len(w))) or min(len(w), 1)
+    return len(w), runs, b.strands
+
+
+def cheapest_word(b: BraidWord) -> tuple[BraidWord, list[MarkovMove]]:
+    """The cheapest word by `_cost` among the first SEARCH_CAP words that a
+    breadth-first search reaches from b through `_shift_free_moves`, the
+    first found on a tie, and the moves that lead to it from b."""
+    came_from: dict[BraidWord, tuple[BraidWord, MarkovMove] | None] = {b: None}
+    queue, best, least = [b], b, _cost(b)
+    for word in queue:
+        for mv in _shift_free_moves(word):
+            if len(came_from) == SEARCH_CAP:
+                break
+            nxt = apply_markov(word, mv)
+            if nxt not in came_from:
+                came_from[nxt] = (word, mv)
+                queue.append(nxt)
+                if (cost := _cost(nxt)) < least:
+                    best, least = nxt, cost
+        if len(came_from) == SEARCH_CAP:
+            break
+    moves, word = [], best
+    while came_from[word] is not None:
+        word, mv = came_from[word]
+        moves.append(mv)
+    return best, moves[::-1]
+
+
 # ---------------------------------------------------------------------------
 # Marked closure diagrams
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .braid import (
     parse_braid,
     render_braid,
 )
-from .cube import WorkLimitExceeded, braid_homology
+from .cube import WorkLimitExceeded, braid_homology, word_homology
 from .homfly import homfly_F, homfly_F_tilde
 from .homology import (
     InconclusiveComparison,
@@ -67,11 +67,13 @@ def _check_config(qmax: int, marks: int = 1, max_work: int = 1) -> None:
 
 
 def _homology(b: BraidWord, qmax: int, reduced: bool, basepoint: str | None,
-              marks: int, max_work: int) -> TriGradedDims:
-    """`braid_homology`; exit 3 when its predicted work is above max_work."""
+              marks: int, max_work: int, raw: bool = False) -> TriGradedDims:
+    """`braid_homology`, or with `raw` `word_homology` (b's own cube); exit
+    3 when its predicted work is above max_work."""
+    homology = word_homology if raw else braid_homology
     try:
-        return braid_homology(b, qmax, reduced=reduced, basepoint=basepoint,
-                              marks_per_segment=marks, max_work=max_work)
+        return homology(b, qmax, reduced=reduced, basepoint=basepoint,
+                        marks_per_segment=marks, max_work=max_work)
     except WorkLimitExceeded as exc:
         _config_error(f"{render_braid(b)!r} up to --qmax {qmax} predicts "
                       f"{exc.args[0]} slice elements, above --max-work "
@@ -336,7 +338,10 @@ def apply_move_text(b: BraidWord, text: str) -> BraidWord:
 @common_options
 def invariance(braid, moves, strands, qmax, reduced, basepoint, marks,
                as_json, out, max_work):
-    """Compare homology before/after Markov moves, up to an overall shift."""
+    """Compare homology before/after Markov moves, up to an overall shift.
+
+    Each word's table comes from its own cube, not from the cheapest word
+    that `homology` builds."""
     _check_config(qmax, marks, max_work)
     _reject_json(as_json, "invariance")
     b = _parse(braid, strands)
@@ -345,7 +350,7 @@ def invariance(braid, moves, strands, qmax, reduced, basepoint, marks,
         b2 = apply_move_text(b2, mv)
     for word in (b, b2):
         _check_basepoint(word, reduced, basepoint, marks)
-    h1, h2 = (_homology(word, qmax, reduced, basepoint, marks, max_work)
+    h1, h2 = (_homology(word, qmax, reduced, basepoint, marks, max_work, True)
               for word in (b, b2))
     try:
         shift = compare_up_to_shift(h1, h2)
@@ -403,7 +408,11 @@ def graph_homology_cmd(name, qmax, as_json, out):
         m = catalog.closed_matrix(name)
     except KeyError as exc:
         _config_error(exc.args[0])
-    h = matrix_homology(m, qmax)
+    try:
+        h = matrix_homology(m, qmax, max_work=MAX_WORK)
+    except WorkLimitExceeded as exc:
+        _config_error(f"{name!r} up to --qmax {qmax} predicts {exc.args[0]} "
+                      f"slice elements, above {MAX_WORK}")
     if as_json:
         payload = {"graph": name, "qmax": qmax, "dims": dims_to_json(h)}
         _emit(json.dumps(payload, separators=(",", ":")), out)

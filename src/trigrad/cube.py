@@ -65,10 +65,11 @@ on integer terms; the quotient H(b x^e) of each step is Z-linear in x^e, so
 the `Reduction`s share one exact table per distinct step and row (`memo`,
 like `quotients`), and it dies with the cube.
 
-`braid_homology` always builds the reduced cube (one mark set to zero, one
-variable fewer at every vertex) with lmax = qmax; the unreduced table is
-Hbar (x) Q[x].  Only `reduce_mode_check` builds the unreduced cube, to test
-that identity.
+`braid_homology` first rewrites the word by the moves that leave the table
+unchanged (`braid.cheapest_word`), then `word_homology` builds the reduced
+cube (one mark set to zero, one variable fewer at every vertex) with
+lmax = qmax; the unreduced table is Hbar (x) Q[x].  Only
+`reduce_mode_check` builds the unreduced cube, to test that identity.
 """
 
 from __future__ import annotations
@@ -77,13 +78,19 @@ import math
 from dataclasses import dataclass, replace
 
 from .algebra import Bidegree, PolyRing, Polynomial
-from .braid import BraidWord, MarkedDiagram, build_marked_diagram
+from .braid import (
+    BraidWord, MarkedDiagram, build_marked_diagram, cheapest_word,
+    closure_components,
+)
 from .factor_complex import (
     FactorComplex, FlipMap, Quotient, Reduction, flip_factors, realize,
 )
 # perfbench/spans.py HOOKS wraps trigrad.cube.simplify; nothing here calls it
 from .factor_complex import simplify  # noqa: F401
-from .homology import InconclusiveComparison, TriGradedDims, link_homology
+from .homology import (
+    InconclusiveComparison, TriGradedDims, WorkLimitExceeded, complex_work,
+    link_homology,
+)
 from .koszul import (
     KoszulMatrix,
     KoszulRow,
@@ -265,20 +272,13 @@ def build_cube(
     return CubeComplex(ring, vertices, jdeg, edges, lmax)
 
 
-class WorkLimitExceeded(ValueError):
-    """A table's `predicted_work` is above the budget."""
-
-
 def predicted_work(cube: CubeComplex, qmax: int) -> int:
-    """The slice elements `link_homology` can meet up to qmax, in closed
-    form: over a vertex ring in n variables, a generator at l times the
-    C((qmax - l) // 2 + n, n) monomials of degree up to (qmax - l) / 2."""
-    return sum(math.comb((qmax - g.bidegree.l) // 2 + cx.ring.nvars, cx.ring.nvars)
-               for cx in cube.vertices.values()
-               for g in cx.gens if g.bidegree.l <= qmax)
+    """The slice elements `link_homology` can meet up to qmax, summed over
+    the vertices by `complex_work`."""
+    return sum(complex_work(cx, qmax) for cx in cube.vertices.values())
 
 
-def braid_homology(
+def word_homology(
     b: BraidWord,
     qmax: int,
     reduced: bool = False,
@@ -286,14 +286,17 @@ def braid_homology(
     marks_per_segment: int = 1,
     max_work: int | None = None,
 ) -> TriGradedDims:
-    """Homology of the closure of b up to q-degree qmax, from the reduced
-    cube (mark `basepoint`, default x1, set to zero) built with
-    lmax = qmax, so without the vertices that are empty up to qmax.  The
-    unreduced table is H = Hbar (x) Q[x] with x in (0, 0, 2) (Rasmussen,
-    math/0607544): H at l sums Hbar at l, l-2, ..., so it is exact up to
-    qmax.  The direct unreduced cube is built only by `reduce_mode_check`.
-    With `max_work`, a cube whose `predicted_work` is above it raises
-    `WorkLimitExceeded` before any slice is built."""
+    """Homology of the closure of b up to q-degree qmax, from the cube of
+    b itself: the reduced cube (mark `basepoint`, default x1, set to zero)
+    built with lmax = qmax, so without the vertices that are empty up to
+    qmax.  The unreduced table is H = Hbar (x) Q[x] with x in (0, 0, 2)
+    (Rasmussen, math/0607544): H at l sums Hbar at l, l-2, ..., so it is
+    exact up to qmax.  The direct unreduced cube is built only by
+    `reduce_mode_check`.  With `max_work`, a cube whose `predicted_work` is
+    above it raises `WorkLimitExceeded` before any slice is built.
+
+    The checks that compare two words (`reduce_mode_check`, the CLI's
+    `invariance`) call this, so that each word's own cube is built."""
     cube = build_cube(b, True, basepoint, marks_per_segment, lmax=qmax)
     if max_work is not None and (work := predicted_work(cube, qmax)) > max_work:
         raise WorkLimitExceeded(work)
@@ -307,14 +310,33 @@ def braid_homology(
     return TriGradedDims(dims, qmax)
 
 
+def braid_homology(
+    b: BraidWord,
+    qmax: int,
+    reduced: bool = False,
+    basepoint: str | None = None,
+    marks_per_segment: int = 1,
+    max_work: int | None = None,
+) -> TriGradedDims:
+    """`word_homology` of `braid.cheapest_word(b)`, which the shift-free
+    moves reach from b: the table is a link invariant, so it is b's.  A
+    named basepoint names a mark of b's own diagram, and a reduced link
+    table depends on the component of the basepoint, which a rotation can
+    move, so in both cases b itself is built."""
+    if basepoint is None and not (reduced and closure_components(b) > 1):
+        b = cheapest_word(b)[0]
+    return word_homology(b, qmax, reduced, basepoint, marks_per_segment,
+                         max_work)
+
+
 def reduce_mode_check(
     b: BraidWord, qmax: int, basepoint: str | None = None
 ) -> bool:
     """Does H = Hbar (x) Q[x] hold up to qmax, with H from the direct
-    unreduced cube?  Both cubes are built with lmax = qmax, so both tables
-    are exact up to qmax, and they are compared whole."""
+    unreduced cube?  Both cubes are built from b with lmax = qmax, so both
+    tables are exact up to qmax, and they are compared whole."""
     unred = link_homology(build_cube(b, lmax=qmax), qmax)
-    via_reduced = braid_homology(b, qmax, basepoint=basepoint)
+    via_reduced = word_homology(b, qmax, basepoint=basepoint)
     if not unred.dims and not via_reduced.dims:
         raise InconclusiveComparison(f"both tables empty up to q^{qmax}")
     return unred == via_reduced

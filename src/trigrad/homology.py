@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 from typing import TYPE_CHECKING
 
 from .algebra import (
@@ -68,6 +68,20 @@ if TYPE_CHECKING:
 
 class InconclusiveComparison(ValueError):
     """compare_up_to_shift could not decide within the reliable window."""
+
+
+class WorkLimitExceeded(ValueError):
+    """A table's predicted slice elements are above the budget."""
+
+
+def complex_work(cx: FactorComplex, qmax: int) -> int:
+    """The slice elements that the (k, l) slices of cx up to qmax hold, at
+    each generator's own k, in closed form: over a ring in n variables
+    (without `a`), a generator at l times the C((qmax - l) // 2 + n, n)
+    monomials of degree up to (qmax - l) / 2."""
+    n = cx.ring.nvars
+    return sum(comb((qmax - g.bidegree.l) // 2 + n, n)
+               for g in cx.gens if g.bidegree.l <= qmax)
 
 
 # ---------------------------------------------------------------------------
@@ -471,15 +485,20 @@ def matrix_homology(
     qmax: int,
     reduce: bool = True,
     krange: tuple[int, int] | None = None,
+    max_work: int | None = None,
 ) -> TriGradedDims:
     """Bigraded homology dims of a closed Koszul matrix, reported at j = 0.
     With `reduce`, the complex is realized over R/(monic rows) after the
-    linear exclusions (`reduce_closed_matrix`)."""
+    linear exclusions (`reduce_closed_matrix`).  With `max_work`, a complex
+    whose `complex_work` is above it raises `WorkLimitExceeded` before any
+    slice is built."""
     if reduce:
         m = reduce_closed_matrix(m)
     cx = realize(m)
     if "a" in cx.ring.names and krange is None:
         raise ValueError("matrices containing `a` need an explicit krange")
+    if max_work is not None and (work := complex_work(cx, qmax)) > max_work:
+        raise WorkLimitExceeded(work)
     if krange is None:
         ks = sorted({g.bidegree.k for g in cx.gens})
     else:

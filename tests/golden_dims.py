@@ -18,9 +18,12 @@ the Borromean rings reduced at q4, three words of the `positive` benchmark
 family at q6, and two `mixed` words at q8.  The qmax values keep the whole
 table to about 20 seconds.
 
-Frontier inputs, too slow for the unit tests (about 17 seconds): the
-Borromean rings at q8 in both modes, T(3,4) reduced at q14 and T(2,9)
-reduced at q17.
+Frontier inputs, too slow for the unit tests (about 20 seconds): the
+Borromean rings at q8 in both modes, T(3,4) reduced at q14, T(2,9)
+reduced at q17 and T(3,5) as 1 2 1 2 1 2 1 2 1 2 reduced at q12.  The
+T(3,5) row was appended once from that word's own cube (`word_homology`,
+14.5 s), so `--check` compares it with the table of the cheapest word that
+`braid_homology` builds.
 """
 
 from __future__ import annotations
@@ -76,7 +79,8 @@ CASES = (
 
 FRONTIER = [_braid("1 -2 1 -2 1 -2", 8, True), _braid("1 -2 1 -2 1 -2", 8),
             _braid("1 2 1 2 1 2 1 2", 14, True),
-            _braid("1 1 1 1 1 1 1 1 1", 17, True)]
+            _braid("1 1 1 1 1 1 1 1 1", 17, True),
+            _braid("1 2 1 2 1 2 1 2 1 2", 12, True)]
 
 
 def case_id(case: dict) -> str:

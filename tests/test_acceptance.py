@@ -13,7 +13,9 @@ import pytest
 from trigrad.algebra import Bidegree, LaurentQT, RationalQT, qt_expand
 from trigrad.braid import BraidWord, build_marked_diagram, parse_braid
 from trigrad.catalog import closed_matrix, hom_pair
-from trigrad.cube import braid_homology, build_cube, reduce_mode_check, resolve
+from trigrad.cube import (
+    braid_homology, build_cube, reduce_mode_check, resolve, word_homology,
+)
 from trigrad.factor_complex import flip_map, realize, row_op_transport
 from trigrad.homfly import (
     hecke_of_braid,
@@ -41,7 +43,7 @@ _HOMOLOGY_CACHE: dict = {}
 def homology_of(text: str, qmax: int = 10, strands=None):
     key = (text, qmax, strands)
     if key not in _HOMOLOGY_CACHE:
-        _HOMOLOGY_CACHE[key] = braid_homology(
+        _HOMOLOGY_CACHE[key] = word_homology(
             parse_braid(text, strands), qmax
         )
     return _HOMOLOGY_CACHE[key]
@@ -134,15 +136,15 @@ def test_criterion_4_euler_equals_F(text, strands):
 def test_criterion_5_markov_invariance_trefoil():
     start = time.monotonic()
     tre = homology_of("1 1 1")
-    conj = braid_homology(parse_braid("-1 1 1 1 1"), 10)
+    conj = word_homology(parse_braid("-1 1 1 1 1"), 10)
     assert compare_up_to_shift(tre, conj) == (0, 0, 0)
     stab_p = homology_of("1 1 1 2")
     assert compare_up_to_shift(tre, stab_p) == (0, 0, 0)
-    stab_n = braid_homology(parse_braid("1 1 1 -2"), 10)
+    stab_n = word_homology(parse_braid("1 1 1 -2"), 10)
     assert compare_up_to_shift(tre, stab_n) == (1, -1, -1)
-    rot = braid_homology(parse_braid("n=3 1 2 1 1"), 10)
+    rot = word_homology(parse_braid("n=3 1 2 1 1"), 10)
     assert compare_up_to_shift(stab_p, rot) == (0, 0, 0)
-    braided = braid_homology(parse_braid("n=3 2 1 2 1"), 10)
+    braided = word_homology(parse_braid("n=3 2 1 2 1"), 10)
     assert compare_up_to_shift(rot, braided) == (0, 0, 0)
     elapsed = time.monotonic() - start
     _report("5 (Theorem 1, trefoil moves)", f"{elapsed:.1f}s")
@@ -151,11 +153,11 @@ def test_criterion_5_markov_invariance_trefoil():
 def test_criterion_5_markov_invariance_hopf():
     start = time.monotonic()
     hopf = homology_of("1 1")
-    conj = braid_homology(parse_braid("n=2 -1 1 1 1"), 10)
+    conj = word_homology(parse_braid("n=2 -1 1 1 1"), 10)
     assert compare_up_to_shift(hopf, conj) == (0, 0, 0)
-    stab_p = braid_homology(parse_braid("1 1 2"), 10)
+    stab_p = word_homology(parse_braid("1 1 2"), 10)
     assert compare_up_to_shift(hopf, stab_p) == (0, 0, 0)
-    stab_n = braid_homology(parse_braid("1 1 -2"), 10)
+    stab_n = word_homology(parse_braid("1 1 -2"), 10)
     assert compare_up_to_shift(hopf, stab_n) == (1, -1, -1)
     elapsed = time.monotonic() - start
     assert elapsed < 30 * 60
@@ -164,8 +166,8 @@ def test_criterion_5_markov_invariance_hopf():
 
 def test_criterion_6_mark_independence():
     start = time.monotonic()
-    h1 = braid_homology(parse_braid("1 1 1"), 10, marks_per_segment=1)
-    h2 = braid_homology(parse_braid("1 1 1"), 10, marks_per_segment=2)
+    h1 = word_homology(parse_braid("1 1 1"), 10, marks_per_segment=1)
+    h2 = word_homology(parse_braid("1 1 1"), 10, marks_per_segment=2)
     assert h1.dims == h2.dims  # identical, not merely up to shift
     elapsed = time.monotonic() - start
     assert elapsed < 10 * 60

@@ -16,6 +16,20 @@ def runner():
     return CliRunner()
 
 
+def _bounded_cli(*args: str) -> subprocess.CompletedProcess:
+    """The CLI in a child process, bounded in time and address space, for
+    inputs that would exhaust memory if their guard were lost."""
+    def bound():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    return subprocess.run(
+        [sys.executable, "-m", "trigrad.cli", *args],
+        capture_output=True, text=True, timeout=60, preexec_fn=bound,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
 class TestHomologyCommand:
     def test_unknot_table(self, runner):
         res = runner.invoke(cli.main, ["homology", "", "--strands", "1",
@@ -111,18 +125,9 @@ class TestHomologyCommand:
 
     def test_work_guard_refuses_a_huge_qmax(self):
         # the whole (k, l) task list of this table once exhausted memory;
-        # the guard refuses it before any slice is built.  The child is
-        # bounded in time and address space in case the guard is lost
-        def bound():
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        res = subprocess.run(
-            [sys.executable, "-m", "trigrad.cli", "homology", "1 1 1",
-             "--reduced", "--qmax", "99999999999999999999"],
-            capture_output=True, text=True, timeout=60, preexec_fn=bound,
-            env=dict(os.environ, PYTHONPATH=src),
-        )
+        # the guard refuses it before any slice is built
+        res = _bounded_cli("homology", "1 1 1", "--reduced", "--qmax",
+                           "99999999999999999999")
         assert res.returncode == cli.EXIT_CONFIG
         assert res.stdout == ""
         line, = res.stderr.splitlines()
@@ -142,6 +147,18 @@ class TestHomologyCommand:
         assert runner.invoke(cli.main, args + ["139"]).exit_code == 0
         res = runner.invoke(cli.main, args + ["0"])
         assert res.output == "config violation: --max-work 0 must be >= 1\n"
+
+    def test_max_work_counts_the_cube_that_is_built(self, runner):
+        # -1 1 1 1 1 is built as 1 1 1, so the trefoil's budget of 139
+        # holds, and the refusal names the word as given
+        args = ["homology", "-1 1 1 1 1", "--qmax", "14", "--reduced",
+                "--max-work"]
+        assert runner.invoke(cli.main, args + ["139"]).exit_code == 0
+        res = runner.invoke(cli.main, args + ["138"])
+        assert res.exit_code == cli.EXIT_CONFIG
+        assert res.output == (
+            "config violation: '-1 1 1 1 1' up to --qmax 14 predicts 139 "
+            "slice elements, above --max-work 138\n")
 
     def test_invariance_guards_both_words(self, runner):
         # 1 1 1 alone predicts 139 at q14; stab- adds a strand and a crossing
@@ -285,7 +302,7 @@ class TestInvarianceCommand:
 
     def test_reduced_and_basepoint_reach_homology(self, runner, monkeypatch):
         from trigrad import cli as climod
-        from trigrad.cube import braid_homology as real
+        from trigrad.cube import word_homology as real
 
         seen = []
 
@@ -293,7 +310,7 @@ class TestInvarianceCommand:
             seen.append((kw["reduced"], kw["basepoint"]))
             return real(b, qmax, **kw)
 
-        monkeypatch.setattr(climod, "braid_homology", spy)
+        monkeypatch.setattr(climod, "word_homology", spy)
         res = runner.invoke(
             cli.main, ["invariance", "1 1 1", "--move", "stab-", "--qmax",
                        "8", "--reduced", "--basepoint", "x2"]
@@ -305,14 +322,14 @@ class TestInvarianceCommand:
     def test_mismatch_exit_code(self, runner, monkeypatch):
         from trigrad import cli as climod
         from trigrad.braid import parse_braid as pb
-        from trigrad.cube import braid_homology as real
+        from trigrad.cube import word_homology as real
 
         def fake(b, qmax, **kw):
             if len(b.letters) > 2:
                 return real(pb("1"), qmax, **kw)  # wrong link on purpose
             return real(b, qmax, **kw)
 
-        monkeypatch.setattr(climod, "braid_homology", fake)
+        monkeypatch.setattr(climod, "word_homology", fake)
         res = runner.invoke(
             cli.main, ["invariance", "1 1", "--move", "insert:0:1",
                        "--qmax", "10"]
@@ -356,6 +373,17 @@ class TestGraphHomologyCommand:
         res = runner.invoke(cli.main, ["graph-homology", "nope"])
         assert res.exit_code == cli.EXIT_CONFIG
         assert res.output == "config violation: unknown closed graph 'nope'\n"
+
+    def test_work_guard_refuses_a_huge_qmax(self):
+        # the (k, l) list of this table once exhausted memory (MemoryError,
+        # exit 1); the closed-form count refuses it before any slice
+        res = _bounded_cli("graph-homology", "circle", "--qmax",
+                           "99999999999999999999")
+        assert res.returncode == cli.EXIT_CONFIG
+        assert res.stdout == ""
+        assert res.stderr == (
+            "config violation: 'circle' up to --qmax 99999999999999999999 "
+            "predicts 50000000000000000000 slice elements, above 1000000\n")
 
     def test_upsilon_closure_json(self, runner):
         res = runner.invoke(

@@ -10,7 +10,9 @@ from cube_end_state import mismatches
 from trigrad.algebra import Bidegree
 from trigrad.braid import BraidWord, build_marked_diagram, parse_braid
 import trigrad.cube as cube_module
-from trigrad.cube import braid_homology, build_cube, reduce_mode_check, resolve
+from trigrad.cube import (
+    braid_homology, build_cube, reduce_mode_check, resolve, word_homology,
+)
 from trigrad.factor_complex import ChainMap, realize
 from trigrad.homology import (
     InconclusiveComparison,
@@ -348,8 +350,8 @@ class TestReduced:
 class TestMarks:
     def test_mark_count_does_not_change_homology(self):
         b = parse_braid("1 -1")
-        h1 = braid_homology(b, 8, marks_per_segment=1)
-        h2 = braid_homology(b, 8, marks_per_segment=2)
+        h1 = word_homology(b, 8, marks_per_segment=1)
+        h2 = word_homology(b, 8, marks_per_segment=2)
         assert h1.dims == h2.dims
 
     def test_mark_count_does_not_change_the_direct_unreduced_cube(self):
@@ -366,8 +368,8 @@ class TestKnownLinks:
         # sigma sigma^{-1} closes to the two-component unlink
         from trigrad.homology import compare_up_to_shift
 
-        pair = braid_homology(parse_braid("1 -1"), 10)
-        unlink = braid_homology(parse_braid("", strands=2), 10)
+        pair = word_homology(parse_braid("1 -1"), 10)
+        unlink = word_homology(parse_braid("", strands=2), 10)
         assert compare_up_to_shift(unlink, pair) == (0, 0, 0)
 
     def test_split_component_gets_its_circle(self):

@@ -12,7 +12,9 @@ from trigrad.factor_complex import ChainMap, FlipMap, realize
 from trigrad.homology import (
     InconclusiveComparison,
     TriGradedDims,
+    WorkLimitExceeded,
     compare_up_to_shift,
+    complex_work,
     euler_characteristic,
     graph_homology,
     hom_space_dim,
@@ -190,6 +192,21 @@ class TestGraphHomology:
             expect[(0, -2, 4 + 2 * i)] = i + 1  # Q[x1,x2]{-2,4}
         expect = {k: v for k, v in expect.items() if k[2] <= 9}
         assert h.dims == expect
+
+    @pytest.mark.parametrize("name", ["circle", "theta", "upsilon-closure",
+                                      "gamma1-closure"])
+    def test_complex_work_counts_the_slice_elements(self, name):
+        # the closed form equals the slices `matrix_homology` visits, summed
+        cx = realize(reduce_closed_matrix(closed_matrix(name)))
+        ks = {g.bidegree.k for g in cx.gens}
+        lmin = min(g.bidegree.l for g in cx.gens)
+        for qmax in (lmin, 6, 11):
+            assert complex_work(cx, qmax) == sum(
+                slice_basis(cx, k, l).dim
+                for k in ks for l in range(lmin, qmax + 1))
+        with pytest.raises(WorkLimitExceeded):
+            matrix_homology(closed_matrix(name), 11,
+                            max_work=complex_work(cx, 11) - 1)
 
     def test_two_circles(self):
         d = build_marked_diagram(parse_braid("", strands=2))

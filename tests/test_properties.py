@@ -16,7 +16,7 @@ from trigrad.braid import (
     build_marked_diagram,
     closure_components,
 )
-from trigrad.cube import braid_homology
+from trigrad.cube import word_homology
 
 SETTINGS = settings(
     max_examples=6, deadline=None, derandomize=True, database=None
@@ -60,16 +60,16 @@ def _component_marks(b: BraidWord) -> list[str]:
 def test_reduced_dims_do_not_depend_on_the_basepoint(b):
     marks = _component_marks(b)
     assume(len(marks) > 1)
-    first = braid_homology(b, 6, reduced=True, basepoint=marks[0])
-    last = braid_homology(b, 6, reduced=True, basepoint=marks[-1])
+    first = word_homology(b, 6, reduced=True, basepoint=marks[0])
+    last = word_homology(b, 6, reduced=True, basepoint=marks[-1])
     assert first.dims == last.dims
 
 
 @SETTINGS
 @given(braids())
 def test_dims_do_not_depend_on_marks_per_segment(b):
-    one = braid_homology(b, 5, marks_per_segment=1)
-    two = braid_homology(b, 5, marks_per_segment=2)
+    one = word_homology(b, 5, marks_per_segment=1)
+    two = word_homology(b, 5, marks_per_segment=2)
     assert one.dims == two.dims
 
 
@@ -82,8 +82,8 @@ def test_mirror_knot_has_the_dual_reduced_homology(b):
     assume(closure_components(b) == 1)
     n, qmax = b.strands, 6
     mirror = BraidWord(n, tuple(-s for s in b.letters))
-    tables = (braid_homology(b, qmax, reduced=True),
-              braid_homology(mirror, qmax, reduced=True))
+    tables = (word_homology(b, qmax, reduced=True),
+              word_homology(mirror, qmax, reduced=True))
     compared = 0
     for one, other in (tables, tables[::-1]):
         for (j, k, l), d in one.dims.items():
@@ -148,8 +148,8 @@ def test_moves_shift_the_table_by_a_fixed_trigrading(kind, data, reduced,
     assume(not (reduced and kind == "conjugate" and closure_components(b) > 1))
     qmax = 6
     dj, dk, dl = SHIFTS[kind]
-    table = braid_homology(b, qmax, reduced=reduced, marks_per_segment=marks)
-    other = braid_homology(moved, qmax, reduced=reduced,
+    table = word_homology(b, qmax, reduced=reduced, marks_per_segment=marks)
+    other = word_homology(moved, qmax, reduced=reduced,
                            marks_per_segment=marks)
     # compare on the window both cutoffs cover
     image = {(j + dj, k + dk, l + dl): d for (j, k, l), d in table.dims.items()
