@@ -123,21 +123,12 @@ def closed_matrix(name: str) -> KoszulMatrix:
                 (("x1", "x2", "x3", "x4"),),
             )
         )
-    if name.endswith("-closure"):
-        base = name[: -len("-closure")]
+    base = name.removesuffix("-closure")
+    if base != name and base in OPEN_NAMES:
         m = open_matrix(base)
-        pairs = [("x1", "x4"), ("x2", "x5"), ("x3", "x6")]
-        return _closure_matrix(m, pairs)
+        if "x6" in m.ring.names:  # glue x1..x3 to x4..x6
+            return _closure_matrix(m, [("x1", "x4"), ("x2", "x5"), ("x3", "x6")])
     raise KeyError(f"unknown closed graph {name!r}")
 
 
-CLOSED_NAMES = (
-    "circle",
-    "theta",
-    "upsilon-closure",
-    "gamma1-closure",
-    "gamma2-closure",
-    "gamma3-closure",
-    "gamma4-closure",
-)
 OPEN_NAMES = tuple(sorted(OPEN_GRAPHS)) + ("upsilon",)

@@ -27,11 +27,13 @@ from .braid import (
     parse_braid,
     render_braid,
 )
-from .cube import WorkLimitExceeded, braid_homology, word_homology
+from .cube import TooManyMarks, braid_homology, word_homology
 from .homfly import homfly_F, homfly_F_tilde
 from .homology import (
     InconclusiveComparison,
+    PotentialMismatch,
     TriGradedDims,
+    WorkLimitExceeded,
     compare_up_to_shift,
     euler_characteristic,
     hom_space_dim,
@@ -69,11 +71,13 @@ def _check_config(qmax: int, marks: int = 1, max_work: int = 1) -> None:
 def _homology(b: BraidWord, qmax: int, reduced: bool, basepoint: str | None,
               marks: int, max_work: int, raw: bool = False) -> TriGradedDims:
     """`braid_homology`, or with `raw` `word_homology` (b's own cube); exit
-    3 when its predicted work is above max_work."""
+    3 on too many marks, or when its predicted work is above max_work."""
     homology = word_homology if raw else braid_homology
     try:
         return homology(b, qmax, reduced=reduced, basepoint=basepoint,
                         marks_per_segment=marks, max_work=max_work)
+    except TooManyMarks as exc:
+        _config_error(f"{render_braid(b)!r} at --marks {marks} has {exc}")
     except WorkLimitExceeded as exc:
         _config_error(f"{render_braid(b)!r} up to --qmax {qmax} predicts "
                       f"{exc.args[0]} slice elements, above --max-work "
@@ -93,11 +97,6 @@ def _check_basepoint(
             f"--basepoint {basepoint} is not a mark of {render_braid(b)!r} "
             f"(marks x1..x{len(names)})"
         )
-
-
-def _reject_json(as_json: bool, command: str) -> None:
-    if as_json:
-        _config_error(f"--json is not supported by {command}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -188,7 +187,6 @@ _common = [
     click.option("--basepoint", type=str, default=None),
     click.option("--marks", type=int, default=1, show_default=True,
                  help="marks per strand segment"),
-    click.option("--json", "as_json", is_flag=True, default=False),
     click.option("--out", type=str, default=None),
     click.option("--max-work", type=int, default=MAX_WORK, show_default=True,
                  help="refuse a table predicted to need more slice elements"),
@@ -204,6 +202,7 @@ def common_options(fn):
 @main.command(context_settings={"ignore_unknown_options": True})
 @click.argument("braid")
 @common_options
+@click.option("--json", "as_json", is_flag=True, default=False)
 def homology(braid, strands, qmax, reduced, basepoint, marks, as_json, out,
              max_work):
     """Trigraded homology dims of the closure of BRAID."""
@@ -259,15 +258,13 @@ def homfly(braid, strands, qmax, as_json, out):
 @main.command("euler-check", context_settings={"ignore_unknown_options": True})
 @click.argument("braid")
 @common_options
-def euler_check(braid, strands, qmax, reduced, basepoint, marks, as_json, out,
-                max_work):
+def euler_check(braid, strands, qmax, reduced, basepoint, marks, out, max_work):
     """Compare the homology Euler characteristic against the trace oracle.
 
     The homology comes from the reduced cube either way: without --reduced
     it is Hbar (x) Q[x] and the oracle side is F; with --reduced it is Hbar
     and the oracle side is F * (1 - q^2)."""
     _check_config(qmax, marks, max_work)
-    _reject_json(as_json, "euler-check")
     b = _parse(braid, strands)
     _check_basepoint(b, reduced, basepoint, marks)
     h = _homology(b, qmax, reduced, basepoint, marks, max_work)
@@ -336,14 +333,13 @@ def apply_move_text(b: BraidWord, text: str) -> BraidWord:
               help="conj:K | conjlet:G | far:P | cancel:P | insert:P:G | "
                    "braid:P | stab+ | stab- | destab")
 @common_options
-def invariance(braid, moves, strands, qmax, reduced, basepoint, marks,
-               as_json, out, max_work):
+def invariance(braid, moves, strands, qmax, reduced, basepoint, marks, out,
+               max_work):
     """Compare homology before/after Markov moves, up to an overall shift.
 
     Each word's table comes from its own cube, not from the cheapest word
     that `homology` builds."""
     _check_config(qmax, marks, max_work)
-    _reject_json(as_json, "invariance")
     b = _parse(braid, strands)
     b2 = b
     for mv in moves:
@@ -385,7 +381,10 @@ def hom_dim(src, tgt, bidegree, as_json, out):
         m, n = catalog.hom_pair(src, tgt)
     except KeyError as exc:
         _config_error(exc.args[0])
-    d = hom_space_dim(m, n, Bidegree(*bidegree))
+    try:
+        d = hom_space_dim(m, n, Bidegree(*bidegree))
+    except PotentialMismatch as exc:
+        _config_error(f"{src!r} and {tgt!r} have different boundaries ({exc})")
     if as_json:
         _emit(json.dumps({"src": src, "tgt": tgt,
                           "bidegree": list(bidegree), "dim": d}), out)

@@ -56,14 +56,15 @@ at an empty slice, so the table up to lmax does not change.
 The edge maps are psi'(x4-x2) (positive crossings, 0 -> 1, the map chi_0) and
 psi(x4-x2) (negative crossings, 1 -> 0, the map chi_1).  Both are diagonal in
 the subset basis of the unreduced vertex matrices over the shared ring, so
-an edge keeps just the two diagonal factors; it acts on the realized vertex
-complexes as pi_tgt o psi o iota_src (`FlipMap`), through the inclusion and
-projection of the two ends' reductions.  These are homotopy equivalences,
-so the induced maps on vertex homology are those of psi up to vertex
-isomorphisms, and cube squares anticommute on homology.  Lifts are carried
-on integer terms; the quotient H(b x^e) of each step is Z-linear in x^e, so
-the `Reduction`s share one exact table per distinct step and row (`memo`,
-like `quotients`), and it dies with the cube.
+an edge keeps just the two diagonal factors, read off its crossing's sign,
+and the Koszul sign of its bit (`_sign`, as in `realize`).  It acts on the
+realized vertex complexes as pi_tgt o psi o iota_src (`FlipMap`), through
+the inclusion and projection of the two ends' reductions.  These are
+homotopy equivalences, so the induced maps on vertex homology are those of
+psi up to vertex isomorphisms, and cube squares anticommute on homology.
+Lifts are carried on integer terms; the quotient H(b x^e) of each step is
+Z-linear in x^e, so the `Reduction`s share one exact table per distinct
+step and row (`memo`, like `quotients`), and it dies with the cube.
 
 `braid_homology` first rewrites the word by the moves that leave the table
 unchanged (`braid.cheapest_word`), then `word_homology` builds the reduced
@@ -83,7 +84,7 @@ from .braid import (
     closure_components,
 )
 from .factor_complex import (
-    FactorComplex, FlipMap, Quotient, Reduction, flip_factors, realize,
+    FactorComplex, FlipMap, Quotient, Reduction, _sign, realize,
 )
 # perfbench/spans.py HOOKS wraps trigrad.cube.simplify; nothing here calls it
 from .factor_complex import simplify  # noqa: F401
@@ -102,6 +103,15 @@ from .koszul import (
     monic_picks,
     strip_a,
 )
+
+
+# the shared reduction runs before any cube size is known: on the trefoil's
+# 400 marks it took 3-4 s at 374 MB, on 800 about 18 s at 2.75 GB
+MAX_MARKS = 400
+
+
+class TooManyMarks(ValueError):
+    """A diagram has more marks than `MAX_MARKS`."""
 
 
 def resolve(d: MarkedDiagram, mask: int) -> ResolutionGraph:
@@ -147,9 +157,12 @@ def build_cube(
 ) -> CubeComplex:
     """The cube of the closure of b.  With `lmax`, only the vertices with a
     generator at l <= lmax are built, and the edges between them: the
-    others have an empty slice at every l <= lmax."""
+    others have an empty slice at every l <= lmax.  A diagram with more
+    than `MAX_MARKS` marks raises `TooManyMarks` before any reduction."""
     d = build_marked_diagram(b, marks_per_segment)
     names = d.var_names()
+    if len(names) > MAX_MARKS:
+        raise TooManyMarks(f"{len(names)} marks, above {MAX_MARKS}")
     full = PolyRing(("a",) + names)
 
     def var(i: int) -> Polynomial:
@@ -252,23 +265,17 @@ def build_cube(
     vertices = dict(sorted(vertices.items()))
     jdeg = dict(sorted(jdeg.items()))
 
-    noff = len(leftover)
+    noff, one = len(leftover), ring.one()
     edges: list[CubeEdge] = []
     for mask in vertices:
         for p in range(nc):
-            bit = mask >> p & 1
-            if signs[p] > 0 and bit == 0:
-                src, tgt, kind = mask, mask | (1 << p), "psi'"
-            elif signs[p] < 0 and bit == 1:
-                src, tgt, kind = mask, mask & ~(1 << p), "psi"
-            else:
+            tgt = mask ^ (1 << p)
+            if mask >> p & 1 != (signs[p] < 0) or tgt not in reductions:
                 continue
-            if tgt not in reductions:
-                continue
-            sign = -1 if bin(mask & ((1 << p) - 1)).count("1") % 2 else 1
-            cmap = FlipMap(reductions[src], reductions[tgt], noff + p,
-                           *flip_factors(kind, flip[p]))
-            edges.append(CubeEdge(src, tgt, sign, cmap))
+            odd, even = (one, flip[p]) if signs[p] > 0 else (flip[p], one)
+            cmap = FlipMap(reductions[mask], reductions[tgt], noff + p, odd,
+                           even)
+            edges.append(CubeEdge(mask, tgt, _sign(mask, p), cmap))
     return CubeComplex(ring, vertices, jdeg, edges, lmax)
 
 

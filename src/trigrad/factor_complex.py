@@ -160,10 +160,6 @@ class Quotient:
             self._times[p] = table
         return table
 
-    def product(self, ui: int) -> list[list[tuple[int, Polynomial]]]:
-        """For each u', the normal form of u u', split (u the ui-th)."""
-        return self.times(self.join(ui))
-
 
 # ---------------------------------------------------------------------------
 # Chain maps
@@ -239,17 +235,20 @@ def flip_map(
     Returns the chain map together with the target Koszul matrix.  The map
     is the `FlipMap` between the two unreduced complexes, tabulated.
     """
-    odd, even = flip_factors(kind, y)
     row = m.rows[row_index]
     ydeg = y.homogeneous_bidegree()
     if ydeg is None:
         raise ValueError("flip factor must be homogeneous")
     if kind == "psi":
+        odd, even, bidegree = y, y.ring.one(), BIDEG_ZERO
         new_row = KoszulRow(row.left * y, exact_divide(row.right, y),
                             row.shift - ydeg)
-    else:
+    elif kind == "psi'":
+        odd, even, bidegree = y.ring.one(), y, ydeg
         x = exact_divide(row.left, y) if not row.left.is_zero() else m.ring.zero()
         new_row = KoszulRow(x, row.right * y, row.shift + ydeg)
+    else:
+        raise ValueError("kind must be 'psi' or 'psi''")
     new_row.validate()
     rows = list(m.rows)
     rows[row_index] = new_row
@@ -263,17 +262,7 @@ def flip_map(
             mat.setdefault(s, {}).setdefault(t, {})[e] = c
     mat = {s: {t: Polynomial(m.ring, terms) for t, terms in row.items()}
            for s, row in mat.items()}
-    return ChainMap(src, tgt, mat, ydeg if kind == "psi'" else BIDEG_ZERO), m2
-
-
-def flip_factors(kind: str, y: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """(odd, even) of a flip by y on one row: its factor on the subsets
-    that hold the row and on the others.  psi is (y, 1), psi' is (1, y)."""
-    if kind == "psi":
-        return y, y.ring.one()
-    if kind == "psi'":
-        return y.ring.one(), y
-    raise ValueError("kind must be 'psi' or 'psi''")
+    return ChainMap(src, tgt, mat, bidegree), m2
 
 
 def row_op_transport(
@@ -342,15 +331,24 @@ class Reduction:
 
     pi of all steps kills e_S when S holds a removed row and applies the
     ring homomorphism sigma (every step's NF) to the coefficient; it is
-    linear over sigma, and iota over `ring`, the ring of realize(matrix).
-    The lifts iota(e_(S,u)) and sigma of each monomial are cached here, so
-    every cube edge at this vertex shares them.  `quo` is the `Quotient` of
-    matrix's ring and relations."""
+    semilinear over sigma, and iota linear over `ring`, the ring of
+    realize(matrix).  sigma(u) = u for each standard monomial u (`units`,
+    as exponents over big.ring): u's variables are relation variables, each
+    below its degree, and the relations are triangular.  So u pi(x) =
+    pi(u x).  The lifts iota(e_(S,u)) and sigma of each monomial are cached
+    here, so every cube edge at this vertex shares them.  `quo` is the
+    `Quotient` of matrix's ring and relations."""
 
     def __init__(self, big: KoszulMatrix, steps: Sequence[Exclusion],
                  matrix: KoszulMatrix, quo: Quotient, memo: dict | None = None):
         self.big, self.steps, self.matrix = big, tuple(steps), matrix
         self.quo, self.ring = quo, quo.ring
+        where, self.units = [big.ring.index(y) for y, _ in quo.relations], []
+        for u in quo.monos:
+            e = [0] * big.ring.nvars
+            for pos, x in zip(where, u):
+                e[pos] = x
+            self.units.append(tuple(e))
         self._memo = {} if memo is None else memo
         self._tables: list[tuple[dict, dict]] | None = None
         self._lifts: dict[int, Terms] = {}
@@ -430,7 +428,9 @@ class FlipMap:
     it is diagonal in the subset basis over one shared ring: `odd` on the
     subsets holding row `row`, `even` on the others.  It acts as
     pi_tgt o flip o iota_src, a chain map, semilinear over the ring
-    homomorphism sigma of pi_tgt: x^e e_s goes to sigma(x^e) image(e_s)."""
+    homomorphism sigma of pi_tgt: x^e e_s goes to sigma(x^e) image(e_s).
+    sigma(u) = u for a standard monomial u of the target (`Reduction`), so
+    u pi_tgt(x) = pi_tgt(u x), and `image` takes one path for every u."""
 
     src: Reduction
     tgt: Reduction
@@ -441,33 +441,27 @@ class FlipMap:
     _images: dict = field(default_factory=dict, init=False, compare=False)
 
     def image(self, s: int, ui: int = 0) -> list[tuple[int, tuple[int, ...], int]]:
-        """u pi_tgt(flip(iota_src(e_s))), u the ui-th standard monomial of
+        """pi_tgt(u flip(iota_src(e_s))), u the ui-th standard monomial of
         the target, as (target generator, exponents, coefficient) terms;
-        cached.  A factor (`odd` or `even`) that is the constant 1 is
-        skipped; u multiplies over the target's quotient (`Quotient.product`)."""
+        cached.  The lift's terms are multiplied by u odd or u even, and
+        copied through a factor that is the constant 1."""
         if (s, ui) in self._images:
             return self._images[s, ui]
+        u = self.tgt.units[ui]
+        factors = [None if not ui and p == p.ring.one() else
+                   [(tuple(map(int.__add__, u, fe)), fc) for fe, fc in p.terms.items()]
+                   for p in (self.even, self.odd)]
         out: Terms = {}
-        if ui:
-            nb = len(self.tgt.quo.monos)
-            for t, te, c in self.image(s):
-                for uk, v in self.tgt.quo.product(ui)[t % nb]:
-                    for ve, vc in v.terms.items():
-                        k = (t - t % nb + uk, tuple(map(int.__add__, te, ve)))
-                        out[k] = out.get(k, 0) + c * vc
-        else:
-            factors = [None if p == p.ring.one() else p.terms.items()
-                       for p in (self.even, self.odd)]
-            for (t, e), c in self.src.lift(s).items():
-                factor = factors[t >> self.row & 1]
-                if factor is None:
-                    out[t, e] = c
-                    continue
-                for fe, fc in factor:
-                    k = (t, tuple(map(int.__add__, e, fe)))
-                    out[k] = out.get(k, 0) + c * fc
-            out = self.tgt.project(out)
-        image = self._images[s, ui] = [(t, e, c) for (t, e), c in out.items() if c]
+        for (t, e), c in self.src.lift(s).items():
+            factor = factors[t >> self.row & 1]
+            if factor is None:
+                out[t, e] = c
+                continue
+            for fe, fc in factor:
+                k = (t, tuple(map(int.__add__, e, fe)))
+                out[k] = out.get(k, 0) + c * fc
+        image = self._images[s, ui] = [
+            (t, e, c) for (t, e), c in self.tgt.project(out).items()]
         return image
 
 

@@ -29,8 +29,12 @@ Cube ranks: cube vertices are realized after their own reductions, and an
 edge is a `FlipMap`: iota_src (back into the unreduced source complex),
 the flip psi or psi', then pi_tgt (into the target's reduced complex).
 `induced_map` reads the integer image of each slice element a source
-representative uses straight into target slice coordinates.  iota and pi
-are homotopy inverse, so this is H(psi) up to vertex isomorphisms, and
+representative uses straight into target slice coordinates.  pi_tgt is
+semilinear over its ring map sigma, and sigma(u) = u for a standard
+monomial u of the target, because u's variables are relation variables,
+each below its degree, and the relations are triangular: so u pi_tgt(x) =
+pi_tgt(u x), one path for every u (`FlipMap.image`).  iota and pi are
+homotopy inverse, so this is H(psi) up to vertex isomorphisms, and
 squares anticommute on homology, which is all the cube needs.
 `_link_homology_slice` ranks each cube block at chain level modulo the
 target boundaries, so every vector from the Koszul rows to the ranks is an
@@ -72,6 +76,10 @@ class InconclusiveComparison(ValueError):
 
 class WorkLimitExceeded(ValueError):
     """A table's predicted slice elements are above the budget."""
+
+
+class PotentialMismatch(ValueError):
+    """Two factorizations have different potentials: their boundaries differ."""
 
 
 def complex_work(cx: FactorComplex, qmax: int) -> int:
@@ -564,7 +572,7 @@ def hom_space_dim(
     m_src = matrix_to_ring(m_src, ring)
     n_tgt = matrix_to_ring(n_tgt, ring)
     if m_src.potential() != n_tgt.potential():
-        raise ValueError("potential mismatch")
+        raise PotentialMismatch("potential mismatch")
     k = tensor_matrices(n_tgt, dualize(m_src))
     k = KoszulMatrix(k.ring, k.rows, (), k.global_shift)
     if not k.potential().is_zero():

@@ -20,10 +20,14 @@ table to about 20 seconds.
 
 Frontier inputs, too slow for the unit tests (about 20 seconds): the
 Borromean rings at q8 in both modes, T(3,4) reduced at q14, T(2,9)
-reduced at q17 and T(3,5) as 1 2 1 2 1 2 1 2 1 2 reduced at q12.  The
-T(3,5) row was appended once from that word's own cube (`word_homology`,
-14.5 s), so `--check` compares it with the table of the cheapest word that
-`braid_homology` builds.
+reduced at q17, T(3,5) as 1 2 1 2 1 2 1 2 1 2 reduced at q12, and the
+4-strand 2-component link 1 -2 -1 -3 -3 -2 reduced at q8.  The T(3,5) row
+was appended once from that word's own cube (`word_homology`, 14.5 s), so
+`--check` compares it with the table of the cheapest word that
+`braid_homology` builds.  The 1 -2 -1 -3 -3 -2 row, a reduced link that
+`braid_homology` builds as given, pins the edge images multiplied by a
+standard monomial u != 1 of the target: one of its vertices keeps a
+variable that a monic pick could not take.
 """
 
 from __future__ import annotations
@@ -80,7 +84,8 @@ CASES = (
 FRONTIER = [_braid("1 -2 1 -2 1 -2", 8, True), _braid("1 -2 1 -2 1 -2", 8),
             _braid("1 2 1 2 1 2 1 2", 14, True),
             _braid("1 1 1 1 1 1 1 1 1", 17, True),
-            _braid("1 2 1 2 1 2 1 2 1 2", 12, True)]
+            _braid("1 2 1 2 1 2 1 2 1 2", 12, True),
+            _braid("1 -2 -1 -3 -3 -2", 8, True)]
 
 
 def case_id(case: dict) -> str:

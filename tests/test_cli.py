@@ -135,6 +135,17 @@ class TestHomologyCommand:
                                "99999999999999999999 predicts ")
         assert line.endswith(" slice elements, above --max-work 1000000")
 
+    @pytest.mark.parametrize("marks, count", [("200", 1600), ("51", 408)])
+    def test_marks_ceiling_refuses_a_large_diagram(self, marks, count):
+        # 1 600 marks once ran out of memory in the shared reduction, before
+        # any cube size was known; above 400 marks the diagram is refused
+        res = _bounded_cli("homology", "1 1 1", "--qmax", "4", "--marks",
+                           marks)
+        assert res.returncode == cli.EXIT_CONFIG
+        assert res.stdout == ""
+        assert res.stderr == (f"config violation: '1 1 1' at --marks {marks} "
+                              f"has {count} marks, above 400\n")
+
     @pytest.mark.parametrize("command", ["homology", "euler-check"])
     def test_max_work_sets_the_budget(self, runner, command):
         # the reduced trefoil at q14 predicts 139 slice elements
@@ -355,6 +366,16 @@ class TestHomDimCommand:
         assert res.exit_code == cli.EXIT_CONFIG
         assert res.output == "config violation: unknown graph 'nope'\n"
 
+    @pytest.mark.parametrize("src, tgt", [("s2", "gamma000"),
+                                          ("upsilon", "s2")])
+    def test_different_boundaries_are_a_config_violation(self, runner, src,
+                                                         tgt):
+        # s2 has four boundary marks, the others six: the potentials differ
+        res = runner.invoke(cli.main, ["hom-dim", src, tgt])
+        assert res.exit_code == cli.EXIT_CONFIG
+        assert res.output == (f"config violation: {src!r} and {tgt!r} have "
+                              "different boundaries (potential mismatch)\n")
+
 
 class TestGraphHomologyCommand:
     def test_circle(self, runner):
@@ -373,6 +394,13 @@ class TestGraphHomologyCommand:
         res = runner.invoke(cli.main, ["graph-homology", "nope"])
         assert res.exit_code == cli.EXIT_CONFIG
         assert res.output == "config violation: unknown closed graph 'nope'\n"
+
+    @pytest.mark.parametrize("name", ["s2-closure", "nope-closure"])
+    def test_closure_without_six_marks_is_unknown(self, runner, name):
+        # a closure glues x1..x3 to x4..x6: s2 has four marks
+        res = runner.invoke(cli.main, ["graph-homology", name])
+        assert res.exit_code == cli.EXIT_CONFIG
+        assert res.output == f"config violation: unknown closed graph {name!r}\n"
 
     def test_work_guard_refuses_a_huge_qmax(self):
         # the (k, l) list of this table once exhausted memory (MemoryError,

@@ -177,6 +177,10 @@ class TestFlipAndChi:
         with pytest.raises(ValueError):
             flip_map(self.g0m, 1, self.r.var("x1"), "psi")
 
+    def test_unknown_flip_kind(self):
+        with pytest.raises(ValueError, match="kind must be"):
+            flip_map(self.g0m, 1, self.y, "chi")
+
     def test_flips_of_a_two_crossing_braid(self):
         # sigma sigma^{-1}: the edge maps psi'(x5-x2) on the top crossing's
         # linear row and psi(x3-x6) on the bottom crossing's quadratic row

@@ -23,7 +23,7 @@ from conftest import vertex_reductions
 from trigrad.algebra import Polynomial
 from trigrad.braid import BraidWord, parse_braid
 from trigrad.cube import braid_homology, build_cube
-from trigrad.factor_complex import Quotient, realize
+from trigrad.factor_complex import FlipMap, realize
 from trigrad.homology import (
     induced_map,
     kernel_and_rank,
@@ -293,24 +293,25 @@ def test_flip_columns_match_their_definition(monkeypatch):
     # every cube edge of each reduced cube, on every element of each source
     # vertex's two lowest slices at each k: the columns of `induced_map`
     # (and the images of the generators) equal the reference.  sigma(x^e)
-    # off u = 1 must occur, a product over the target's quotient ring: only
-    # the last word has it, as one of its vertices keeps a variable that a
-    # monic pick could not take
-    products = []
-    real_product = Quotient.product
+    # off u = 1 must occur, an image multiplied by a standard monomial
+    # u != 1 of the target: only the last word has it, as one of its
+    # vertices keeps a variable that a monic pick could not take
+    images = []
+    real_image = FlipMap.image
 
-    def product(self, ui):
-        products.append(ui)
-        return real_product(self, ui)
+    def image(self, s, ui=0):
+        if ui:
+            images.append(ui)
+        return real_image(self, s, ui)
 
-    monkeypatch.setattr(Quotient, "product", product)
+    monkeypatch.setattr(FlipMap, "image", image)
     checked = 0
     for word in ("1 1 -2 1 -2", "1 -2 1 -2 1 -2", "1 -2 -1 -3 -3 -2"):
-        products.clear()
+        images.clear()
         cube = build_cube(parse_braid(word), reduced=True)
         for edge in cube.edges:
             checked += _check_edge(word, edge, cube)
-        assert bool(products) == (word == "1 -2 -1 -3 -3 -2"), word
+        assert bool(images) == (word == "1 -2 -1 -3 -3 -2"), word
     assert checked
 
 
