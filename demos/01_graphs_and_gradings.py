@@ -25,9 +25,10 @@ print("\ncircle homology dims (k, l) -> dim:")
 for (j, k, l), d in h.items_sorted():
     print(f"  ({k:3d},{l:3d}) -> {d}")
 
-# The theta graph: a wide edge closed up by two arcs.  The aggregation step
-# collects the variable `a` into a single (a, 0) row, which strip_a removes
-# together with `a` itself, at the cost of a global {-1,1} shift.
+# The theta graph: a wide edge closed up by two arcs.  Aggregation collects
+# the variable `a` into a single (a, 0) row in one pass, which strip_a
+# removes together with `a` itself, at the cost of a global {-1,1} shift.
+# strip_a aggregates on its own, so strip_a(m) is the same matrix.
 theta = ResolutionGraph(
     ("x1", "x2", "x3", "x4"),
     arcs=(("x1", "x3"), ("x2", "x4")),

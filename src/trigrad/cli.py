@@ -27,8 +27,8 @@ from .braid import (
     parse_braid,
     render_braid,
 )
-from .cube import TooManyMarks, braid_homology, word_homology
-from .homfly import homfly_F, homfly_F_tilde
+from .cube import TooManyMarks, braid_homology, check_marks, word_homology
+from .homfly import TooManyStrands, homfly_F, homfly_F_tilde
 from .homology import (
     InconclusiveComparison,
     PotentialMismatch,
@@ -71,22 +71,26 @@ def _check_config(qmax: int, marks: int = 1, max_work: int = 1) -> None:
 def _homology(b: BraidWord, qmax: int, reduced: bool, basepoint: str | None,
               marks: int, max_work: int, raw: bool = False) -> TriGradedDims:
     """`braid_homology`, or with `raw` `word_homology` (b's own cube); exit
-    3 on too many marks, or when its predicted work is above max_work."""
+    3 when its predicted work is above max_work."""
     homology = word_homology if raw else braid_homology
     try:
         return homology(b, qmax, reduced=reduced, basepoint=basepoint,
                         marks_per_segment=marks, max_work=max_work)
-    except TooManyMarks as exc:
-        _config_error(f"{render_braid(b)!r} at --marks {marks} has {exc}")
     except WorkLimitExceeded as exc:
         _config_error(f"{render_braid(b)!r} up to --qmax {qmax} predicts "
                       f"{exc.args[0]} slice elements, above --max-work "
                       f"{max_work}")
 
 
-def _check_basepoint(
+def _check_diagram(
     b: BraidWord, reduced: bool, basepoint: str | None, marks: int
 ) -> None:
+    """Exit 3 when b has too many marks (`cube.check_marks`, from the word
+    alone, before any step walks its strands), or on a bad --basepoint."""
+    try:
+        check_marks(b, marks)
+    except TooManyMarks as exc:
+        _config_error(f"{render_braid(b)!r} at --marks {marks} has {exc}")
     if basepoint is None:
         return
     if not reduced:
@@ -208,7 +212,7 @@ def homology(braid, strands, qmax, reduced, basepoint, marks, as_json, out,
     """Trigraded homology dims of the closure of BRAID."""
     _check_config(qmax, marks, max_work)
     b = _parse(braid, strands)
-    _check_basepoint(b, reduced, basepoint, marks)
+    _check_diagram(b, reduced, basepoint, marks)
     h = _homology(b, qmax, reduced, basepoint, marks, max_work)
     if as_json:
         _emit(emit_result(b, reduced, h), out)
@@ -237,7 +241,10 @@ def homfly(braid, strands, qmax, as_json, out):
     """The oracle values F and F-tilde of the closure of BRAID."""
     _check_config(qmax)
     b = _parse(braid, strands)
-    f = homfly_F(b)
+    try:
+        f = homfly_F(b)
+    except TooManyStrands as exc:
+        _config_error(f"{render_braid(b)!r} has {exc}")
     ft = homfly_F_tilde(b)
     ft_desc = f"({ft.value})" + (" * A" if ft.odd else "")
     if as_json:
@@ -266,7 +273,7 @@ def euler_check(braid, strands, qmax, reduced, basepoint, marks, out, max_work):
     and the oracle side is F * (1 - q^2)."""
     _check_config(qmax, marks, max_work)
     b = _parse(braid, strands)
-    _check_basepoint(b, reduced, basepoint, marks)
+    _check_diagram(b, reduced, basepoint, marks)
     h = _homology(b, qmax, reduced, basepoint, marks, max_work)
     left = euler_characteristic(h)
     f, oracle = homfly_F(b), "F(D)"
@@ -345,7 +352,7 @@ def invariance(braid, moves, strands, qmax, reduced, basepoint, marks, out,
     for mv in moves:
         b2 = apply_move_text(b2, mv)
     for word in (b, b2):
-        _check_basepoint(word, reduced, basepoint, marks)
+        _check_diagram(word, reduced, basepoint, marks)
     h1, h2 = (_homology(word, qmax, reduced, basepoint, marks, max_work, True)
               for word in (b, b2))
     try:

@@ -96,7 +96,6 @@ from .koszul import (
     KoszulMatrix,
     KoszulRow,
     ResolutionGraph,
-    aggregate_a,
     exclude_all,
     linear_picks,
     make_row,
@@ -112,6 +111,14 @@ MAX_MARKS = 400
 
 class TooManyMarks(ValueError):
     """A diagram has more marks than `MAX_MARKS`."""
+
+
+def check_marks(b: BraidWord, marks_per_segment: int = 1) -> None:
+    """Raise `TooManyMarks` when b's diagram would have more than
+    `MAX_MARKS` marks, counted from the word: m per strand, 2m per letter."""
+    marks = marks_per_segment * (b.strands + 2 * len(b.letters))
+    if marks > MAX_MARKS:
+        raise TooManyMarks(f"{marks} marks, above {MAX_MARKS}")
 
 
 def resolve(d: MarkedDiagram, mask: int) -> ResolutionGraph:
@@ -158,11 +165,10 @@ def build_cube(
     """The cube of the closure of b.  With `lmax`, only the vertices with a
     generator at l <= lmax are built, and the edges between them: the
     others have an empty slice at every l <= lmax.  A diagram with more
-    than `MAX_MARKS` marks raises `TooManyMarks` before any reduction."""
+    than `MAX_MARKS` marks raises `TooManyMarks` before it is built."""
+    check_marks(b, marks_per_segment)
     d = build_marked_diagram(b, marks_per_segment)
     names = d.var_names()
-    if len(names) > MAX_MARKS:
-        raise TooManyMarks(f"{len(names)} marks, above {MAX_MARKS}")
     full = PolyRing(("a",) + names)
 
     def var(i: int) -> Polynomial:
@@ -183,11 +189,7 @@ def build_cube(
     for t, h in d.arcs:
         shared_rows.append(make_row(a, var(h) - var(t)))
 
-    shared = KoszulMatrix(full, tuple(shared_rows))
-    if not shared.potential().is_zero():
-        raise ValueError("open diagrams are rejected")
-    shared = aggregate_a(shared)
-    shared = strip_a(shared)
+    shared = strip_a(KoszulMatrix(full, tuple(shared_rows)))
     shared, chain = exclude_all(shared)
     ring = shared.ring
     leftover = shared.rows  # only (0,0) rows can remain (circles etc.)
@@ -329,7 +331,9 @@ def braid_homology(
     moves reach from b: the table is a link invariant, so it is b's.  A
     named basepoint names a mark of b's own diagram, and a reduced link
     table depends on the component of the basepoint, which a rotation can
-    move, so in both cases b itself is built."""
+    move, so in both cases b itself is built.  A word with more than
+    `MAX_MARKS` marks raises `TooManyMarks` before its strands are walked."""
+    check_marks(b, marks_per_segment)
     if basepoint is None and not (reduced and closure_components(b) > 1):
         b = cheapest_word(b)[0]
     return word_homology(b, qmax, reduced, basepoint, marks_per_segment,

@@ -44,6 +44,7 @@ Permutation = tuple[int, ...]
 QLaurent = dict[int, int]  # {q_exp: coefficient}
 ZPoly = dict[tuple[int, int], int]  # {(z_exp, q_exp): coefficient}
 QTLaurent = dict[tuple[int, int], int]  # {(q_exp, t_exp): coefficient}
+HeckeLaurent = dict[Permutation, QLaurent]  # {w: coefficient of T_w}
 
 
 def perm_identity(n: int) -> Permutation:
@@ -97,16 +98,14 @@ class HeckeElement:
         )
 
 
-def _right_mul_gen(
-    d: dict[Permutation, QLaurent], i: int, inverse: bool
-) -> dict[Permutation, QLaurent]:
+def _right_mul_gen(d: HeckeLaurent, i: int, inverse: bool) -> HeckeLaurent:
     """Right multiplication by T_{s_i}^{±1}; `i` is the 0-indexed position.
 
     T_w T_s = T_{ws} when the length goes up, else (1-q^2) T_w + q^2 T_{ws};
     T_w T_s^{-1} = T_{ws} when the length goes down, else
     (1-q^{-2}) T_w + q^{-2} T_{ws}.
     """
-    out: dict[Permutation, QLaurent] = {}
+    out: HeckeLaurent = {}
     shift = -2 if inverse else 2
     for w, c in d.items():
         ws = list(w)
@@ -126,7 +125,19 @@ def _right_mul_gen(
     return {w: c for w, c in out.items() if c}
 
 
-def _hecke_laurent(b: BraidWord) -> dict[Permutation, QLaurent]:
+# `_hecke_laurent` refuses more strands before it builds a permutation.  F
+# on n strands holds (1 + t^{-1}q)^(n-1): `trigrad homfly 1` took 1.8 s on
+# 2 000 strands and 13 s on 5 000, and 10^20 strands cannot hold a permutation
+MAX_STRANDS = 2000
+
+
+class TooManyStrands(ValueError):
+    """A braid on more strands than `MAX_STRANDS`."""
+
+
+def _hecke_laurent(b: BraidWord) -> HeckeLaurent:
+    if b.strands > MAX_STRANDS:
+        raise TooManyStrands(f"{b.strands} strands, above {MAX_STRANDS}")
     d = {perm_identity(b.strands): {0: 1}}
     for s in b.letters:
         d = _right_mul_gen(d, abs(s) - 1, s < 0)
@@ -160,21 +171,31 @@ def solve_trace_params() -> TraceParams:
 
 
 # (n, w) -> trace of T_w in H_n; shared by every caller, never mutated
-_TRACE_MEMO: dict[tuple[int, Permutation], ZPoly] = {}
+_TRACE_MEMO: dict[tuple[int, Permutation], ZPoly] = {(1, (0,)): {(0, 0): 1}}
 
 
 def _trace_basis(n: int, w: Permutation) -> ZPoly:
     """Compatible normalized Markov trace on the T-basis, as a polynomial
-    in z over Z[q^{+-1}]."""
-    if n == 1:
-        return {(0, 0): 1}
-    key = (n, w)
-    if key in _TRACE_MEMO:
-        return _TRACE_MEMO[key]
-    if w[n - 1] == n - 1:
-        out = _trace_basis(n - 1, w[: n - 1])
-        _TRACE_MEMO[key] = out
+    in z over Z[q^{+-1}].  The trace in H_n combines traces in H_{n-1}
+    (`_trace_step`): the walk collects the steps it needs down the strands,
+    then combines them from the fewest strands up, with no recursion."""
+    out = _TRACE_MEMO.get((n, w))
+    if out is not None:  # most calls, once the memo is warm
         return out
+    steps, todo = {}, [(n, w)]
+    for key in todo:  # grows to every (m, v) the trace needs
+        if key not in steps and key not in _TRACE_MEMO:
+            steps[key] = _trace_step(*key)
+            todo += [(key[0] - 1, u) for u in steps[key][0]]
+    for key in sorted(steps, key=lambda k: k[0]):  # fewest strands first
+        _TRACE_MEMO[key] = _trace_combination(key[0] - 1, *steps[key])
+    return _TRACE_MEMO[n, w]
+
+
+def _trace_step(n: int, w: Permutation) -> tuple[HeckeLaurent, int]:
+    """(d, s) with trace(T_w) = z^s trace(d), d in H_{n-1}."""
+    if w[n - 1] == n - 1:
+        return {w[: n - 1]: {0: 1}}, 0
     # w = v . (s_{n-2} s_{n-3} ... s_k) with v fixing n-1; the trace rule
     # strips s_{n-2} at cost z, leaving v . (s_{n-3} ... s_k) in H_{n-1}
     k = w.index(n - 1)
@@ -188,14 +209,10 @@ def _trace_basis(n: int, w: Permutation) -> ZPoly:
     d = {v[: n - 1]: {0: 1}}
     for i in range(n - 3, k - 1, -1):
         d = _right_mul_gen(d, i, False)
-    out = _trace_combination(n - 1, d, z_shift=1)
-    _TRACE_MEMO[key] = out
-    return out
+    return d, 1
 
 
-def _trace_combination(
-    n: int, d: dict[Permutation, QLaurent], z_shift: int = 0
-) -> ZPoly:
+def _trace_combination(n: int, d: HeckeLaurent, z_shift: int = 0) -> ZPoly:
     """z^z_shift * trace(sum_w c_w T_w) in H_n."""
     out: ZPoly = {}
     for w, c in d.items():

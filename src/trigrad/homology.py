@@ -478,14 +478,9 @@ def compare_up_to_shift(h1: TriGradedDims,
 
 
 def reduce_closed_matrix(m: KoszulMatrix) -> KoszulMatrix:
-    """aggregate -> strip a -> `exclude_all` (linear exclusions, then the
-    monic picks); for closed matrices."""
-    if not m.is_closed():
-        raise ValueError("closed matrix required")
-    m = aggregate_a(m)
-    m = strip_a(m)
-    m, _chain = exclude_all(m)
-    return m
+    """`strip_a`, which refuses an open matrix, then `exclude_all` (linear
+    exclusions, then the monic picks)."""
+    return exclude_all(strip_a(m))[0]
 
 
 def matrix_homology(
@@ -523,10 +518,7 @@ def matrix_homology(
 
 def graph_homology(g: ResolutionGraph, qmax: int) -> TriGradedDims:
     """Bigraded homology dims of a closed graph (at cube degree 0)."""
-    m = koszul_of_graph(g)
-    if not m.is_closed():
-        raise ValueError("graph homology needs a closed graph")
-    return matrix_homology(m, qmax)
+    return matrix_homology(koszul_of_graph(g), qmax)
 
 
 # ---------------------------------------------------------------------------
@@ -573,11 +565,8 @@ def hom_space_dim(
     n_tgt = matrix_to_ring(n_tgt, ring)
     if m_src.potential() != n_tgt.potential():
         raise PotentialMismatch("potential mismatch")
-    k = tensor_matrices(n_tgt, dualize(m_src))
-    k = KoszulMatrix(k.ring, k.rows, (), k.global_shift)
-    if not k.potential().is_zero():
-        raise AssertionError("tensor with the dual must kill the potential")
-    k, _ = exclude_all(k)
+    # equal potentials: the externals cancel, and the potential is 0
+    k, _ = exclude_all(tensor_matrices(n_tgt, dualize(m_src)))
     cx = realize(k)
     return slice_homology_dim(cx, bidegree.k, bidegree.l)
 

@@ -1,12 +1,14 @@
 """Koszul matrices: rows (a_i, b_i) of graded polynomials in Z[a, x], and
 the calculus of elementary row transformations, a-aggregation and
-stripping, dualization, and the Upsilon factorization.  One routine,
-`exclude_all`, removes rows (0, f) with f monic in one variable: the
-paper's exclusion of linear rows (0, ±(y - mu)) together with y, then,
-when every row is (0, b), the quotient by a triangular set of monic rows
-(0, ±y^m + ...), whose other rows are realized over R/(relations).  Its
-steps keep one kind of record (`Exclusion`), whose divisions are exact in
-Z, so no rational lies between Koszul rows and homology ranks.
+stripping, dualization, and the Upsilon factorization.  A closed matrix
+sheds `a` in one pass (`strip_a`): the [1p]_1 chain that gathers the
+a-rows has a known result (`aggregate_a`), so no row operation runs.  One
+routine, `exclude_all`, removes rows (0, f) with f monic in one variable:
+the paper's exclusion of linear rows (0, ±(y - mu)) together with y,
+then, when every row is (0, b), the quotient by a triangular set of monic
+rows (0, ±y^m + ...), whose other rows are realized over R/(relations).
+Its steps keep one kind of record (`Exclusion`), whose divisions are
+exact in Z, so no rational lies between Koszul rows and homology ranks.
 
 Grading convention: the generator of R{n1,n2} sits in bidegree (n1,n2); a row
 with middle shift s realizes R --left--> R{s} --right--> R, so the
@@ -101,13 +103,9 @@ class KoszulMatrix:
         return not self.external_signs
 
     def validate(self):
-        for r in self.rows:
-            r.validate()
-        if self.external_signs or any(
-            not r.left.is_zero() or not r.right.is_zero() for r in self.rows
-        ):
-            if self.potential() != self.expected_potential():
-                raise GradingError("potential does not match external variables")
+        """The potential only: `make_row` validates each row it builds."""
+        if self.potential() != self.expected_potential():
+            raise GradingError("potential does not match external variables")
 
     def dump(self) -> str:
         """Debug format: one row per line, 'left | right | shift'."""
@@ -213,7 +211,8 @@ def build_upsilon() -> KoszulMatrix:
 def row_op(m: KoszulMatrix, i: int, j: int, lam: Polynomial) -> KoszulMatrix:
     """[ij]_lambda: (a_i, b_i; a_j, b_j) -> (a_i, b_i + λ b_j; a_j - λ a_i, b_j).
 
-    An isomorphism of factorizations; the potential is unchanged.
+    An isomorphism of factorizations.  The potential is unchanged, since
+    a_i (b_i + λ b_j) + (a_j - λ a_i) b_j = a_i b_i + a_j b_j.
     """
     if i == j:
         raise ValueError("row indices must differ")
@@ -224,83 +223,67 @@ def row_op(m: KoszulMatrix, i: int, j: int, lam: Polynomial) -> KoszulMatrix:
     new_rj = KoszulRow(new_aj, rj.right, rj.shift)
     new_ri.validate()
     new_rj.validate()
-    if (new_ri.left * new_ri.right + new_rj.left * new_rj.right
-            != ri.left * ri.right + rj.left * rj.right):
-        raise GradingError("row_op changed the potential")
     rows = list(m.rows)
     rows[i], rows[j] = new_ri, new_rj
     return replace(m, rows=tuple(rows))
 
 
 def aggregate_a(m: KoszulMatrix) -> KoszulMatrix:
-    """Chain of [1p]_1 operations collecting `a` into the first a-row, whose
-    right entry becomes the signed sum of external variables (0 for closed
-    graphs).  Requires every row to be (a, ·) or (0, ·)."""
+    """The chain of [1p]_1 operations (`row_op`) from the first a-row to
+    every later one, in one pass: the first a-row becomes (a, sum of the
+    a-rows' b), the signed sum of external variables (0 for a closed
+    matrix), and every other a-row becomes (0, b).  Only the new first row
+    is validated: the others keep a valid b and shift.  Requires every row
+    to be (a, ·) or (0, ·)."""
     a = m.ring.var("a")
-    zero = m.ring.zero()
-    a_rows = []
+    rows, pivot, total = list(m.rows), None, {}
     for idx, r in enumerate(m.rows):
-        if r.left == a:
-            a_rows.append(idx)
-        elif r.left != zero:
+        if r.left.is_zero():
+            continue
+        if r.left != a:
             raise ValueError(f"row {idx} has left entry {r.left}, not a or 0")
-    if not a_rows:
+        for e, c in r.right.terms.items():
+            total[e] = total.get(e, 0) + c
+        if pivot is None:
+            pivot = idx
+        else:
+            rows[idx] = KoszulRow(m.ring.zero(), r.right, r.shift)
+    if pivot is None:
         return m
-    pivot = a_rows[0]
-    one = m.ring.one()
-    for p in a_rows[1:]:
-        m = row_op(m, pivot, p, one)
-    return m
+    rows[pivot] = KoszulRow(a, Polynomial(m.ring, total), rows[pivot].shift)
+    rows[pivot].validate()
+    return replace(m, rows=tuple(rows))
 
 
 def strip_a(m: KoszulMatrix) -> KoszulMatrix:
-    """Remove the (a, 0) row together with the variable a.  Only valid for
-    closed matrices where a occurs in no other row.  The surviving generator
-    of that row sits in its middle shift, so the global shift gains it."""
+    """Aggregate (`aggregate_a`), then remove the first a-row, now (a, 0),
+    together with the variable a.  Only valid for closed matrices whose
+    a-rows sum to 0 and where a occurs in no other row (`drop_variable`
+    refuses it).  The surviving generator of that row sits in its middle
+    shift, so the global shift gains it."""
     if not m.is_closed():
         raise ValueError("strip_a needs a closed matrix")
+    m = aggregate_a(m)
     a = m.ring.var("a")
-    pivot = None
-    for idx, r in enumerate(m.rows):
-        if r.left == a and r.right.is_zero():
-            pivot = idx
-            break
-    if pivot is None:
-        raise ValueError("no (a, 0) row; aggregate first")
-    for idx, r in enumerate(m.rows):
-        if idx != pivot and (r.left.contains("a") or r.right.contains("a")):
-            raise ValueError(f"a occurs in row {idx}")
-    newring = m.ring.without("a")
-    rows = []
-    for idx, r in enumerate(m.rows):
-        if idx == pivot:
-            continue
-        nr = KoszulRow(
-            r.left.drop_variable("a"), r.right.drop_variable("a"), r.shift
-        )
-        rows.append(nr)
-    return replace(
-        m,
-        ring=newring,
-        rows=tuple(rows),
-        global_shift=m.global_shift + m.rows[pivot].shift,
+    pivot = next((idx for idx, r in enumerate(m.rows) if r.left == a), None)
+    if pivot is None or not m.rows[pivot].right.is_zero():
+        raise ValueError("the a-rows do not sum to a row (a, 0)")
+    rows = tuple(
+        KoszulRow(r.left.drop_variable("a"), r.right.drop_variable("a"),
+                  r.shift)
+        for idx, r in enumerate(m.rows) if idx != pivot
     )
+    return replace(m, ring=m.ring.without("a"), rows=rows,
+                   global_shift=m.global_shift + m.rows[pivot].shift)
 
 
 def dualize(m: KoszulMatrix) -> KoszulMatrix:
-    """Row (a_i, b_i){s} -> (b_i, -a_i){-s}; the potential changes sign."""
-    rows = []
-    for r in m.rows:
-        nr = KoszulRow(r.right, -r.left, -r.shift)
-        nr.validate()
-        rows.append(nr)
+    """Row (a_i, b_i){s} -> (b_i, -a_i){-s}; the potential changes sign.
+    The dual of a valid row is valid, so no row is validated again."""
+    rows = tuple(KoszulRow(r.right, -r.left, -r.shift) for r in m.rows)
     ext = tuple((n, -s) for n, s in m.external_signs)
-    return replace(
-        m,
-        rows=tuple(rows),
-        external_signs=ext,
-        global_shift=-m.global_shift,
-    )
+    return replace(m, rows=rows, external_signs=ext,
+                   global_shift=-m.global_shift)
 
 
 def matrix_to_ring(m: KoszulMatrix, ring: PolyRing) -> KoszulMatrix:

@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -146,6 +147,27 @@ class TestHomologyCommand:
         assert res.stderr == (f"config violation: '1 1 1' at --marks {marks} "
                               f"has {count} marks, above 400\n")
 
+    @pytest.mark.parametrize("args, word, marks", [
+        (("99999999999999999999", "--qmax", "3"), "99999999999999999999",
+         10**20 + 2),
+        (("1", "--strands", str(10**20)), f"n={10**20} 1", 10**20 + 2),
+        (("1", "--strands", str(10**20), "--reduced"), f"n={10**20} 1",
+         10**20 + 2),
+        (("99999999999999999999", "--reduced", "--basepoint", "x1"),
+         "99999999999999999999", 10**20 + 2),
+        (("1", "--strands", "10000000"), "n=10000000 1", 10**7 + 2),
+    ])
+    def test_marks_are_counted_from_the_word(self, args, word, marks):
+        # these once walked 10^20 strands (MemoryError, OverflowError) or
+        # built 10^7 marks (10 s) before the ceiling was checked
+        start = time.monotonic()
+        res = _bounded_cli("homology", *args)
+        assert time.monotonic() - start < 5
+        assert res.returncode == cli.EXIT_CONFIG
+        assert res.stdout == ""
+        assert res.stderr == (f"config violation: {word!r} at --marks 1 has "
+                              f"{marks} marks, above 400\n")
+
     @pytest.mark.parametrize("command", ["homology", "euler-check"])
     def test_max_work_sets_the_budget(self, runner, command):
         # the reduced trefoil at q14 predicts 139 slice elements
@@ -212,6 +234,21 @@ class TestHomflyCommand:
                                        str(tmp_path)])
         assert res.exit_code == cli.EXIT_CONFIG
         assert res.output.startswith(f"config violation: --out {tmp_path}: ")
+
+    def test_wide_unknot(self, runner):
+        # sigma_1 ... sigma_499: the trace walks down 500 strands, which
+        # once took one recursion each and raised RecursionError
+        res = runner.invoke(cli.main, ["homfly",
+                                       " ".join(map(str, range(1, 500)))])
+        assert res.exit_code == 0
+        assert "F = (q*t^-1)/(1 - q^2)\n" in res.output
+
+    def test_strand_ceiling(self):
+        res = _bounded_cli("homfly", "99999999999999999999")
+        assert res.returncode == cli.EXIT_CONFIG
+        assert res.stdout == ""
+        assert res.stderr == ("config violation: '99999999999999999999' has "
+                              "100000000000000000000 strands, above 2000\n")
 
     def test_trefoil_single_fraction(self, runner):
         res = runner.invoke(cli.main, ["homfly", "1 1 1"])

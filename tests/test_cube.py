@@ -362,6 +362,29 @@ class TestMarks:
         h2 = link_homology(build_cube(b, marks_per_segment=2), 8)
         assert h1.dims == h2.dims
 
+    @pytest.mark.parametrize("word", ["n=1", "1", "1 -2 1", "n=4 1 1 -3"])
+    @pytest.mark.parametrize("marks", [1, 2, 3])
+    def test_marks_are_counted_as_the_diagram_has_them(self, monkeypatch,
+                                                       word, marks):
+        b = parse_braid(word)
+        count = len(build_marked_diagram(b, marks).var_names())
+        monkeypatch.setattr(cube_module, "MAX_MARKS", count - 1)
+        with pytest.raises(cube_module.TooManyMarks,
+                           match=f"^{count} marks, above {count - 1}$"):
+            cube_module.check_marks(b, marks)
+        monkeypatch.setattr(cube_module, "MAX_MARKS", count)
+        cube_module.check_marks(b, marks)
+
+    def test_ceiling_comes_before_the_strands_are_walked(self):
+        # closure_components (reduced) and build_marked_diagram would walk
+        # 10^20 strands
+        b = BraidWord(10**20, (1,))
+        for reduced in (False, True):
+            with pytest.raises(cube_module.TooManyMarks):
+                braid_homology(b, 3, reduced=reduced)
+        with pytest.raises(cube_module.TooManyMarks):
+            build_cube(b)
+
 
 class TestKnownLinks:
     def test_cancelled_pair_matches_trivial_braid(self):

@@ -7,8 +7,10 @@ from trigrad.braid import BraidWord, parse_braid
 from trigrad.cube import braid_homology
 from trigrad.homfly import (
     ALPHA,
+    MAX_STRANDS,
     HeckeElement,
     SqrtAlphaQT,
+    TooManyStrands,
     hecke_of_braid,
     homfly_F,
     homfly_F_tilde,
@@ -119,6 +121,13 @@ class TestF:
     def test_negative_stabilization(self):
         expect = ALPHA * unknot_value()
         assert homfly_F(parse_braid("-1")) == expect
+
+    def test_strand_ceiling(self):
+        b = BraidWord(MAX_STRANDS + 1, ())
+        for oracle in (homfly_F, hecke_of_braid):
+            with pytest.raises(TooManyStrands,
+                               match=f"^{MAX_STRANDS + 1} strands, above "):
+                oracle(b)
 
     def test_skein_on_random_braids(self):
         rng = random.Random(21)

@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from trigrad import catalog
 from trigrad.algebra import Bidegree, PolyRing
 from trigrad.braid import BraidWord, build_marked_diagram, parse_braid
 from trigrad.cube import resolve
@@ -312,6 +314,70 @@ class TestAggregateStrip:
             (),
         )
         with pytest.raises(ValueError):
+            strip_a(m)
+
+
+def _chain_aggregate(m):
+    """The [1p]_1 chain that `aggregate_a` takes in one pass: `row_op` from
+    the first a-row to every later one."""
+    a = m.ring.var("a")
+    first, *later = [i for i, r in enumerate(m.rows) if r.left == a]
+    for p in later:
+        m = row_op(m, first, p, m.ring.one())
+    return m
+
+
+def _small_resolutions():
+    """The matrix of every resolution of every 2- and 3-strand word of at
+    most 4 letters."""
+    for n in (2, 3):
+        gens = [s for g in range(1, n) for s in (g, -g)]
+        for length in range(5):
+            for letters in itertools.product(gens, repeat=length):
+                d = build_marked_diagram(BraidWord(n, letters))
+                for mask in range(1 << length):
+                    yield koszul_of_graph(resolve(d, mask))
+
+
+_CLOSED_NAMES = ("circle", "theta") + tuple(
+    f"{name}-closure" for name in catalog.OPEN_NAMES
+    if "x6" in catalog.open_matrix(name).ring.names)
+
+
+class TestOnePassAggregation:
+    def test_small_resolutions_match_the_chain(self):
+        count = 0
+        for m in _small_resolutions():
+            chain, once = _chain_aggregate(m), aggregate_a(m)
+            assert once.rows == chain.rows and once == chain
+            assert strip_a(m) == strip_a(once)
+            count += 1
+        # 2^L words of L letters on 2 strands, 4^L on 3, 2^L masks each
+        assert count == sum(4 ** k + 8 ** k for k in range(5))
+
+    @pytest.mark.parametrize("name", catalog.OPEN_NAMES)
+    def test_catalog_open_matrices_match_the_chain(self, name):
+        m = catalog.open_matrix(name)
+        assert aggregate_a(m) == _chain_aggregate(m)
+        with pytest.raises(ValueError, match="closed matrix"):
+            strip_a(m)
+
+    @pytest.mark.parametrize("name", _CLOSED_NAMES)
+    def test_catalog_closed_matrices_match_the_chain(self, name):
+        m = catalog.closed_matrix(name)
+        chain = _chain_aggregate(m)
+        assert aggregate_a(m) == chain
+        assert strip_a(m) == strip_a(aggregate_a(m)) == strip_a(chain)
+
+    def test_strip_refuses_a_nonzero_a_row_sum(self):
+        # closed (no external variables), but the a-rows sum to x1 - x2
+        r = PolyRing(("a", "x1", "x2", "x3"))
+        x1, x2, x3 = (r.var(n) for n in ("x1", "x2", "x3"))
+        m = KoszulMatrix(r, (make_row(r.var("a"), x1 - x3),
+                             make_row(r.var("a"), x3 - x2)))
+        assert m.is_closed()
+        assert aggregate_a(m).rows[0].right == x1 - x2
+        with pytest.raises(ValueError, match="sum"):
             strip_a(m)
 
 
