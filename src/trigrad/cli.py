@@ -28,7 +28,7 @@ from .braid import (
     render_braid,
 )
 from .cube import TooManyMarks, braid_homology, check_marks, word_homology
-from .homfly import TooManyStrands, homfly_F, homfly_F_tilde
+from .homfly import TooManyStrands, homfly_F, tilde_of_F
 from .homology import (
     InconclusiveComparison,
     PotentialMismatch,
@@ -44,7 +44,8 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_CONFIG = 3
 EXIT_INCONCLUSIVE = 4
-# predicted slice elements: 20x T(2,9) reduced at q17 (`predicted_work`)
+# slice elements (`complex_work` summed over the cube): 20x T(2,9) reduced
+# at q17
 MAX_WORK = 10**6
 
 
@@ -174,6 +175,33 @@ class _Cli(click.Group):
             _usage_error(exc)
 
 
+class _BraidCommand(click.Command):
+    """A command whose BRAID may start with "-" ("-1 2"): click lets
+    unknown options through as arguments, so that such a braid parses, and
+    a word that starts with "--" and is no option's value is refused here
+    as the unknown option it is, before click would call it an extra
+    argument."""
+
+    ignore_unknown_options = True
+
+    def parse_args(self, ctx, args):
+        options = [p for p in self.get_params(ctx)
+                   if isinstance(p, click.Option)]
+        takes = {name: 0 if p.is_flag else p.nargs
+                 for p in options for name in p.opts + p.secondary_opts}
+        skip = 0
+        for arg in args:
+            if skip:
+                skip -= 1
+            elif arg == "--":
+                break
+            elif (name := arg.split("=", 1)[0]) in takes:
+                skip = 0 if "=" in arg else takes[name]
+            elif arg.startswith("--"):
+                raise click.NoSuchOption(name, ctx=ctx)
+        return super().parse_args(ctx, args)
+
+
 def _usage_error(exc: click.UsageError) -> NoReturn:
     click.echo(f"usage error: {exc.format_message()}", err=True)
     sys.exit(EXIT_CONFIG)
@@ -203,7 +231,7 @@ def common_options(fn):
     return fn
 
 
-@main.command(context_settings={"ignore_unknown_options": True})
+@main.command(cls=_BraidCommand)
 @click.argument("braid")
 @common_options
 @click.option("--json", "as_json", is_flag=True, default=False)
@@ -230,7 +258,7 @@ def homology(braid, strands, qmax, reduced, basepoint, marks, as_json, out,
     _emit("\n".join(lines), out)
 
 
-@main.command(context_settings={"ignore_unknown_options": True})
+@main.command(cls=_BraidCommand)
 @click.argument("braid")
 @click.option("--strands", type=int, default=None)
 @click.option("--qmax", type=int, default=12, show_default=True,
@@ -245,7 +273,7 @@ def homfly(braid, strands, qmax, as_json, out):
         f = homfly_F(b)
     except TooManyStrands as exc:
         _config_error(f"{render_braid(b)!r} has {exc}")
-    ft = homfly_F_tilde(b)
+    ft = tilde_of_F(b, f)
     ft_desc = f"({ft.value})" + (" * A" if ft.odd else "")
     if as_json:
         payload = {
@@ -262,7 +290,7 @@ def homfly(braid, strands, qmax, as_json, out):
     )
 
 
-@main.command("euler-check", context_settings={"ignore_unknown_options": True})
+@main.command("euler-check", cls=_BraidCommand)
 @click.argument("braid")
 @common_options
 def euler_check(braid, strands, qmax, reduced, basepoint, marks, out, max_work):
@@ -334,7 +362,7 @@ def apply_move_text(b: BraidWord, text: str) -> BraidWord:
         _config_error(f"invalid move {text!r}: {exc}")
 
 
-@main.command(context_settings={"ignore_unknown_options": True})
+@main.command(cls=_BraidCommand)
 @click.argument("braid")
 @click.option("--move", "moves", multiple=True, required=True,
               help="conj:K | conjlet:G | far:P | cancel:P | insert:P:G | "

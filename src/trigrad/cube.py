@@ -51,7 +51,13 @@ l-shifts of the leftover rows.  A node knows this for the bits on its path,
 later bits can only raise it, and a node above lmax is skipped with all
 its vertices and their edges.  At l <= lmax every slice of a skipped
 vertex is empty, and `link_homology` builds no basis and crosses no edge
-at an empty slice, so the table up to lmax does not change.
+at an empty slice, so the table up to lmax does not change.  A vertex
+that is built keeps all its generators, but gets d rows, and their normal
+forms, only at those at l <= lmax: the (k, l) slices up to lmax read no
+other row (`FactorComplex`), and the edges read no d at all (they go
+through the `Reduction`s).  With `max_work`, the walk sums each vertex's
+`complex_work` as it is realized and stops at the first vertex that
+takes the sum over the budget.
 
 The edge maps are psi'(x4-x2) (positive crossings, 0 -> 1, the map chi_0) and
 psi(x4-x2) (negative crossings, 1 -> 0, the map chi_1).  Both are diagonal in
@@ -161,11 +167,19 @@ def build_cube(
     basepoint: str | None = None,
     marks_per_segment: int = 1,
     lmax: int | None = None,
+    max_work: int | None = None,
 ) -> CubeComplex:
     """The cube of the closure of b.  With `lmax`, only the vertices with a
     generator at l <= lmax are built, and the edges between them: the
-    others have an empty slice at every l <= lmax.  A diagram with more
-    than `MAX_MARKS` marks raises `TooManyMarks` before it is built."""
+    others have an empty slice at every l <= lmax; each vertex gets d only
+    on its generators at l <= lmax (`realize`).  A diagram with more
+    than `MAX_MARKS` marks raises `TooManyMarks` before it is built.  With
+    `max_work` (which needs `lmax`), the walk sums `complex_work` up to
+    lmax over the vertices as they are realized, and raises
+    `WorkLimitExceeded` with the sum at the first vertex that takes it
+    above max_work."""
+    if max_work is not None and lmax is None:
+        raise ValueError("max_work needs lmax")
     check_marks(b, marks_per_segment)
     d = build_marked_diagram(b, marks_per_segment)
     names = d.var_names()
@@ -214,6 +228,7 @@ def build_cube(
     # one Quotient per (ring, relations), one H table per step and row
     quotients: dict[tuple, Quotient] = {}
     memo: dict[tuple, dict] = {}
+    work = 0  # complex_work of the vertices so far, against max_work
     # depth-first over the trie of masks: (depth q, mask bits 0..q-1, the
     # least l-shift below the node, ring, rows, the later crossings' (lin,
     # quad) rows, and the linear steps on the path, each with the later rows
@@ -260,7 +275,11 @@ def build_cube(
         key = (small.ring.names, small.relations)
         if key not in quotients:
             quotients[key] = Quotient(small)
-        vertices[mask] = realize(small, quotients[key])
+        vertices[mask] = realize(small, quotients[key], lmax)
+        if max_work is not None:
+            work += complex_work(vertices[mask], lmax)
+            if work > max_work:
+                raise WorkLimitExceeded(work)
         reductions[mask] = Reduction(big, steps + tail, small, quotients[key],
                                     memo)
         jdeg[mask] = j
@@ -281,12 +300,6 @@ def build_cube(
     return CubeComplex(ring, vertices, jdeg, edges, lmax)
 
 
-def predicted_work(cube: CubeComplex, qmax: int) -> int:
-    """The slice elements `link_homology` can meet up to qmax, summed over
-    the vertices by `complex_work`."""
-    return sum(complex_work(cx, qmax) for cx in cube.vertices.values())
-
-
 def word_homology(
     b: BraidWord,
     qmax: int,
@@ -301,14 +314,15 @@ def word_homology(
     qmax.  The unreduced table is H = Hbar (x) Q[x] with x in (0, 0, 2)
     (Rasmussen, math/0607544): H at l sums Hbar at l, l-2, ..., so it is
     exact up to qmax.  The direct unreduced cube is built only by
-    `reduce_mode_check`.  With `max_work`, a cube whose `predicted_work` is
-    above it raises `WorkLimitExceeded` before any slice is built.
+    `reduce_mode_check`.  With `max_work`, a cube whose `complex_work` up
+    to qmax, summed over its vertices, is above it raises
+    `WorkLimitExceeded` during the build (`build_cube`), before any slice
+    is built.
 
     The checks that compare two words (`reduce_mode_check`, the CLI's
     `invariance`) call this, so that each word's own cube is built."""
-    cube = build_cube(b, True, basepoint, marks_per_segment, lmax=qmax)
-    if max_work is not None and (work := predicted_work(cube, qmax)) > max_work:
-        raise WorkLimitExceeded(work)
+    cube = build_cube(b, True, basepoint, marks_per_segment, lmax=qmax,
+                      max_work=max_work)
     red = link_homology(cube, qmax)
     if reduced:
         return red

@@ -25,6 +25,7 @@ the two local resolutions):
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from itertools import product
@@ -43,19 +44,35 @@ class Generator:
 
 @dataclass(frozen=True)
 class FactorComplex:
+    """A realized complex: `gens`, and d as `d` (source index -> {target
+    index: entry}).  d has bidegree (1, 1), and every entry has l >= 0, so
+    d out of a generator at l lands at l + 1 or below.  With `lmax` (None:
+    the whole complex), `d` holds the rows of the generators at l <= lmax
+    only, which is all that the (k, l) slices at l <= lmax read
+    (`homology._slice_ranks`): the rows out of (k-1, l-1) and (k, l), and
+    the generators of (k+1, l+1) as coordinates only.  A slice above lmax
+    is refused there, so a missing row never reads as a zero column."""
+
     ring: PolyRing
     gens: tuple[Generator, ...]
     d: Matrix
     w: Polynomial  # d^2 = w * Id
+    lmax: int | None = None
     # cache: {(k, l): (slice (k+1, l+1), echelon of d out of (k, l))}
     _out_block: dict = field(default_factory=dict, init=False, compare=False)
+    # cache: k -> [(generator index, k, l)], for `homology.slice_basis`
+    _by_k: dict = field(default_factory=dict, init=False, compare=False)
 
     def rank(self) -> int:
         return len(self.gens)
 
     def verify_d_squared(self) -> None:
+        """d^2 = w on every generator whose d^2 is held: with `lmax`, those
+        below lmax, whose d lands at l <= lmax."""
         n = len(self.gens)
         for s in range(n):
+            if self.lmax is not None and self.gens[s].bidegree.l >= self.lmax:
+                continue
             acc: dict[int, Polynomial] = {}
             for mid, p in self.d.get(s, {}).items():
                 for tgt, q in self.d.get(mid, {}).items():
@@ -69,45 +86,64 @@ class FactorComplex:
                     )
 
 
-def realize(m: KoszulMatrix, quo: Quotient | None = None) -> FactorComplex:
+def realize(m: KoszulMatrix, quo: Quotient | None = None,
+            lmax: int | None = None) -> FactorComplex:
     """Tensor product of the rows over R/(m.relations): generators (S, u)
     for row subsets S and standard monomials u (degree below m_i in each
     relation's variable y_i), in bidegree shift(S) + bidegree(u), over R
-    without the y_i.  The d entry from (S, u) to (S ± k, u') is the
+    without the y_i, at index S |monos| + u (which `Reduction` and
+    `FlipMap` read).  The d entry from (S, u) to (S ± k, u') is the
     coefficient of u' in the normal form of a_k u or b_k u.  Without
     relations u = 1 only: 2^n generators indexed by row subsets.  `quo`,
-    if given, is the `Quotient` of m's ring and relations."""
+    if given, is the `Quotient` of m's ring and relations.
+
+    With `lmax`, `gens` is still whole, but d gets a row only at a
+    generator at l <= lmax (`FactorComplex`), and only the normal forms
+    those rows use are computed: the slices up to lmax read no other."""
     n = len(m.rows)
     if quo is None:
         quo = Quotient(m)
-    monos = quo.monos
-    nb = len(monos)
-    ubid = [Bidegree(0, 2 * sum(u)) for u in monos]
-    gens = []
+    nb = len(quo.monos)
+    uls = [2 * sum(u) for u in quo.monos]  # l of each u
+    top = math.inf if lmax is None else lmax
+    made: dict[tuple[int, int], Generator] = {}  # one per distinct bidegree
+    # shift(S) -> the generators (S, u), and the u of those at l <= lmax
+    blocks: dict[tuple[int, int], tuple[list[Generator], list[int]]] = {}
+    gens: list[Generator] = []
+    d: Matrix = {}
+    # per row and side: sign -> the products of that entry with each u
+    tables = [(quo.products(row.left), quo.products(row.right))
+              for row in m.rows]
     for mask in range(1 << n):
-        bid = m.global_shift
+        k, l = m.global_shift.k, m.global_shift.l
         for r in range(n):
             if mask >> r & 1:
-                bid = bid + m.rows[r].shift
-        for ub in ubid:
-            gens.append(Generator(bid + ub))
-    # per row, sign and side, NF(a_k u) or NF(b_k u): each negated once
-    table = [{1: pair, -1: [[[(uj, -p) for uj, p in ps] for ps in s] for s in pair]}
-             for pair in ((quo.times(r.left), quo.times(r.right)) for r in m.rows)]
-    d: Matrix = {}
-    for mask in range(1 << n):
-        rows: list[dict[int, Polynomial]] = [{} for _ in monos]
-        for r in range(n):
-            base = (mask ^ (1 << r)) * nb
-            for row, products in zip(rows, table[r][_sign(mask, r)][mask >> r & 1]):
-                for uj, p in products:
-                    row[base + uj] = p
-        for ui, row in enumerate(rows):
-            d[mask * nb + ui] = row
-    w = quo.times(m.potential())[0]
+                k, l = k + m.rows[r].shift.k, l + m.rows[r].shift.l
+        block = blocks.get((k, l))
+        if block is None:
+            for ul in uls:
+                if (k, l + ul) not in made:
+                    made[k, l + ul] = Generator(Bidegree(k, l + ul))
+            block = blocks[k, l] = (
+                [made[k, l + ul] for ul in uls],
+                [ui for ui, ul in enumerate(uls) if l + ul <= top])
+        gens.extend(block[0])
+        if not block[1]:
+            continue
+        # per row r: the index of S ± r, and sign(S, r) NF(a_r u) or NF(b_r u)
+        out = [((mask ^ (1 << r)) * nb, tables[r][mask >> r & 1][_sign(mask, r)])
+               for r in range(n)]
+        for ui in block[1]:
+            drow: dict[int, Polynomial] = {}
+            for base, products in out:
+                for uj, p in products[ui]:
+                    drow[base + uj] = p
+            d[mask * nb + ui] = drow
+    w = quo.products(m.potential())[1][0]
     if any(ui for ui, _ in w):
         raise ValueError("the potential is not a scalar over the quotient")
-    return FactorComplex(quo.ring, tuple(gens), d, w[0][1] if w else quo.ring.zero())
+    return FactorComplex(quo.ring, tuple(gens), d,
+                         w[0][1] if w else quo.ring.zero(), lmax)
 
 
 class Quotient:
@@ -115,8 +151,9 @@ class Quotient:
     relations' variables, on the standard monomials u (`monos`, exponents of
     those variables, u = 1 first).  It depends on m's ring and relations
     only, so `cube.build_cube` builds one per distinct pair and shares it
-    between the vertices' `realize` and `Reduction`s; `times` is memoized
-    on it, for as long as the cube lives."""
+    between the vertices' `realize` and `Reduction`s.  The normal forms
+    NF(p u) that `realize` reads are made on first use (`products`) and
+    memoized on it, for as long as the cube lives."""
 
     def __init__(self, m: KoszulMatrix):
         self.full, self.relations = m.ring, m.relations
@@ -128,7 +165,7 @@ class Quotient:
         self.monos = list(product(*(range(f.degree_in(y))
                                     for y, f in m.relations)))
         self._where = {u: ui for ui, u in enumerate(self.monos)}
-        self._times: dict[Polynomial, list] = {}
+        self._products: dict[Polynomial, dict[int, _Products]] = {}
 
     def split(self, p: Polynomial) -> list[tuple[int, Polynomial]]:
         """p, in normal form, as [(index of u, coefficient over `ring`)]."""
@@ -147,18 +184,37 @@ class Quotient:
             e[pos] = x
         return Polynomial(self.full, {tuple(e): 1})
 
-    def times(self, p: Polynomial) -> list[list[tuple[int, Polynomial]]]:
-        """For each u, the normal form of p u, split; memoized."""
-        table = self._times.get(p)
+    def products(self, p: Polynomial) -> dict[int, _Products]:
+        """sign -> (u index -> sign NF(p u), split), each product made on
+        first use; memoized per p."""
+        table = self._products.get(p)
         if table is None:
-            if not self.relations or p.is_zero():
-                table = [self.split(p)] * len(self.monos)
-            else:
-                table = [self.split(normal_form(self.join(ui) * p,
-                                                self.relations))
-                         for ui in range(len(self.monos))]
-            self._times[p] = table
+            plus = _Products(self, p)
+            table = self._products[p] = {1: plus, -1: _Products(self, p, plus)}
         return table
+
+
+class _Products(dict):
+    """u index -> NF(p u), split, or with `plus` (this table of p) its
+    negative; each made on its first lookup."""
+
+    def __init__(self, quo: Quotient, p: Polynomial,
+                 plus: _Products | None = None):
+        super().__init__()
+        self.quo, self.p, self.plus = quo, p, plus
+
+    def __missing__(self, ui: int) -> list[tuple[int, Polynomial]]:
+        quo, p = self.quo, self.p
+        if self.plus is not None:
+            out = [(uj, -q) for uj, q in self.plus[ui]]
+        elif p.is_zero():
+            out = []
+        elif quo.relations:
+            out = quo.split(normal_form(quo.join(ui) * p, quo.relations))
+        else:
+            out = [(0, p)]
+        self[ui] = out
+        return out
 
 
 # ---------------------------------------------------------------------------

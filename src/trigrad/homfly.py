@@ -311,6 +311,11 @@ class SqrtAlphaQT:
 
 
 def homfly_F_tilde(b: BraidWord) -> SqrtAlphaQT:
+    return tilde_of_F(b, homfly_F(b))
+
+
+def tilde_of_F(b: BraidWord, f: RationalQT) -> SqrtAlphaQT:
+    """F~ of the closure of b from f = `homfly_F(b)`."""
     e = b.positive_count() - b.negative_count() - b.strands + 1
     m, r = divmod(e, 2)
-    return SqrtAlphaQT(r, homfly_F(b) * ALPHA ** m)
+    return SqrtAlphaQT(r, f * ALPHA ** m)

@@ -18,6 +18,12 @@ vectors that represent homology modulo the boundaries.  Callers sweep each
 diagonal k - l = c with l rising, and the echelon of d out of (k, l) is the
 boundary echelon of (k+1, l+1), so each block of d is eliminated once.
 
+A cube vertex is realized up to lmax (`FactorComplex.lmax`): d only at
+its generators at l <= lmax.  The (k, l) slice holds (g, x^m) with
+g.k = k and g.l + 2|m| = l, and `_slice_ranks` reads the d rows of
+(k-1, l-1) and (k, l) and uses (k+1, l+1) only as target coordinates, so
+every slice up to lmax is exact; one above lmax raises `ValueError`.
+
 Closed graphs (`matrix_homology`, `graph_homology`) and cube vertices
 alike: `koszul.exclude_all` removes the linear rows with their variables
 and moves a triangular set of monic rows into relations, and `realize`
@@ -228,29 +234,40 @@ class SliceBasis:
         return len(self.elems)
 
 
+def _gens_by_k(cx: FactorComplex) -> dict[int, list[tuple[int, int, int]]]:
+    """k -> [(generator index, k, l)] of cx, in index order; made on first
+    use and kept on cx."""
+    if not cx._by_k:
+        for gi, g in enumerate(cx.gens):
+            cx._by_k.setdefault(g.bidegree.k, []).append(
+                (gi, g.bidegree.k, g.bidegree.l))
+    return cx._by_k
+
+
 def slice_basis(cx: FactorComplex, k: int, l: int) -> SliceBasis:
+    """The (k, l) slice: x^m e_g, in generator order, for the generators g
+    with l - g.l even and >= 0 and, over a ring with `a`, k - g.k even and
+    >= 0 (a^((k - g.k) / 2) x^m e_g), else g.k = k.  Only the generators at
+    those k are visited (`_gens_by_k`)."""
     ring = cx.ring
     has_a = "a" in ring.names
     if has_a and ring.names[0] != "a":
         raise ValueError("'a' must be the first ring variable")
     nx = ring.nvars - (1 if has_a else 0)
+    by_k = _gens_by_k(cx)
+    if has_a:
+        at = sorted(g for gk, gs in by_k.items() if gk <= k and not (k - gk) % 2
+                    for g in gs)
+    else:
+        at = by_k.get(k, ())
     elems: list[tuple[int, tuple[int, ...]]] = []
-    for gi, g in enumerate(cx.gens):
-        dk = k - g.bidegree.k
-        dl = l - g.bidegree.l
+    for gi, gk, gl in at:
+        dl = l - gl
         if dl < 0 or dl % 2:
             continue
-        if has_a:
-            if dk < 0 or dk % 2:
-                continue
-            r = dk // 2
-            for mono in monomials_of_degree(nx, dl // 2):
-                elems.append((gi, (r,) + mono))
-        else:
-            if dk != 0:
-                continue
-            for mono in monomials_of_degree(nx, dl // 2):
-                elems.append((gi, mono))
+        monos = monomials_of_degree(nx, dl // 2)
+        elems += ([(gi, ((k - gk) // 2,) + mono) for mono in monos] if has_a
+                  else [(gi, mono) for mono in monos])
     return SliceBasis(elems, {e: i for i, e in enumerate(elems)})
 
 
@@ -315,7 +332,12 @@ def _slice_ranks(
     The echelon of the block out of (k, l) is the boundary echelon of
     (k+1, l+1): the same columns, inserted in the same order.  `cx` keeps
     the out-block of the slice it visited last, so a sweep up a diagonal
-    eliminates each block once; any other call starts afresh."""
+    eliminates each block once; any other call starts afresh.  It reads
+    the d rows of (k-1, l-1) and (k, l), so a complex realized up to
+    `lmax` refuses a slice above it."""
+    if cx.lmax is not None and l > cx.lmax:
+        raise ValueError(f"slice ({k}, {l}) is above the complex's lmax "
+                         f"{cx.lmax}")
     here, bounds = cx._out_block.pop((k - 1, l - 1), (None, None))
     cx._out_block.clear()
     if here is None:

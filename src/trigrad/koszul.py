@@ -44,37 +44,37 @@ class KoszulRow:
     shift: Bidegree
 
     def validate(self):
-        if not self.right.is_zero():
-            d = self.right.homogeneous_bidegree()
-            if d is None or d - BIDEG_D != self.shift:
-                raise GradingError(
-                    f"right entry {self.right} incompatible with shift {self.shift}"
-                )
-        if not self.left.is_zero():
-            d = self.left.homogeneous_bidegree()
-            if d is None or BIDEG_D - d != self.shift:
-                raise GradingError(
-                    f"left entry {self.left} incompatible with shift {self.shift}"
-                )
+        self.check("right")
+        self.check("left")
+
+    def check(self, side: str) -> None:
+        """The middle-shift law on one entry ("left" or "right"): a nonzero
+        right entry has bidegree shift + (1, 1), a left one (1, 1) - shift."""
+        entry = getattr(self, side)
+        if entry.is_zero():
+            return
+        want = self.shift + BIDEG_D if side == "right" else BIDEG_D - self.shift
+        if entry.homogeneous_bidegree() != want:
+            raise GradingError(
+                f"{side} entry {entry} incompatible with shift {self.shift}")
 
 
 def make_row(left: Polynomial, right: Polynomial) -> KoszulRow:
-    """Build a row, inferring the shift from whichever entry is nonzero."""
+    """Build a row, inferring the shift from whichever entry is nonzero,
+    the right one first; only the other entry is then checked."""
     if not right.is_zero():
         d = right.homogeneous_bidegree()
         if d is None:
             raise GradingError(f"inhomogeneous right entry {right}")
-        shift = d - BIDEG_D
-    elif not left.is_zero():
+        row = KoszulRow(left, right, d - BIDEG_D)
+        row.check("left")
+        return row
+    if not left.is_zero():
         d = left.homogeneous_bidegree()
         if d is None:
             raise GradingError(f"inhomogeneous left entry {left}")
-        shift = BIDEG_D - d
-    else:
-        raise GradingError("cannot infer the shift of a (0, 0) row")
-    row = KoszulRow(left, right, shift)
-    row.validate()
-    return row
+        return KoszulRow(left, right, BIDEG_D - d)
+    raise GradingError("cannot infer the shift of a (0, 0) row")
 
 
 @dataclass(frozen=True)

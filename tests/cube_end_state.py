@@ -11,11 +11,13 @@ the same ring, rows and relations, and the same steps, field for field
 checks this on the braid set below, reduced and unreduced, and exits 1
 naming each braid with a vertex that differs.  Each cube is checked twice:
 whole, and pruned to the vertices with a generator at most two above the
-least l of the cube (`build_cube(..., lmax=...)`).  The set is every 7th word
-of the 2-strand words of length 3 and of the 3-strand words of length 4
-(letters in the order 1, -1, 2, -2), plus T(2,5), T(2,7), T(2,9), the
-mirror of T(2,5), T(3,4), T(3,5), the Borromean rings and four more
-braids.  T(3,5) has 1 024 vertices per mode, whose leaves take the most
+least l of the cube (`build_cube(..., lmax=...)`).  Each pruned vertex
+must also hold every generator of its whole-cube vertex, and exactly the
+d rows of those at l <= lmax, each equal to the whole cube's.  The set is
+every 7th word of the 2-strand words of length 3 and of the 3-strand words
+of length 4 (letters in the order 1, -1, 2, -2), plus T(2,5), T(2,7),
+T(2,9), the mirror of T(2,5), T(3,4), T(3,5), the Borromean rings and four
+more braids.  T(3,5) has 1 024 vertices per mode, whose leaves take the most
 varied monic picks of the set.
 """
 
@@ -53,6 +55,19 @@ def mismatches(cube) -> list[int]:
                   if exclude_all(red.big) != (red.matrix, list(red.steps)))
 
 
+def cut_mismatches(whole, pruned) -> list[int]:
+    """The masks of the pruned vertices whose generators are not the whole
+    cube's, or whose d is not the whole cube's rows at l <= lmax."""
+    bad = []
+    for mask, cx in pruned.vertices.items():
+        full = whole.vertices[mask]
+        rows = {s: row for s, row in full.d.items()
+                if full.gens[s].bidegree.l <= pruned.lmax}
+        if cx.gens != full.gens or cx.d != rows:
+            bad.append(mask)
+    return bad
+
+
 def main() -> int:
     failed = vertices = kept = 0
     for word in BRAIDS:
@@ -64,8 +79,10 @@ def main() -> int:
             pruned = build_cube(b, reduced, lmax=low + 2)
             vertices += len(cube.vertices)
             kept += len(pruned.vertices)
-            for name, c in (("whole", cube), ("pruned", pruned)):
-                bad = mismatches(c)
+            checks = (("whole", mismatches(cube)),
+                      ("pruned", mismatches(pruned)),
+                      ("pruned d", cut_mismatches(cube, pruned)))
+            for name, bad in checks:
                 if bad:
                     failed += 1
                     print(f"FAIL {word!r} reduced={reduced} {name}: "

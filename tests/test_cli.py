@@ -85,9 +85,38 @@ class TestHomologyCommand:
     def test_unknown_option_exit_code(self, runner):
         res = runner.invoke(cli.main, ["homology", "1 1 1", "--bogus"])
         assert res.exit_code == cli.EXIT_CONFIG
-        assert res.output.strip().splitlines() == [
-            "usage error: Got unexpected extra argument (--bogus)"
-        ]
+        line, = res.output.strip().splitlines()
+        assert line.startswith("usage error: No such option")
+        assert "--bogus" in line
+
+    @pytest.mark.parametrize("args, name", [
+        (["homology", "--bogus", "1 1 1"], "--bogus"),
+        (["homology", "1 1 1", "--qmax=4", "--bogus=2"], "--bogus"),
+        (["euler-check", "1", "--json"], "--json"),
+        (["invariance", "1", "--move", "stab+", "--json"], "--json"),
+        (["homfly", "1", "--reduced"], "--reduced"),
+    ])
+    def test_unknown_option_is_named_as_an_option(self, runner, args, name):
+        # it was "Got unexpected extra argument (--json)"
+        res = runner.invoke(cli.main, args)
+        assert res.exit_code == cli.EXIT_CONFIG
+        line, = res.output.strip().splitlines()
+        assert line.startswith("usage error: No such option")
+        assert name in line
+
+    @pytest.mark.parametrize("args", [
+        ["homology", "-1 2", "--qmax", "4"],
+        ["homology", "--qmax", "4", "-1 2"],
+        ["homology", "--out", "-", "-1 2", "--qmax", "4"],
+    ])
+    def test_braid_starting_with_a_minus_still_parses(self, runner, args,
+                                                      tmp_path, monkeypatch):
+        # "-" after --out is the option's value, a file name, not a braid
+        monkeypatch.chdir(tmp_path)
+        res = runner.invoke(cli.main, args)
+        assert res.exit_code == 0, res.output
+        out = res.output or (tmp_path / "-").read_text()
+        assert out.startswith("braid: -1 2  (strands 3")
 
     def test_bad_option_value_exit_code(self, runner):
         res = runner.invoke(cli.main, ["homology", "1 1 1", "--qmax", "abc"])
@@ -134,6 +163,19 @@ class TestHomologyCommand:
         line, = res.stderr.splitlines()
         assert line.startswith("config violation: '1 1 1' up to --qmax "
                                "99999999999999999999 predicts ")
+        assert line.endswith(" slice elements, above --max-work 1000000")
+
+    def test_work_guard_stops_the_cube_walk(self):
+        # T(2,14) at q27: the budget was once checked only after the whole
+        # cube was built, which died with MemoryError under this bound
+        start = time.monotonic()
+        res = _bounded_cli("homology", " ".join(["1"] * 14), "--reduced",
+                           "--qmax", "27")
+        assert time.monotonic() - start < 10
+        assert res.returncode == cli.EXIT_CONFIG
+        assert res.stdout == ""
+        line, = res.stderr.splitlines()
+        assert line.startswith("config violation: ")
         assert line.endswith(" slice elements, above --max-work 1000000")
 
     @pytest.mark.parametrize("marks, count", [("200", 1600), ("51", 408)])
@@ -249,6 +291,23 @@ class TestHomflyCommand:
         assert res.stdout == ""
         assert res.stderr == ("config violation: '99999999999999999999' has "
                               "100000000000000000000 strands, above 2000\n")
+
+    def test_F_is_computed_once(self, runner, monkeypatch):
+        # F~ is derived from F, which was once computed a second time
+        from trigrad import homfly as homfly_mod
+
+        calls = []
+        real = homfly_mod.homfly_F
+
+        def spy(b):
+            calls.append(b)
+            return real(b)
+
+        monkeypatch.setattr(homfly_mod, "homfly_F", spy)
+        monkeypatch.setattr(cli, "homfly_F", spy)
+        res = runner.invoke(cli.main, ["homfly", "1 1 1"])
+        assert res.exit_code == 0
+        assert len(calls) == 1
 
     def test_trefoil_single_fraction(self, runner):
         res = runner.invoke(cli.main, ["homfly", "1 1 1"])

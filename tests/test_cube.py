@@ -254,6 +254,35 @@ class TestPrunedCube:
         assert (list(cube.vertices), cube.edges) == ([0b111], [])
         assert mismatches(cube) == []
 
+    @pytest.mark.parametrize("word, reduced", [("1 1 2 1 2 2", True),
+                                               ("1 -2 1 -2", False)])
+    def test_vertices_hold_d_only_up_to_lmax(self, word, reduced):
+        # every generator is kept, d only on those at l <= lmax, each row
+        # as in the whole cube; a slice above lmax is refused, never read
+        # as a zero column
+        b = parse_braid(word)
+        full = build_cube(b, reduced)
+        low = min(g.bidegree.l for cx in full.vertices.values()
+                  for g in cx.gens)
+        lmax = low + 4
+        cube = build_cube(b, reduced, lmax=lmax)
+        assert cube.vertices
+        cut = 0
+        for mask, cx in cube.vertices.items():
+            whole = full.vertices[mask]
+            assert (cx.gens, cx.lmax, whole.lmax) == (whole.gens, lmax, None)
+            assert cx.d == {s: row for s, row in whole.d.items()
+                            if whole.gens[s].bidegree.l <= lmax}
+            cut += len(whole.d) - len(cx.d)
+            cx.verify_d_squared()
+            k = cx.gens[-1].bidegree.k
+            assert slice_homology_dim(cx, k, lmax) == slice_homology_dim(
+                whole, k, lmax)
+            with pytest.raises(ValueError,
+                               match=rf"slice \({k}, {lmax + 1}\) .* {lmax}"):
+                slice_homology_dim(cx, k, lmax + 1)
+        assert cut
+
     def test_qmax_above_lmax_is_refused(self):
         b = parse_braid("1 1 1")
         with pytest.raises(ValueError, match="qmax 9 .* lmax 8"):

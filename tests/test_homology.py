@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import vertex_reductions
-from trigrad.algebra import Bidegree, PolyRing, QSeries
+from trigrad.algebra import Bidegree, PolyRing, QSeries, monomials_of_degree
 from trigrad.braid import BraidWord, build_marked_diagram, parse_braid
-from trigrad.catalog import closed_matrix, hom_pair
+from trigrad.catalog import closed_matrix, hom_pair, open_matrix
 from trigrad.cube import build_cube, resolve
 from trigrad.factor_complex import ChainMap, FlipMap, realize
 from trigrad.homology import (
@@ -471,6 +471,35 @@ class TestCubeLevelInvariants:
         from trigrad.algebra import QSeries
 
         assert s == QSeries(expect, qmax)
+
+
+def _reference_slice(cx, k, l):
+    """slice_basis(cx, k, l).elems, from a walk over every generator."""
+    has_a = "a" in cx.ring.names
+    nx = cx.ring.nvars - has_a
+    elems = []
+    for gi, g in enumerate(cx.gens):
+        dk, dl = k - g.bidegree.k, l - g.bidegree.l
+        if dl < 0 or dl % 2 or (dk < 0 or dk % 2 if has_a else dk):
+            continue
+        a = (dk // 2,) if has_a else ()
+        elems.extend((gi, a + mono) for mono in monomials_of_degree(nx, dl // 2))
+    return elems
+
+
+@pytest.mark.parametrize("name", ["gamma000", "gamma111", "upsilon"])
+def test_slice_basis_visits_only_reachable_generators(name):
+    # over Z[a, x] a slice holds a^r x^m e_g for g at or below its k and l;
+    # over Z[x] (a graph's reduced complex) only g at its own k
+    cxs = [realize(open_matrix(name)),
+           _graph_complex((1, 2, 1, 1, 2, 2), 0b111011)[1]]
+    for cx in cxs:
+        ks = {g.bidegree.k for g in cx.gens}
+        ls = {g.bidegree.l for g in cx.gens}
+        for k in range(min(ks) - 1, max(ks) + 4):
+            for l in range(min(ls) - 1, max(ls) + 4):
+                assert slice_basis(cx, k, l).elems == _reference_slice(
+                    cx, k, l), (k, l)
 
 
 def _graph_complex(word, mask):

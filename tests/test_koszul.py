@@ -101,6 +101,48 @@ class TestGraphToKoszul:
                         assert row.shift == Bidegree(1, 1) - row.left.homogeneous_bidegree()
 
 
+class TestMakeRow:
+    def test_each_bidegree_is_computed_once(self, monkeypatch):
+        # the entry the shift comes from was once graded a second time, in
+        # KoszulRow.validate: 39 calls for these 15 rows
+        from trigrad.algebra import Polynomial
+
+        calls = []
+        real = Polynomial.homogeneous_bidegree
+
+        def spy(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(Polynomial, "homogeneous_bidegree", spy)
+        g = resolve(build_marked_diagram(parse_braid("1 1 2 1 2 2")), 63)
+        m = koszul_of_graph(g)
+        assert (len(m.rows), len(calls)) == (15, 24)
+
+    def test_shift_from_either_entry(self):
+        r = local_ring()
+        a, x1, x2 = r.var("a"), r.var("x1"), r.var("x2")
+        assert make_row(a, x1 - x2).shift == Bidegree(-1, 1)
+        assert make_row(a, r.zero()).shift == Bidegree(-1, 1)
+        assert make_row(r.zero(), x1 * x2).shift == Bidegree(-1, 3)
+
+    def test_inconsistent_or_inhomogeneous_entries_raise(self):
+        # the shift comes from the right entry, so the left one is checked
+        # against it; an entry the shift is read from must be homogeneous
+        r = local_ring()
+        a, x1, x2 = r.var("a"), r.var("x1"), r.var("x2")
+        with pytest.raises(GradingError, match="left entry a\\*x1"):
+            make_row(a * x1, x1 - x2)
+        with pytest.raises(GradingError, match="inhomogeneous right"):
+            make_row(a, x1 + x1 * x2)
+        with pytest.raises(GradingError, match="inhomogeneous left"):
+            make_row(a + x1, r.zero())
+        with pytest.raises(GradingError, match="cannot infer"):
+            make_row(r.zero(), r.zero())
+        with pytest.raises(GradingError, match="right entry"):
+            KoszulRow(a, x1 * x2, Bidegree(-1, 1)).validate()
+
+
 class TestRowOp:
     def test_merge_arc_rows(self):
         r = local_ring()
