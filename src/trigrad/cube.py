@@ -56,8 +56,8 @@ that is built keeps all its generators, but gets d rows, and their normal
 forms, only at those at l <= lmax: the (k, l) slices up to lmax read no
 other row (`FactorComplex`), and the edges read no d at all (they go
 through the `Reduction`s).  With `max_work`, the walk sums each vertex's
-`complex_work` as it is realized and stops at the first vertex that
-takes the sum over the budget.
+`complex_work`, counted from its reduced matrix before it is realized,
+and stops at the first vertex that takes the sum over the budget.
 
 The edge maps are psi'(x4-x2) (positive crossings, 0 -> 1, the map chi_0) and
 psi(x4-x2) (negative crossings, 1 -> 0, the map chi_1).  Both are diagonal in
@@ -175,7 +175,7 @@ def build_cube(
     on its generators at l <= lmax (`realize`).  A diagram with more
     than `MAX_MARKS` marks raises `TooManyMarks` before it is built.  With
     `max_work` (which needs `lmax`), the walk sums `complex_work` up to
-    lmax over the vertices as they are realized, and raises
+    lmax over the vertices, each counted before it is realized, and raises
     `WorkLimitExceeded` with the sum at the first vertex that takes it
     above max_work."""
     if max_work is not None and lmax is None:
@@ -272,14 +272,14 @@ def build_cube(
         steps = [replace(st, rights=st.rights + tuple(
             pair[mask >> p & 1] for p, pair in enumerate(seen, first)))
             for st, first, seen in path]
+        if max_work is not None:
+            work += complex_work(small, lmax)
+            if work > max_work:
+                raise WorkLimitExceeded(work)
         key = (small.ring.names, small.relations)
         if key not in quotients:
             quotients[key] = Quotient(small)
         vertices[mask] = realize(small, quotients[key], lmax)
-        if max_work is not None:
-            work += complex_work(vertices[mask], lmax)
-            if work > max_work:
-                raise WorkLimitExceeded(work)
         reductions[mask] = Reduction(big, steps + tail, small, quotients[key],
                                     memo)
         jdeg[mask] = j

@@ -152,7 +152,8 @@ class Quotient:
     those variables, u = 1 first).  It depends on m's ring and relations
     only, so `cube.build_cube` builds one per distinct pair and shares it
     between the vertices' `realize` and `Reduction`s.  The normal forms
-    NF(p u) that `realize` reads are made on first use (`products`) and
+    NF(p u) that `realize` reads (`products`), and each u's exponents over
+    a ring that reads them (`exponents`), are made on first use and
     memoized on it, for as long as the cube lives."""
 
     def __init__(self, m: KoszulMatrix):
@@ -166,6 +167,7 @@ class Quotient:
                                     for y, f in m.relations)))
         self._where = {u: ui for ui, u in enumerate(self.monos)}
         self._products: dict[Polynomial, dict[int, _Products]] = {}
+        self._exponents: dict[tuple[str, ...], list[tuple[int, ...]]] = {}
 
     def split(self, p: Polynomial) -> list[tuple[int, Polynomial]]:
         """p, in normal form, as [(index of u, coefficient over `ring`)]."""
@@ -177,12 +179,16 @@ class Quotient:
             parts.setdefault(ui, {})[tuple(e[i] for i in self.rest)] = c
         return [(ui, Polynomial(self.ring, t)) for ui, t in sorted(parts.items())]
 
-    def join(self, ui: int) -> Polynomial:
-        """u over R, u the ui-th standard monomial."""
-        e = [0] * self.full.nvars
-        for pos, x in zip(self.ypos, self.monos[ui]):
-            e[pos] = x
-        return Polynomial(self.full, {tuple(e): 1})
+    def exponents(self, ring: PolyRing) -> list[tuple[int, ...]]:
+        """The standard monomials as exponents over `ring` (`full`, or a
+        ring that holds the relations' variables); made once per ring."""
+        if ring.names not in self._exponents:
+            pos = [ring.index(y) for y, _ in self.relations]
+            table = self._exponents[ring.names] = []
+            for u in self.monos:
+                at = dict(zip(pos, u))
+                table.append(tuple(at.get(i, 0) for i in range(ring.nvars)))
+        return self._exponents[ring.names]
 
     def products(self, p: Polynomial) -> dict[int, _Products]:
         """sign -> (u index -> sign NF(p u), split), each product made on
@@ -210,7 +216,8 @@ class _Products(dict):
         elif p.is_zero():
             out = []
         elif quo.relations:
-            out = quo.split(normal_form(quo.join(ui) * p, quo.relations))
+            u = Polynomial(quo.full, {quo.exponents(quo.full)[ui]: 1})
+            out = quo.split(normal_form(u * p, quo.relations))
         else:
             out = [(0, p)]
         self[ui] = out
@@ -388,8 +395,8 @@ class Reduction:
     pi of all steps kills e_S when S holds a removed row and applies the
     ring homomorphism sigma (every step's NF) to the coefficient; it is
     semilinear over sigma, and iota linear over `ring`, the ring of
-    realize(matrix).  sigma(u) = u for each standard monomial u (`units`,
-    as exponents over big.ring): u's variables are relation variables, each
+    realize(matrix).  sigma(u) = u for each standard monomial u
+    (`Quotient.exponents`): u's variables are relation variables, each
     below its degree, and the relations are triangular.  So u pi(x) =
     pi(u x).  The lifts iota(e_(S,u)) and sigma of each monomial are cached
     here, so every cube edge at this vertex shares them.  `quo` is the
@@ -399,12 +406,6 @@ class Reduction:
                  matrix: KoszulMatrix, quo: Quotient, memo: dict | None = None):
         self.big, self.steps, self.matrix = big, tuple(steps), matrix
         self.quo, self.ring = quo, quo.ring
-        where, self.units = [big.ring.index(y) for y, _ in quo.relations], []
-        for u in quo.monos:
-            e = [0] * big.ring.nvars
-            for pos, x in zip(where, u):
-                e[pos] = x
-            self.units.append(tuple(e))
         self._memo = {} if memo is None else memo
         self._tables: list[tuple[dict, dict]] | None = None
         self._lifts: dict[int, Terms] = {}
@@ -419,8 +420,7 @@ class Reduction:
             self._tables = [(self._memo.setdefault((st.var, st.f, st.relations), {}),
                              {}) for st in self.steps]
         nb = len(self.quo.monos)
-        (u,) = self.quo.join(s % nb).terms
-        terms = {(s // nb, u): 1}
+        terms = {(s // nb, self.quo.exponents(self.quo.full)[s % nb]): 1}
         for st, (memo, tables) in zip(reversed(self.steps), reversed(self._tables)):
             i, ring = st.row, st.f.ring
             low, yi = (1 << i) - 1, ring.index(st.var)
@@ -503,7 +503,7 @@ class FlipMap:
         copied through a factor that is the constant 1."""
         if (s, ui) in self._images:
             return self._images[s, ui]
-        u = self.tgt.units[ui]
+        u = self.tgt.quo.exponents(self.tgt.big.ring)[ui]
         factors = [None if not ui and p == p.ring.one() else
                    [(tuple(map(int.__add__, u, fe)), fc) for fe, fc in p.terms.items()]
                    for p in (self.even, self.odd)]

@@ -135,9 +135,13 @@ class TooManyStrands(ValueError):
     """A braid on more strands than `MAX_STRANDS`."""
 
 
-def _hecke_laurent(b: BraidWord) -> HeckeLaurent:
+def _check_strands(b: BraidWord) -> None:
     if b.strands > MAX_STRANDS:
         raise TooManyStrands(f"{b.strands} strands, above {MAX_STRANDS}")
+
+
+def _hecke_laurent(b: BraidWord) -> HeckeLaurent:
+    _check_strands(b)
     d = {perm_identity(b.strands): {0: 1}}
     for s in b.letters:
         d = _right_mul_gen(d, abs(s) - 1, s < 0)
@@ -279,12 +283,20 @@ def _divide_one_minus_q2(num: QTLaurent) -> QTLaurent | None:
 
 def homfly_F(b: BraidWord) -> RationalQT:
     """F of the closure of b over (1 - q^2)^k, k as small as exact division
-    allows."""
-    n = b.strands
-    tr = _trace_combination(n, _hecke_laurent(b))
-    num = {
-        (qe + 1, te - 1): c for (qe, te), c in _z_numerator(tr, n - 1).items()
-    }
+    allows.  While the top generator sigma_{n-1}^{+-1} occurs once, the word
+    is rotated to end in it (F is invariant under conjugation) and that
+    letter and the last strand are dropped, F(D sigma_{n-1}) = F(D) and
+    F(D sigma_{n-1}^{-1}) = alpha F(D), before the Hecke product is taken:
+    a negative letter that raises the length splits every term in two."""
+    _check_strands(b)
+    n, letters, m = b.strands, b.letters, 0  # F(b) = alpha^m F(letters)
+    while n > 1 and [abs(s) for s in letters].count(n - 1) == 1:
+        i = [abs(s) for s in letters].index(n - 1)
+        m += letters[i] < 0
+        n, letters = n - 1, letters[i + 1:] + letters[:i]
+    tr = _trace_combination(n, _hecke_laurent(BraidWord(n, letters)))
+    num = {(qe + 1 - m, te - 1 - m): (-1) ** m * c
+           for (qe, te), c in _z_numerator(tr, n - 1).items()}
     k = n
     while k and (quotient := _divide_one_minus_q2(num)) is not None:
         num, k = quotient, k - 1

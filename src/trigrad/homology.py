@@ -44,7 +44,8 @@ homotopy inverse, so this is H(psi) up to vertex isomorphisms, and
 squares anticommute on homology, which is all the cube needs.
 `_link_homology_slice` ranks each cube block at chain level modulo the
 target boundaries, so every vector from the Koszul rows to the ranks is an
-integer one; it builds no basis for a slice `_least_l` proves empty.
+integer one; it builds a basis only at the vertices that hold a generator
+in the slice (`_slices`, read off the complex's generator index).
 """
 
 from __future__ import annotations
@@ -88,14 +89,25 @@ class PotentialMismatch(ValueError):
     """Two factorizations have different potentials: their boundaries differ."""
 
 
-def complex_work(cx: FactorComplex, qmax: int) -> int:
-    """The slice elements that the (k, l) slices of cx up to qmax hold, at
-    each generator's own k, in closed form: over a ring in n variables
-    (without `a`), a generator at l times the C((qmax - l) // 2 + n, n)
-    monomials of degree up to (qmax - l) / 2."""
-    n = cx.ring.nvars
-    return sum(comb((qmax - g.bidegree.l) // 2 + n, n)
-               for g in cx.gens if g.bidegree.l <= qmax)
+def complex_work(m: KoszulMatrix, qmax: int) -> int:
+    """The slice elements that the (k, l) slices of realize(m) up to qmax
+    hold, at each generator's own k, counted before it is realized: over
+    n = nvars - len(relations) variables (without `a`), a generator (S, u)
+    at l = global l + sum of the l-shifts of S + 2 deg u, times the
+    C((qmax - l) // 2 + n, n) monomials of degree up to (qmax - l) / 2.
+    The generators are counted per l, one row (a shift of 0 or its l-shift)
+    and one relation (u's exponent in it) at a time: no subset is visited."""
+    counts = {m.global_shift.l: 1}  # l -> the generators at l
+    for step in ([(0, row.shift.l) for row in m.rows]
+                 + [range(0, 2 * f.degree_in(y), 2) for y, f in m.relations]):
+        out: dict[int, int] = {}
+        for l, c in counts.items():
+            for dl in step:
+                out[l + dl] = out.get(l + dl, 0) + c
+        counts = out
+    n = m.ring.nvars - len(m.relations)
+    return sum(c * comb((qmax - l) // 2 + n, n)
+               for l, c in counts.items() if l <= qmax)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +281,18 @@ def slice_basis(cx: FactorComplex, k: int, l: int) -> SliceBasis:
         elems += ([(gi, ((k - gk) // 2,) + mono) for mono in monos] if has_a
                   else [(gi, mono) for mono in monos])
     return SliceBasis(elems, {e: i for i, e in enumerate(elems)})
+
+
+def _slices(cx: FactorComplex, qmax: int) -> set[tuple[int, int]]:
+    """The (k, l) slices up to qmax that hold a generator of cx, by
+    `slice_basis`'s rule for a ring without `a`: (g.k, g.l + 2i) for each
+    generator g and i >= 0, or i = 0 only over a ring with no variable."""
+    out: set[tuple[int, int]] = set()
+    for k, gs in _gens_by_k(cx).items():
+        for l in {gl for _, _, gl in gs if gl <= qmax}:
+            top = qmax if cx.ring.nvars else l
+            out.update((k, ll) for ll in range(l, top + 1, 2))
+    return out
 
 
 def _columns_of_map(
@@ -515,23 +539,23 @@ def matrix_homology(
     """Bigraded homology dims of a closed Koszul matrix, reported at j = 0.
     With `reduce`, the complex is realized over R/(monic rows) after the
     linear exclusions (`reduce_closed_matrix`).  With `max_work`, a complex
-    whose `complex_work` is above it raises `WorkLimitExceeded` before any
-    slice is built."""
+    whose `complex_work` is above it raises `WorkLimitExceeded` before it
+    is realized."""
     if reduce:
         m = reduce_closed_matrix(m)
-    cx = realize(m)
-    if "a" in cx.ring.names and krange is None:
+    if "a" in m.ring.names and krange is None:
         raise ValueError("matrices containing `a` need an explicit krange")
-    if max_work is not None and (work := complex_work(cx, qmax)) > max_work:
+    if max_work is not None and (work := complex_work(m, qmax)) > max_work:
         raise WorkLimitExceeded(work)
+    cx = realize(m)
     if krange is None:
-        ks = sorted({g.bidegree.k for g in cx.gens})
+        slices = _slices(cx, qmax)
     else:
-        ks = range(krange[0], krange[1] + 1)
-    lmin = min((g.bidegree.l for g in cx.gens), default=0)
+        lmin = min((g.bidegree.l for g in cx.gens), default=0)
+        slices = [(k, l) for k in range(krange[0], krange[1] + 1)
+                  for l in range(lmin, qmax + 1)]
     dims: dict[tuple[int, int, int], int] = {}
-    slices = _along_diagonals((k, l) for k in ks for l in range(lmin, qmax + 1))
-    for k, l in slices:
+    for k, l in _along_diagonals(slices):
         d = slice_homology_dim(cx, k, l)
         if d:
             dims[(0, k, l)] = d
@@ -598,19 +622,8 @@ def hom_space_dim(
 # ---------------------------------------------------------------------------
 
 
-def _least_l(cx: FactorComplex) -> dict[int, int]:
-    """k -> the least l of a generator in degree k.  At a cube vertex (no
-    `a`) the (k, l) slice holds only generators g with g.k = k, g.l <= l
-    (`slice_basis`): below this bound, or at a k absent here, it is empty."""
-    least: dict[int, int] = {}
-    for g in cx.gens:
-        k, l = g.bidegree.k, g.bidegree.l
-        least[k] = min(l, least.get(k, l))
-    return least
-
-
 def _link_homology_slice(cube: CubeComplex, k: int, l: int,
-                         least: dict[int, dict[int, int]]) -> dict[int, int]:
+                         masks: list[int]) -> dict[int, int]:
     """Cohomology dims over the cube degree j at one (k, l).
 
     Edge maps are chain maps, so the rank of the cube differential on
@@ -618,13 +631,10 @@ def _link_homology_slice(cube: CubeComplex, k: int, l: int,
     D.rep is the signed sum of a representative's images along its
     out-edges, and B holds the boundary vectors of each target slice, in
     that target's own coordinate range.  An edge into a zero homology slice
-    is skipped: its images are boundaries there.  A vertex slice that
-    `least` (mask -> `_least_l`) proves empty gets no basis built."""
-    empty = HomologyBasis(SliceBasis([], {}), [], [])
+    is skipped: its images are boundaries there.  Only the vertices in
+    `masks`, those with a generator in the slice, get a basis built."""
     bases: dict[int, HomologyBasis] = {
-        mask: slice_homology_basis(cx, k, l)
-        if l >= least[mask].get(k, l + 1) else empty
-        for mask, cx in cube.vertices.items()
+        mask: slice_homology_basis(cube.vertices[mask], k, l) for mask in masks
     }
     sizes: dict[int, int] = {}
     for mask, basis in bases.items():
@@ -636,8 +646,8 @@ def _link_homology_slice(cube: CubeComplex, k: int, l: int,
     nrows = 0
     images: dict[int, list[dict[int, int]]] = {}  # source vertex -> D.reps
     for edge in cube.edges:
-        sb, tb = bases[edge.src], bases[edge.tgt]
-        if sb.dim == 0 or tb.dim == 0:
+        sb, tb = bases.get(edge.src), bases.get(edge.tgt)
+        if sb is None or tb is None or sb.dim == 0 or tb.dim == 0:
             continue
         j = cube.jdeg[edge.src]
         block = blocks.setdefault(j, [])
@@ -677,17 +687,12 @@ def link_homology(cube: CubeComplex, qmax: int) -> TriGradedDims:
     qmax <= lmax."""
     if cube.lmax is not None and qmax > cube.lmax:
         raise ValueError(f"qmax {qmax} is above the cube's lmax {cube.lmax}")
-    degs = {g.bidegree for cx in cube.vertices.values() for g in cx.gens}
-    if not degs:
-        return TriGradedDims({}, qmax)
-    lmin = min(b.l for b in degs)
-    lpar = {b.l % 2 for b in degs}
-    tasks = _along_diagonals(
-        (k, l) for k in {b.k for b in degs}
-        for l in range(lmin, qmax + 1) if l % 2 in lpar
-    )
-    least = {mask: _least_l(cx) for mask, cx in cube.vertices.items()}
-    results = {(k, l): _link_homology_slice(cube, k, l, least) for k, l in tasks}
+    holders: dict[tuple[int, int], list[int]] = {}  # slice -> its vertices
+    for mask, cx in cube.vertices.items():
+        for kl in _slices(cx, qmax):
+            holders.setdefault(kl, []).append(mask)
+    results = {(k, l): _link_homology_slice(cube, k, l, holders[k, l])
+               for k, l in _along_diagonals(holders)}
     dims: dict[tuple[int, int, int], int] = {}
     for (k, l) in sorted(results):
         for j, d in sorted(results[(k, l)].items()):

@@ -178,6 +178,19 @@ class TestHomologyCommand:
         assert line.startswith("config violation: ")
         assert line.endswith(" slice elements, above --max-work 1000000")
 
+    @pytest.mark.parametrize("repeat", [1, 2])
+    def test_work_guard_counts_a_vertex_before_it_is_realized(self, repeat):
+        # the negatively stabilized unknot on 25 strands: the first vertex
+        # has 2^24 row subsets, and realizing it before counting it hung
+        word = " ".join([" ".join(str(-i) for i in range(1, 25))] * repeat)
+        start = time.monotonic()
+        res = _bounded_cli("homology", word, "--qmax", "4")
+        assert time.monotonic() - start < 2
+        assert res.returncode == cli.EXIT_CONFIG
+        assert res.stdout == ""
+        line, = res.stderr.splitlines()
+        assert line.startswith("config violation: ")
+
     @pytest.mark.parametrize("marks, count", [("200", 1600), ("51", 408)])
     def test_marks_ceiling_refuses_a_large_diagram(self, marks, count):
         # 1 600 marks once ran out of memory in the shared reduction, before

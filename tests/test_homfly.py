@@ -1,4 +1,6 @@
 import random
+import time
+from itertools import product
 
 import pytest
 
@@ -128,6 +130,27 @@ class TestF:
             with pytest.raises(TooManyStrands,
                                match=f"^{MAX_STRANDS + 1} strands, above "):
                 oracle(b)
+
+    def test_destabilized_F_is_the_hecke_value(self):
+        # F drops a once-occurring top letter before its Hecke product; the
+        # product of the whole word through the trace is the reference
+        delta = solve_trace_params().delta
+        for n, longest in ((2, 6), (3, 5), (4, 3)):
+            letters = [s for i in range(1, n) for s in (i, -i)]
+            for length in range(longest + 1):
+                for w in product(letters, repeat=length):
+                    b = BraidWord(n, w)
+                    assert homfly_F(b) == (unknot_value() * delta ** (n - 1)
+                                           * ocneanu_trace(hecke_of_braid(b))), w
+
+    def test_negatively_stabilized_unknot_on_600_strands(self):
+        # a negative letter that raises the length splits each Hecke term in
+        # two, so this word once took 2^599 terms
+        b = BraidWord(600, tuple(range(-1, -600, -1)))
+        start = time.perf_counter()
+        f = homfly_F(b)
+        assert time.perf_counter() - start < 1
+        assert f == ALPHA ** 599 * unknot_value()
 
     def test_skein_on_random_braids(self):
         rng = random.Random(21)

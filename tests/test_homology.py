@@ -196,17 +196,19 @@ class TestGraphHomology:
     @pytest.mark.parametrize("name", ["circle", "theta", "upsilon-closure",
                                       "gamma1-closure"])
     def test_complex_work_counts_the_slice_elements(self, name):
-        # the closed form equals the slices `matrix_homology` visits, summed
-        cx = realize(reduce_closed_matrix(closed_matrix(name)))
+        # the count from the reduced matrix equals the slices of its
+        # realized complex, summed over the whole grid
+        m = reduce_closed_matrix(closed_matrix(name))
+        cx = realize(m)
         ks = {g.bidegree.k for g in cx.gens}
         lmin = min(g.bidegree.l for g in cx.gens)
         for qmax in (lmin, 6, 11):
-            assert complex_work(cx, qmax) == sum(
+            assert complex_work(m, qmax) == sum(
                 slice_basis(cx, k, l).dim
                 for k in ks for l in range(lmin, qmax + 1))
         with pytest.raises(WorkLimitExceeded):
             matrix_homology(closed_matrix(name), 11,
-                            max_work=complex_work(cx, 11) - 1)
+                            max_work=complex_work(m, 11) - 1)
 
     def test_two_circles(self):
         d = build_marked_diagram(parse_braid("", strands=2))
@@ -635,40 +637,51 @@ class TestEachBlockOnce:
 
 
 class TestEmptySliceSkip:
-    """`link_homology` builds no basis for a vertex slice that the least l
-    of each k at that vertex proves empty."""
+    """`_slices` reads off the generator index exactly the slices whose
+    basis is nonempty, and `link_homology` builds a vertex basis only
+    there."""
 
-    class _NoBound(dict):
-        def get(self, k, default=None):
-            return float("-inf")
+    CUBES = [("1 1 2 1 2 2 2", True, 6), ("1 1 2 1 2 2 2", False, 6),
+             ("-1 2 1 2 -1", False, 8), ("n=1", True, 4), ("n=3 1", True, 5)]
 
-    @pytest.mark.parametrize("word, reduced, qmax", [
-        ("1 1 2 1 2 2 2", True, 6),
-        ("1 1 2 1 2 2 2", False, 6),
-        ("-1 2 1 2 -1", False, 8),
-    ])
+    @staticmethod
+    def _grid(cx, qmax):
+        ks = [g.bidegree.k for g in cx.gens]
+        ls = [g.bidegree.l for g in cx.gens]
+        return {(k, l) for k in range(min(ks) - 1, max(ks) + 2)
+                for l in range(min(ls) - 2, qmax + 1)}
+
+    def _nonempty(self, cx, qmax):
+        return {kl for kl in self._grid(cx, qmax) if slice_basis(cx, *kl).dim}
+
+    @pytest.mark.parametrize("name", ["circle", "theta", "upsilon-closure",
+                                      "gamma1-closure"])
+    def test_graph_complexes(self, name):
+        import trigrad.homology as hom
+
+        cx = realize(reduce_closed_matrix(closed_matrix(name)))
+        for qmax in (3, 8):
+            assert hom._slices(cx, qmax) == self._nonempty(cx, qmax)
+
+    @pytest.mark.parametrize("word, reduced, qmax", CUBES)
     def test_skipped_slices_are_empty(self, monkeypatch, word, reduced, qmax):
         import trigrad.homology as hom
 
         cube = build_cube(parse_braid(word), reduced=reduced)
         mask_of = {id(cx): mask for mask, cx in cube.vertices.items()}
         real = hom.slice_homology_basis
+        visited = set()
 
-        def run():
-            visited = set()
+        def visit(cx, k, l):
+            visited.add((mask_of[id(cx)], k, l))
+            return real(cx, k, l)
 
-            def visit(cx, k, l):
-                visited.add((mask_of[id(cx)], k, l))
-                return real(cx, k, l)
-
-            monkeypatch.setattr(hom, "slice_homology_basis", visit)
-            return hom.link_homology(cube, qmax), visited
-
-        skipping, kept = run()
-        monkeypatch.setattr(hom, "_least_l", lambda cx: self._NoBound())
-        full, visited = run()
-        skipped = visited - kept
-        assert skipped and kept <= visited
-        assert skipping.dims == full.dims
-        for mask, k, l in skipped:
-            assert slice_basis(cube.vertices[mask], k, l).dim == 0, (mask, k, l)
+        monkeypatch.setattr(hom, "slice_homology_basis", visit)
+        table = hom.link_homology(cube, qmax)
+        assert table.dims
+        # so `_slices` is exact at every vertex
+        assert visited == {(mask, k, l) for mask, cx in cube.vertices.items()
+                           for k, l in self._nonempty(cx, qmax)}
+        # a full grid at every vertex adds only empty slices
+        monkeypatch.setattr(hom, "_slices", self._grid)
+        assert hom.link_homology(cube, qmax).dims == table.dims

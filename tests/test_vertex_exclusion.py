@@ -58,10 +58,11 @@ def _include(red, x):
     """iota of {generator: coefficient over red.ring} into realize(red.big),
     the steps undone last first: p e_S -> p e_S - sum_{k in S} sign(S, k)
     sign(S-k+i, i) H(b_k p) e_{S-k+i}, H the step's `Exclusion.quotient`."""
-    nb = len(red.quo.monos)
+    nb, full = len(red.quo.monos), red.quo.full
     out = {}
     for s, p in x.items():
-        _add(out, s // nb, red.quo.join(s % nb) * p.map_to_ring(red.quo.full))
+        u = Polynomial(full, {red.quo.exponents(full)[s % nb]: 1})
+        _add(out, s // nb, u * p.map_to_ring(full))
     for st in reversed(red.steps):
         i, ring = st.row, st.f.ring
         x, out = out, {}
