@@ -417,9 +417,13 @@ def hom_dim(src, tgt, bidegree, as_json, out):
     except KeyError as exc:
         _config_error(exc.args[0])
     try:
-        d = hom_space_dim(m, n, Bidegree(*bidegree))
+        d = hom_space_dim(m, n, Bidegree(*bidegree), max_work=MAX_WORK)
     except PotentialMismatch as exc:
         _config_error(f"{src!r} and {tgt!r} have different boundaries ({exc})")
+    except WorkLimitExceeded as exc:
+        _config_error(f"{src!r} -> {tgt!r} at --bidegree {bidegree[0]} "
+                      f"{bidegree[1]} reads {exc.args[0]} slice elements, "
+                      f"above {MAX_WORK}")
     if as_json:
         _emit(json.dumps({"src": src, "tgt": tgt,
                           "bidegree": list(bidegree), "dim": d}), out)

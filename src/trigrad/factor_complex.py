@@ -60,30 +60,41 @@ class FactorComplex:
     lmax: int | None = None
     # cache: {(k, l): (slice (k+1, l+1), echelon of d out of (k, l))}
     _out_block: dict = field(default_factory=dict, init=False, compare=False)
-    # cache: k -> [(generator index, k, l)], for `homology.slice_basis`
+    # cache: k -> [(generator index, k, l)], for `homology._slice_gens`
     _by_k: dict = field(default_factory=dict, init=False, compare=False)
 
     def rank(self) -> int:
         return len(self.gens)
 
     def verify_d_squared(self) -> None:
-        """d^2 = w on every generator whose d^2 is held: with `lmax`, those
-        below lmax, whose d lands at l <= lmax."""
-        n = len(self.gens)
-        for s in range(n):
-            if self.lmax is not None and self.gens[s].bidegree.l >= self.lmax:
+        """d^2 = w Id on every generator whose d^2 is held: all of them, or
+        with `lmax` those below it, whose d lands at l <= lmax.  A generator
+        without a row has d^2 = 0 there, so it passes only if w = 0."""
+        zero, dd = self.ring.zero(), _product(self.d, self.d)
+        for s, g in enumerate(self.gens):
+            if self.lmax is not None and g.bidegree.l >= self.lmax:
                 continue
-            acc: dict[int, Polynomial] = {}
-            for mid, p in self.d.get(s, {}).items():
-                for tgt, q in self.d.get(mid, {}).items():
-                    cur = acc.get(tgt, self.ring.zero()) + q * p
-                    acc[tgt] = cur
-            for tgt, p in acc.items():
-                expect = self.w if tgt == s else self.ring.zero()
+            for t, p in ({s: zero} | dd.get(s, {})).items():
+                expect = self.w if t == s else zero
                 if p != expect:
                     raise AssertionError(
-                        f"d^2 fails at {s}->{tgt}: got {p}, want {expect}"
+                        f"d^2 fails at {s}->{t}: got {p}, want {expect}"
                     )
+
+
+def _product(first: Matrix, then: Matrix) -> Matrix:
+    """then o first (apply `first`, then `then`), zero entries dropped."""
+    out: Matrix = {}
+    for s, row in first.items():
+        acc: dict[int, Polynomial] = {}
+        for mid, p in row.items():
+            for t, q in then.get(mid, {}).items():
+                cur = acc.get(t)
+                acc[t] = q * p if cur is None else cur + q * p
+        acc = {t: p for t, p in acc.items() if not p.is_zero()}
+        if acc:
+            out[s] = acc
+    return out
 
 
 def realize(m: KoszulMatrix, quo: Quotient | None = None,
@@ -111,7 +122,7 @@ def realize(m: KoszulMatrix, quo: Quotient | None = None,
     blocks: dict[tuple[int, int], tuple[list[Generator], list[int]]] = {}
     gens: list[Generator] = []
     d: Matrix = {}
-    # per row and side: sign -> the products of that entry with each u
+    # per row and side: the products of that entry with each u
     tables = [(quo.products(row.left), quo.products(row.right))
               for row in m.rows]
     for mask in range(1 << n):
@@ -130,16 +141,16 @@ def realize(m: KoszulMatrix, quo: Quotient | None = None,
         gens.extend(block[0])
         if not block[1]:
             continue
-        # per row r: the index of S ± r, and sign(S, r) NF(a_r u) or NF(b_r u)
-        out = [((mask ^ (1 << r)) * nb, tables[r][mask >> r & 1][_sign(mask, r)])
+        # per row r: the index of S ± r, NF(a_r u) or NF(b_r u), sign(S, r)
+        out = [((mask ^ (1 << r)) * nb, tables[r][mask >> r & 1], _sign(mask, r))
                for r in range(n)]
         for ui in block[1]:
             drow: dict[int, Polynomial] = {}
-            for base, products in out:
+            for base, products, sign in out:
                 for uj, p in products[ui]:
-                    drow[base + uj] = p
+                    drow[base + uj] = p if sign > 0 else -p
             d[mask * nb + ui] = drow
-    w = quo.products(m.potential())[1][0]
+    w = quo.products(m.potential())[0]
     if any(ui for ui, _ in w):
         raise ValueError("the potential is not a scalar over the quotient")
     return FactorComplex(quo.ring, tuple(gens), d,
@@ -166,13 +177,11 @@ class Quotient:
         self.monos = list(product(*(range(f.degree_in(y))
                                     for y, f in m.relations)))
         self._where = {u: ui for ui, u in enumerate(self.monos)}
-        self._products: dict[Polynomial, dict[int, _Products]] = {}
+        self._products: dict[Polynomial, _Products] = {}
         self._exponents: dict[tuple[str, ...], list[tuple[int, ...]]] = {}
 
     def split(self, p: Polynomial) -> list[tuple[int, Polynomial]]:
         """p, in normal form, as [(index of u, coefficient over `ring`)]."""
-        if not self.relations:
-            return [] if p.is_zero() else [(0, p)]
         parts: dict[int, dict[tuple[int, ...], int]] = {}
         for e, c in p.terms.items():
             ui = self._where[tuple(e[i] for i in self.ypos)]
@@ -190,37 +199,26 @@ class Quotient:
                 table.append(tuple(at.get(i, 0) for i in range(ring.nvars)))
         return self._exponents[ring.names]
 
-    def products(self, p: Polynomial) -> dict[int, _Products]:
-        """sign -> (u index -> sign NF(p u), split), each product made on
-        first use; memoized per p."""
+    def products(self, p: Polynomial) -> _Products:
+        """u index -> NF(p u), split, each product made on first use;
+        memoized per p."""
         table = self._products.get(p)
         if table is None:
-            plus = _Products(self, p)
-            table = self._products[p] = {1: plus, -1: _Products(self, p, plus)}
+            table = self._products[p] = _Products(self, p)
         return table
 
 
 class _Products(dict):
-    """u index -> NF(p u), split, or with `plus` (this table of p) its
-    negative; each made on its first lookup."""
+    """u index -> NF(p u), split; each made on its first lookup."""
 
-    def __init__(self, quo: Quotient, p: Polynomial,
-                 plus: _Products | None = None):
+    def __init__(self, quo: Quotient, p: Polynomial):
         super().__init__()
-        self.quo, self.p, self.plus = quo, p, plus
+        self.quo, self.p = quo, p
 
     def __missing__(self, ui: int) -> list[tuple[int, Polynomial]]:
-        quo, p = self.quo, self.p
-        if self.plus is not None:
-            out = [(uj, -q) for uj, q in self.plus[ui]]
-        elif p.is_zero():
-            out = []
-        elif quo.relations:
-            u = Polynomial(quo.full, {quo.exponents(quo.full)[ui]: 1})
-            out = quo.split(normal_form(u * p, quo.relations))
-        else:
-            out = [(0, p)]
-        self[ui] = out
+        quo = self.quo
+        u = Polynomial(quo.full, {quo.exponents(quo.full)[ui]: 1})
+        out = self[ui] = quo.split(normal_form(u * self.p, quo.relations))
         return out
 
 
@@ -241,16 +239,12 @@ class ChainMap:
 
     def verify_chain_map(self) -> None:
         """f d_src = d_tgt f, and homogeneity of the declared bidegree."""
-        ring = self.src.ring
-        for s in range(len(self.src.gens)):
-            acc: dict[int, Polynomial] = {}
-            for mid, p in self.src.d.get(s, {}).items():
-                for t, q in self.mat.get(mid, {}).items():
-                    acc[t] = acc.get(t, ring.zero()) + q * p
-            for mid, p in self.mat.get(s, {}).items():
-                for t, q in self.tgt.d.get(mid, {}).items():
-                    acc[t] = acc.get(t, ring.zero()) - q * p
-            for t, p in acc.items():
+        zero = self.src.ring.zero()
+        fd, df = _product(self.src.d, self.mat), _product(self.mat, self.tgt.d)
+        for s in fd.keys() | df.keys():
+            left, right = fd.get(s, {}), df.get(s, {})
+            for t in left.keys() | right.keys():
+                p = left.get(t, zero) - right.get(t, zero)
                 if not p.is_zero():
                     raise AssertionError(f"not a chain map at {s}->{t}: {p}")
         for s, row in self.mat.items():
@@ -270,17 +264,8 @@ class ChainMap:
         """self o first (apply `first`, then `self`)."""
         if first.tgt is not self.src and first.tgt.gens != self.src.gens:
             raise ValueError("composition mismatch")
-        ring = self.tgt.ring
-        mat: Matrix = {}
-        for s, row in first.mat.items():
-            acc: dict[int, Polynomial] = {}
-            for mid, p in row.items():
-                for t, q in self.mat.get(mid, {}).items():
-                    acc[t] = acc.get(t, ring.zero()) + q * p
-            acc = {t: p for t, p in acc.items() if not p.is_zero()}
-            if acc:
-                mat[s] = acc
-        return ChainMap(first.src, self.tgt, mat, self.bidegree + first.bidegree)
+        return ChainMap(first.src, self.tgt, _product(first.mat, self.mat),
+                        self.bidegree + first.bidegree)
 
 
 def identity_map(c: FactorComplex) -> ChainMap:
@@ -335,16 +320,13 @@ def row_op_transport(
     m2 = row_op(m, i, j, lam)
     src = realize(m)
     tgt = realize(m2)
-    lo, hi = min(i, j), max(i, j)
-    between = ((1 << hi) - 1) & ~((1 << (lo + 1)) - 1)
     mat: Matrix = {}
     one = m.ring.one()
     for mask in range(1 << len(m.rows)):
         row = {mask: one}
         if mask >> i & 1 and not mask >> j & 1:
-            sgn = -1 if bin(mask & between).count("1") % 2 == 0 else 1
             other = mask ^ (1 << i) ^ (1 << j)
-            row[other] = lam * sgn
+            row[other] = lam * -(_sign(mask, i) * _sign(other, j))
         mat[mask] = {t: p for t, p in row.items() if not p.is_zero()}
     return ChainMap(src, tgt, mat), m2
 
@@ -545,57 +527,32 @@ def simplify(c: FactorComplex) -> tuple[FactorComplex, ChainMap, ChainMap]:
     equivalences.
     """
     ring = c.ring
-    total_iota = identity_map(c)
-    total_pi = identity_map(c)
+    total_iota = total_pi = identity_map(c)
     cur = c
-    while True:
-        hit = _find_unit(cur)
-        if hit is None:
-            break
+    while (hit := _find_unit(cur)) is not None:
         jsrc, itgt, u = hit
         keep = [k for k in range(len(cur.gens)) if k not in (jsrc, itgt)]
         reindex = {old: new for new, old in enumerate(keep)}
-        gens = tuple(cur.gens[k] for k in keep)
-        # d' = A - C u^{-1} B, where C = d(e_j)|V', B_l = coeff of e_i in d(e_l)
-        C = {t: p for t, p in cur.d.get(jsrc, {}).items() if t in reindex}
-        newd: Matrix = {}
-        for l in keep:
-            row: dict[int, Polynomial] = {}
-            for t, p in cur.d.get(l, {}).items():
-                if t in reindex:
-                    row[t] = row.get(t, ring.zero()) + p
-            bl = cur.d.get(l, {}).get(itgt)
-            if bl is not None and not bl.is_zero():
-                for t, p in C.items():
-                    row[t] = row.get(t, ring.zero()) - exact_divide(p * bl, u)
-            row2 = {
-                reindex[t]: p for t, p in row.items() if not p.is_zero()
-            }
-            if row2:
-                newd[reindex[l]] = row2
-        small = FactorComplex(ring, gens, newd, cur.w)
+        # d(e_j) = u e_i + C on V', and B_l = coeff of e_i in d(e_l)
         # iota: e_l -> e_l - u^{-1} B_l e_j
         imat: Matrix = {}
         for l in keep:
-            row = {l: ring.one()}
+            row = imat[reindex[l]] = {l: ring.one()}
             bl = cur.d.get(l, {}).get(itgt)
             if bl is not None and not bl.is_zero():
                 row[jsrc] = -exact_divide(bl, u)
-            imat[reindex[l]] = row
-        step_iota = ChainMap(small, cur, imat)
         # pi: e_m -> e_m, e_j -> 0, e_i -> -u^{-1} C
-        pmat: Matrix = {}
-        for l in keep:
-            pmat[l] = {reindex[l]: ring.one()}
-        pirow = {
-            reindex[t]: -exact_divide(p, u)
-            for t, p in C.items() if not p.is_zero()
-        }
+        pmat: Matrix = {l: {reindex[l]: ring.one()} for l in keep}
+        pirow = {reindex[t]: -exact_divide(p, u)
+                 for t, p in cur.d.get(jsrc, {}).items()
+                 if t in reindex and not p.is_zero()}
         if pirow:
             pmat[itgt] = pirow
-        step_pi = ChainMap(cur, small, pmat)
-        total_iota = total_iota.compose(step_iota)
-        total_pi = step_pi.compose(total_pi)
+        # d' = pi d iota = A - C u^{-1} B, exact since iota divides B by u
+        small = FactorComplex(ring, tuple(cur.gens[k] for k in keep),
+                              _product(_product(imat, cur.d), pmat), cur.w)
+        total_iota = total_iota.compose(ChainMap(small, cur, imat))
+        total_pi = ChainMap(cur, small, pmat).compose(total_pi)
         cur = small
     return cur, total_iota, total_pi
 

@@ -256,31 +256,36 @@ def _gens_by_k(cx: FactorComplex) -> dict[int, list[tuple[int, int, int]]]:
     return cx._by_k
 
 
+def _slice_gens(cx: FactorComplex, k: int, l: int) -> tuple[bool, int, list]:
+    """Whether cx's ring has `a`, its nx other variables, and (index,
+    a-degree, x-degree) of the generators g with elements in the (k, l)
+    slice, in generator order: l - g.l even and >= 0 and, over a ring with
+    `a`, k - g.k even and >= 0, else g.k = k.  Only the generators at those
+    k are visited (`_gens_by_k`)."""
+    has_a = "a" in cx.ring.names
+    if has_a and cx.ring.names[0] != "a":
+        raise ValueError("'a' must be the first ring variable")
+    by_k = _gens_by_k(cx)
+    at = (sorted(g for gk, gs in by_k.items() if gk <= k and not (k - gk) % 2
+                 for g in gs) if has_a else by_k.get(k, ()))
+    return has_a, cx.ring.nvars - has_a, [
+        (gi, (k - gk) // 2, (l - gl) // 2) for gi, gk, gl in at
+        if l >= gl and not (l - gl) % 2]
+
+
 def slice_basis(cx: FactorComplex, k: int, l: int) -> SliceBasis:
     """The (k, l) slice: x^m e_g, in generator order, for the generators g
-    with l - g.l even and >= 0 and, over a ring with `a`, k - g.k even and
-    >= 0 (a^((k - g.k) / 2) x^m e_g), else g.k = k.  Only the generators at
-    those k are visited (`_gens_by_k`)."""
-    ring = cx.ring
-    has_a = "a" in ring.names
-    if has_a and ring.names[0] != "a":
-        raise ValueError("'a' must be the first ring variable")
-    nx = ring.nvars - (1 if has_a else 0)
-    by_k = _gens_by_k(cx)
-    if has_a:
-        at = sorted(g for gk, gs in by_k.items() if gk <= k and not (k - gk) % 2
-                    for g in gs)
-    else:
-        at = by_k.get(k, ())
-    elems: list[tuple[int, tuple[int, ...]]] = []
-    for gi, gk, gl in at:
-        dl = l - gl
-        if dl < 0 or dl % 2:
-            continue
-        monos = monomials_of_degree(nx, dl // 2)
-        elems += ([(gi, ((k - gk) // 2,) + mono) for mono in monos] if has_a
-                  else [(gi, mono) for mono in monos])
+    of `_slice_gens` (a^((k - g.k) / 2) x^m e_g over a ring with `a`)."""
+    has_a, nx, at = _slice_gens(cx, k, l)
+    elems = [(gi, (da,) + mono if has_a else mono)
+             for gi, da, dx in at for mono in monomials_of_degree(nx, dx)]
     return SliceBasis(elems, {e: i for i, e in enumerate(elems)})
+
+
+def _slice_dim(cx: FactorComplex, k: int, l: int) -> int:
+    """slice_basis(cx, k, l).dim, with no monomial enumerated."""
+    _, nx, at = _slice_gens(cx, k, l)
+    return sum(comb(dx + nx - 1, dx) if nx else int(dx == 0) for _, _, dx in at)
 
 
 def _slices(cx: FactorComplex, qmax: int) -> set[tuple[int, int]]:
@@ -584,13 +589,15 @@ def _minimize_over_boundary(m: KoszulMatrix) -> KoszulMatrix:
 
 
 def hom_space_dim(
-    m_src: KoszulMatrix, n_tgt: KoszulMatrix, bidegree: Bidegree = Bidegree(0, 0)
+    m_src: KoszulMatrix, n_tgt: KoszulMatrix, bidegree: Bidegree = Bidegree(0, 0),
+    max_work: int | None = None,
 ) -> int:
     """dim of the bidegree slice of H(N (x) dual(M)); Hom_{hmf} at (0,0).
 
     M and N must have equal potentials (shared boundary variables); internal
     marks are excluded before M is dualized, since the relevant dual is over
-    the boundary ring.
+    the boundary ring.  With `max_work`, more elements than that in the
+    slices it reads, (k±1, l±1) and (k, l), raise `WorkLimitExceeded`.
     """
     from .koszul import matrix_to_ring
 
@@ -614,6 +621,9 @@ def hom_space_dim(
     # equal potentials: the externals cancel, and the potential is 0
     k, _ = exclude_all(tensor_matrices(n_tgt, dualize(m_src)))
     cx = realize(k)
+    if max_work is not None and (work := sum(_slice_dim(
+            cx, bidegree.k + i, bidegree.l + i) for i in (-1, 0, 1))) > max_work:
+        raise WorkLimitExceeded(work)
     return slice_homology_dim(cx, bidegree.k, bidegree.l)
 
 

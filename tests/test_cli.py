@@ -485,6 +485,20 @@ class TestHomDimCommand:
         assert res.output == (f"config violation: {src!r} and {tgt!r} have "
                               "different boundaries (potential mismatch)\n")
 
+    def test_unaffordable_bidegree_is_refused(self):
+        # the three slices read at (0, 300) hold 7.1 M elements: the command
+        # once ran 43 s and died with MemoryError under this bound
+        start = time.monotonic()
+        res = _bounded_cli("hom-dim", "gamma000", "gamma000", "--bidegree",
+                           "0", "300")
+        assert time.monotonic() - start < 2
+        assert res.returncode == cli.EXIT_CONFIG
+        assert res.stdout == ""
+        line, = res.stderr.splitlines()
+        assert line == ("config violation: 'gamma000' -> 'gamma000' at "
+                        "--bidegree 0 300 reads 7081604 slice elements, "
+                        "above 1000000")
+
 
 class TestGraphHomologyCommand:
     def test_circle(self, runner):

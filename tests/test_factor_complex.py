@@ -8,6 +8,9 @@ from trigrad.braid import build_marked_diagram, parse_braid
 from trigrad.cube import resolve
 from trigrad.factor_complex import (
     ChainMap,
+    FactorComplex,
+    Generator,
+    _find_unit,
     exact_divide,
     flip_map,
     identity_map,
@@ -106,6 +109,14 @@ class TestRealize:
 
         for name in ["gamma000", "gamma100", "gamma110", "gamma111", "upsilon"]:
             realize(open_matrix(name)).verify_d_squared()
+
+    def test_d_squared_checks_the_diagonal_d_squared_never_reaches(self):
+        # d = 0 and w = x1: d o d has no entry at all, yet must be x1 Id
+        r = PolyRing(("x1",))
+        gens = (Generator(Bidegree(0, 0)), Generator(Bidegree(1, 1)))
+        c = FactorComplex(r, gens, {}, r.var("x1"))
+        with pytest.raises(AssertionError, match=r"d\^2 fails at 0->0: got 0"):
+            c.verify_d_squared()
 
 
 class TestFlipAndChi:
@@ -375,3 +386,52 @@ class TestSimplify:
                     assert _dense_slice_homology(c, k, l) == _dense_slice_homology(
                         small, k, l
                     ), (k, l)
+
+    def test_cancellations_with_cross_terms_preserve_homology(self):
+        # potential-0 Koszul complexes whose unit row meets the others, so
+        # the first cancellation's d' = A - C u^-1 B has B and C nonzero,
+        # beside a summand with homology; two basis changes, e_s -> e_s + e_t
+        # and then e_t -> e_t - e_s (t in that summand, s not, same
+        # bidegree), tie the summand to the cancelled part, so that a cross
+        # term dropped or misplaced changes what simplify keeps
+        r = PolyRing(("a", "x1", "x2", "x3"))
+        a, x1, x2, x3 = (r.var(v) for v in r.names)
+        one, zero = r.one(), r.zero()
+        pairs = [[(one, a * (x1 - x2)), (a, x2 - x1)],
+                 [(-one, a * (x2 - x3)), (a, x2 - x3)]]
+        singles = [[(zero, x1 - x3)], [(zero, x1 * x2 - x3 * x3)]]
+        kept = realize(KoszulMatrix(
+            r, tuple(make_row(*e) for e in singles[0] + singles[1]), ()))
+        rng = random.Random(48)
+        crossed = 0
+        for _ in range(10):
+            rows = [make_row(*e)
+                    for e in rng.choice(pairs) + rng.choice(pairs + singles)]
+            rng.shuffle(rows)
+            c = _direct_sum(realize(KoszulMatrix(r, tuple(rows), ())), kept)
+            n, ident = c.rank() - kept.rank(), identity_map(c).mat
+            tie = {s: t for s in range(n) for t in range(n, c.rank())
+                   if c.gens[s] == c.gens[t]}
+            d = c.d
+            for ties, lam in ((tie, one), ({t: s for s, t in tie.items()}, -one)):
+                phi, back = (ChainMap(c, c, ident | {s: {s: one, t: x}
+                                                     for s, t in ties.items()})
+                             for x in (lam, -lam))
+                d = phi.compose(ChainMap(c, c, d).compose(back)).mat
+            c = FactorComplex(r, c.gens, d, c.w)
+            c.verify_d_squared()
+            j, i, _ = _find_unit(c)
+            crossed += (any(i in row for s, row in c.d.items() if s != j)
+                        and any(t != i for t in c.d[j]))
+            small, iota, pi = simplify(c)
+            iota.verify_chain_map()
+            pi.verify_chain_map()
+            assert pi.compose(iota).mat == identity_map(small).mat
+            assert small.rank() == kept.rank()
+            k0 = min(g.bidegree.k for g in c.gens)
+            l0 = min(g.bidegree.l for g in c.gens)
+            for k in range(k0, k0 + 3):
+                for l in range(l0, l0 + 5):
+                    assert _dense_slice_homology(c, k, l) == _dense_slice_homology(
+                        small, k, l), (rows, k, l)
+        assert crossed

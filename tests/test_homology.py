@@ -10,6 +10,7 @@ from trigrad.catalog import closed_matrix, hom_pair, open_matrix
 from trigrad.cube import build_cube, resolve
 from trigrad.factor_complex import ChainMap, FlipMap, realize
 from trigrad.homology import (
+    _slice_dim,
     InconclusiveComparison,
     TriGradedDims,
     WorkLimitExceeded,
@@ -175,6 +176,20 @@ class TestSlices:
                     if dk >= 0 and dk % 2 == 0 and dl >= 0 and dl % 2 == 0:
                         expect += comb4(dl // 2)
                 assert slice_basis(cx, k, l).dim == expect
+
+    def test_slice_dim_counts_the_slice_basis(self):
+        # over a ring with `a`, without it, and over no variable at all
+        r = PolyRing(("x1",))
+        cxs = [realize(open_matrix("gamma000")), realize(open_matrix("s2")),
+               realize(reduce_closed_matrix(closed_matrix("theta"))),
+               realize(KoszulMatrix(PolyRing(()), (), (), Bidegree(-1, 1))),
+               realize(KoszulMatrix(r, (), (), Bidegree(-1, 1)))]
+        for cx in cxs:
+            ks = {g.bidegree.k for g in cx.gens}
+            ls = {g.bidegree.l for g in cx.gens}
+            for k in range(min(ks) - 1, max(ks) + 4):
+                for l in range(min(ls) - 1, max(ls) + 6):
+                    assert _slice_dim(cx, k, l) == slice_basis(cx, k, l).dim
 
 
 class TestGraphHomology:
@@ -389,6 +404,14 @@ class TestHomSpaces:
         for src, tgt, expect in cases:
             m, n = hom_pair(src, tgt)
             assert hom_space_dim(m, n) == expect, (src, tgt)
+
+    def test_max_work_refuses_before_any_slice_is_built(self):
+        m, n = hom_pair("gamma000", "gamma000")
+        with pytest.raises(WorkLimitExceeded) as exc:
+            hom_space_dim(m, n, Bidegree(0, 300), max_work=10**6)
+        assert exc.value.args[0] == 7081604
+        m, n = hom_pair("gamma110", "gamma100")
+        assert hom_space_dim(m, n, max_work=10**6) == 1
 
     def test_potential_mismatch_rejected(self):
         m, _ = hom_pair("s2", "s2")
